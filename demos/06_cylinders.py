@@ -34,7 +34,7 @@ print("-" * 64)
 for L in (5, 9, 13):
     gad = standalone_cylinder(L)
     exact = cylinder_passage_exact(gad)
-    mc = cylinder_passage_oracle(gad, L, 30000, seed=4)
+    mc = cylinder_passage_oracle(gad, 30000, seed=4)
     print(f"L={L:2d}: mc={mc:7.2f} exact={exact:7.2f} L^2={L*L:4d} "
           f"exact/L^2={exact/L**2:.3f}")
 print("(the degree-3 gadget pays a structural factor ~1.40 over the plain")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -71,9 +70,7 @@ def _add_common(p, seed_required=False):
     p.add_argument("--config", type=str, default=None,
                    help="key=value file; explicit flags override it")
     p.add_argument("--seed", type=int, default=None, required=False)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
     p.add_argument("--out", type=str, default="out")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(_seed_required=seed_required)
 
 
@@ -159,7 +156,7 @@ def build_parser():
 
 
 _CONFIG_TYPES = {"h": int, "L": int, "Lprime": int, "m": int, "seed": int,
-                 "tmax": int, "stride": int, "samples": int, "threads": int,
+                 "tmax": int, "stride": int, "samples": int,
                  "laziness": float, "min_gap": float}
 _POST_CONFIG_DEFAULTS = {"variant": "five_regular", "Lprime": 0, "m": 0,
                          "min_gap": 0.05}
@@ -257,24 +254,19 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_profile(args) -> int:
     g = _load_graph(args.graph)
-    laziness = mixing.default_laziness(g) if args.laziness is None else args.laziness
     starts = ([int(s) for s in args.starts.split(",")] if args.starts
               else mixing.default_starts(g))
-    eps = args.eps or [0.25, 0.75]
-    tstar = g.meta.get("tstar")
-    t_max = args.tmax or (int(20 * tstar) + 200 if tstar else 20000)
+    summaries, worst = mixing.cutoff_report(
+        g, starts, eps_grid=args.eps or [0.25, 0.75], t_max=args.tmax,
+        laziness=args.laziness, stride=args.stride)
     out = Path(args.out)
-    summaries = []
-    for s in starts:
-        prof = mixing.tv_profile_until(g, s, target=min(eps) * 0.98,
-                                       t_cap=t_max, stride=args.stride,
-                                       laziness=laziness)
-        info = {"graph": args.graph, "start": s, "laziness": laziness,
-                "stride": prof.stride}
+    for sm in summaries:
+        prof = sm.profile
+        info = {"graph": args.graph, "start": sm.start,
+                "laziness": prof.laziness, "stride": prof.stride}
         rows = "t,tv\n" + "".join(f"{t},{v:.12g}\n" for t, v in prof.as_rows())
-        write_artifact(out / f"profile_start{s}.csv", "profile", info, rows)
-        summaries.append(mixing.summarize_profile(prof, eps, tstar=tstar))
-    worst = max(summaries, key=lambda sm: sm.tmix[0.25])
+        write_artifact(out / f"profile_start{sm.start}.csv", "profile", info,
+                       rows)
     body = {"starts": [sm.as_dict() for sm in summaries],
             "worst_start": worst.as_dict()}
     write_json(out / "profile_summary.json", "profile",
@@ -301,8 +293,7 @@ def _cmd_hitting(args) -> int:
             raise UsageError("hitting needs --graph or --chain")
         g = _load_graph(args.graph)
         stats = montecarlo.sample_hitting_times(g, int(args.start),
-                                                args.samples, args.seed,
-                                                threads=args.threads)
+                                                args.samples, args.seed)
     bimodal = montecarlo.bimodality_check(stats) if len(stats.samples) >= 1000 else None
     body = stats.as_dict()
     if bimodal is not None:
@@ -353,12 +344,10 @@ def _cmd_cylinder_sweep(args) -> int:
     pts = []
     for L in lengths:
         g = construction.build_cylinder(host, L)
-        laziness = (mixing.default_laziness(g) if args.laziness is None
-                    else args.laziness)
         summaries, worst = mixing.cutoff_report(
             g, mixing.default_starts(g),
             t_max=args.tmax or 400 * g.vertex_count,
-            laziness=laziness, stride=args.stride or 1)
+            laziness=args.laziness, stride=args.stride or 1)
         rows.append(f"{L},{g.vertex_count},{worst.tmix[0.25]},{worst.tmix[0.75]}")
         pts.append((L, worst.tmix[0.25]))
         print(f"L={L}: n={g.vertex_count} tmix(1/4)={worst.tmix[0.25]}")

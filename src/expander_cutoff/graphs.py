@@ -683,23 +683,33 @@ def to_text(g: LeveledGraph) -> str:
 
 
 def from_text(text: str) -> LeveledGraph:
+    """Parse the to_text format; any missing line, wrong field count,
+    non-integer field or unknown role raises GraphError."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("ev "):
         raise GraphError("bad header")
-    _, n_s, m_s, h_s, L_s, variant = lines[0].split(maxsplit=5)
-    n, m = int(n_s), int(m_s)
-    b = GraphBuilder(meta={"h": int(h_s), "L": int(L_s), "variant": variant})
-    b.add_vertices(n)
-    for i in range(1, 1 + m):
-        u_s, v_s = lines[i].split()
-        b.add_edge(int(u_s), int(v_s))
-    if lines[1 + m] != "levels":
-        raise GraphError("missing levels section")
-    for i in range(2 + m, 2 + m + n):
-        v_s, lvl_s, role_s = lines[i].split()
-        v = int(v_s)
-        b._level[v] = int(lvl_s)
-        b._role[v] = ROLE_CODES[role_s]
+    try:
+        _, n_s, m_s, h_s, L_s, variant = lines[0].split(maxsplit=5)
+        n, m = int(n_s), int(m_s)
+        b = GraphBuilder(meta={"h": int(h_s), "L": int(L_s),
+                               "variant": variant})
+        b.add_vertices(n)
+        for i in range(1, 1 + m):
+            u_s, v_s = lines[i].split()
+            b.add_edge(int(u_s), int(v_s))
+        if lines[1 + m] != "levels":
+            raise GraphError("missing levels section")
+        for i in range(2 + m, 2 + m + n):
+            v_s, lvl_s, role_s = lines[i].split()
+            v = int(v_s)
+            if not 0 <= v < n:
+                raise GraphError(f"line {i + 1}: vertex {v} out of range")
+            b._level[v] = int(lvl_s)
+            b._role[v] = ROLE_CODES[role_s]
+    except GraphError:
+        raise
+    except (IndexError, KeyError, ValueError) as exc:
+        raise GraphError(f"malformed graph text: {exc!r}") from exc
     return b.finish()
 
 

@@ -86,45 +86,29 @@ def default_stride(t_max: int) -> int:
 
 def tv_profile(g, start, t_max, stride=None, laziness=0.0) -> TVProfile:
     """Evolve the point mass at `start`, recording the TV distance to
-    uniform every `stride` steps (and at t_max).  Deterministic."""
-    if t_max < 0:
-        raise GraphError("t_max must be >= 0")
-    stride = default_stride(t_max) if stride is None else max(1, int(stride))
-    n = g.vertex_count
-    p = point_mass(n, start)
-    times = [0]
-    tv = [tv_to_uniform(p)]
-    renorms = 0
-    for t in range(1, t_max + 1):
-        p = step(g, p, laziness)
-        mass = p.sum()
-        if abs(mass - 1.0) > RENORM_TOL:
-            p /= mass
-            renorms += 1
-        if t % stride == 0 or t == t_max:
-            times.append(t)
-            tv.append(tv_to_uniform(p))
-    return TVProfile(start=int(start), times=np.asarray(times, dtype=np.int64),
-                     tv=np.asarray(tv), laziness=laziness, stride=stride,
-                     renormalizations=renorms,
-                     meta={"t_max": t_max, "n": n})
+    uniform every `stride` steps and at t_max.  Deterministic."""
+    return tv_profile_until(g, start, None, t_max, stride, laziness)
 
 
 def tv_profile_until(g, start, target, t_cap, stride=None,
                      laziness=0.0) -> TVProfile:
-    """Like tv_profile, but stops once the recorded TV drops below `target`
-    (checked on the stride grid); errors at t_cap if never reached."""
-    stride = default_stride(t_cap) if stride is None else max(1, int(stride))
+    """The evolution loop behind every profile: records the TV distance to
+    uniform every `stride` steps and at t_cap, and stops at the first
+    record below `target` (errors if t_cap comes first).  target=None
+    runs to t_cap."""
+    if t_cap < 0:
+        raise GraphError("t_max must be >= 0")
     n = g.vertex_count
+    if not 0 <= start < n:
+        raise GraphError(f"start {start} is not a vertex (n={n})")
+    stride = default_stride(t_cap) if stride is None else max(1, int(stride))
     p = point_mass(n, start)
     times = [0]
     tv = [tv_to_uniform(p)]
     renorms = 0
     t = 0
-    while tv[-1] >= target:
-        if t >= t_cap:
-            raise GraphError(f"not mixed below {target} by t_max={t_cap}")
-        for _ in range(stride):
+    while t < t_cap and (target is None or tv[-1] >= target):
+        for _ in range(min(stride, t_cap - t)):
             t += 1
             p = step(g, p, laziness)
         mass = p.sum()
@@ -133,10 +117,11 @@ def tv_profile_until(g, start, target, t_cap, stride=None,
             renorms += 1
         times.append(t)
         tv.append(tv_to_uniform(p))
+    if target is not None and tv[-1] >= target:
+        raise GraphError(f"not mixed below {target} by t_max={t_cap}")
     return TVProfile(start=int(start), times=np.asarray(times, dtype=np.int64),
                      tv=np.asarray(tv), laziness=laziness, stride=stride,
-                     renormalizations=renorms,
-                     meta={"t_cap": t_cap, "n": n})
+                     renormalizations=renorms, meta={"t_max": t_cap, "n": n})
 
 
 def mixing_time(profile: TVProfile, eps: float) -> int:
@@ -166,6 +151,7 @@ class MixingSummary:
     cutoff_ratio: float
     window_estimate: int
     tstar_theory: float | None = None
+    profile: TVProfile | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
         return {
@@ -190,7 +176,7 @@ def summarize_profile(profile: TVProfile, eps_grid=(0.25, 0.75),
     return MixingSummary(start=profile.start, tmix=tmix, brackets=brackets,
                          cutoff_ratio=ratio,
                          window_estimate=tmix[0.25] - tmix[0.75],
-                         tstar_theory=tstar)
+                         tstar_theory=tstar, profile=profile)
 
 
 def default_starts(g: LeveledGraph) -> list:
@@ -215,10 +201,12 @@ def default_starts(g: LeveledGraph) -> list:
 
 def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
                   laziness=None, stride=None):
-    """Per-start mixing summaries plus the worst start among them.
+    """Per-start mixing summaries (each carrying its profile) plus the
+    worst start among them.
 
     t_max defaults to a generous multiple of the theoretical worst-case
-    time when the build provides one.
+    time when the build provides one; stride defaults to default_stride
+    and laziness to default_laziness.
     """
     if not starts:
         raise GraphError("starts must be nonempty")

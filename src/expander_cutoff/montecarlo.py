@@ -16,7 +16,6 @@ between regimes through expander edges.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,48 +67,63 @@ def hitting_stats(samples, predicted=None) -> HittingStats:
 
 
 # ---------------------------------------------------------------------------
-# walk simulation on a materialized graph
+# the absorbing-walk sampler
 
 
-def sample_hitting_time(g: LeveledGraph, start: int, seed: int,
-                        stream_index: int = 0, step_cap: int = STEP_CAP) -> int:
-    """Steps of the simple random walk from `start` until the first arrival
-    at the leaf level; deterministic in (graph, start, seed)."""
-    role = g.role
-    if role[start] == LEAF:
-        return 0
-    indptr, indices = g.indptr, g.indices
-    gen = rng.stream(seed, stream_index)
-    v = int(start)
+def _csr(rows):
+    """(indptr, indices) of a multigraph given as one successor list per
+    state; a state listed k times among d successors has probability k/d."""
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    indices = np.array([t for r in rows for t in r], dtype=np.int64)
+    return indptr, indices
+
+
+def walk_frontier(indptr, indices, absorbing, start, num_samples, seed,
+                  step_cap=STEP_CAP):
+    """Simple random walks on the CSR multigraph (indptr, indices), one per
+    trajectory id 0..num_samples-1, all from `start`, each stopped on its
+    first arrival in an `absorbing` state.
+
+    Yields (t, ids that took step t, their new states).  Step t draws
+    rng.stream(seed, t).random(max alive id + 1) and gives uniform u[i] to
+    trajectory i, which moves to indices[indptr[s] + floor(u[i] deg(s))];
+    so the first k trajectories do not depend on num_samples.
+    """
+    n = len(indptr) - 1
+    if not 0 <= start < n:
+        raise GraphError(f"start {start} is not a state (n={n})")
+    deg = np.diff(indptr)
+    state = np.full(num_samples, start, dtype=np.int64)
+    alive = np.arange(0 if absorbing[start] else num_samples)
     t = 0
-    buf = gen.random(1024)
-    bi = 0
-    while t < step_cap:
-        if bi == len(buf):
-            buf = gen.random(1024)
-            bi = 0
-        lo = indptr[v]
-        v = int(indices[lo + int(buf[bi] * (indptr[v + 1] - lo))])
-        bi += 1
+    while alive.size:
+        if t == step_cap:
+            raise GraphError(f"step cap {step_cap} exceeded")
         t += 1
-        if role[v] == LEAF:
-            return t
-    raise GraphError(f"step cap {step_cap} exceeded")
+        u = rng.stream(seed, t).random(int(alive[-1]) + 1)[alive]
+        s = state[alive]
+        nxt = indices[indptr[s] + (u * deg[s]).astype(np.int64)]
+        state[alive] = nxt
+        yield t, alive, nxt
+        alive = alive[~absorbing[nxt]]
 
 
-def sample_hitting_times(g, start, num_samples, seed, predicted=None,
-                         threads=1) -> HittingStats:
-    """num_samples independent trajectories; trajectory i draws from the
-    (seed, i) stream, so the result is independent of batching."""
-    def run(i):
-        return sample_hitting_time(g, start, seed, stream_index=i)
+def _absorption_times(walk, num_samples) -> np.ndarray:
+    times = np.zeros(num_samples, dtype=np.int64)
+    for t, ids, _ in walk:
+        times[ids] = t
+    return times
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(run, range(num_samples)))
-    else:
-        samples = [run(i) for i in range(num_samples)]
-    return hitting_stats(samples, predicted=predicted)
+
+def sample_hitting_times(g, start, num_samples, seed,
+                         predicted=None) -> HittingStats:
+    """Steps of num_samples independent simple random walks from `start`
+    until their first arrival at the leaf level; deterministic in (graph,
+    start, seed) and independent of batching."""
+    walk = walk_frontier(g.indptr, g.indices, g.role == LEAF, start,
+                         num_samples, seed)
+    return hitting_stats(_absorption_times(walk, num_samples),
+                         predicted=predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +158,16 @@ def path_passage_oracle(L, num_samples, seed):
     absorption time and of the visits to 0 (counting the start)."""
     if L < 1:
         raise GraphError("L must be >= 1")
-    gen = rng.stream(seed, 0)
-    pos = np.zeros(num_samples, dtype=np.int64)
+    # state i is position i - L
+    rows = [[i - 1, i + 1] for i in range(2 * L + 1)]
+    rows[0] = rows[2 * L] = []
+    indptr, indices = _csr(rows)
     time = np.zeros(num_samples, dtype=np.int64)
     visits = np.ones(num_samples, dtype=np.int64)
-    alive = np.arange(num_samples)
-    while alive.size:
-        steps = (gen.random(alive.size) < 0.5).astype(np.int64) * 2 - 1
-        pos[alive] += steps
-        time[alive] += 1
-        visits[alive] += pos[alive] == 0
-        alive = alive[np.abs(pos[alive]) < L]
+    for t, ids, states in walk_frontier(indptr, indices, np.diff(indptr) == 0,
+                                        L, num_samples, seed):
+        time[ids] = t
+        visits[ids[states == L]] += 1
     return float(time.mean()), float(visits.mean())
 
 
@@ -180,18 +193,14 @@ def path_passage_exact(L):
 def stretched_edge_delay_mc(L, num_samples, seed):
     """Monte Carlo mean of the stretched-edge delay: the +-L walk with a
     3/5 laziness at interior positions and none at the origin."""
-    gen = rng.stream(seed, 0)
-    pos = np.zeros(num_samples, dtype=np.int64)
-    time = np.zeros(num_samples, dtype=np.int64)
-    alive = np.arange(num_samples)
-    while alive.size:
-        p = pos[alive]
-        move = (p == 0) | (gen.random(alive.size) < 0.4)
-        steps = (gen.random(alive.size) < 0.5).astype(np.int64) * 2 - 1
-        pos[alive] = p + np.where(move, steps, 0)
-        time[alive] += 1
-        alive = alive[np.abs(pos[alive]) < L]
-    return float(time.mean())
+    # state i is position i - L
+    rows = [[i, i, i, i - 1, i + 1] for i in range(2 * L + 1)]
+    rows[0] = rows[2 * L] = []
+    rows[L] = [L - 1, L + 1]
+    indptr, indices = _csr(rows)
+    walk = walk_frontier(indptr, indices, np.diff(indptr) == 0, L,
+                         num_samples, seed)
+    return float(_absorption_times(walk, num_samples).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +229,13 @@ def absorbing_mean_hitting(g: LeveledGraph, start: int, targets) -> float:
     return float(h[pos[start]])
 
 
-def cylinder_passage_oracle(gadget: LeveledGraph, L, num_samples, seed) -> float:
+def cylinder_passage_oracle(gadget: LeveledGraph, num_samples, seed) -> float:
     """Mean first-passage time between the two ports (vertices 0 and 1) of
     a standalone cylinder gadget."""
-    n = gadget.vertex_count
-    degs = gadget.degrees()
-    table = np.zeros((n, int(degs.max())), dtype=np.int64)
-    for v in range(n):
-        nb = gadget.neighbors(v)
-        table[v, :len(nb)] = nb
-    gen = rng.stream(seed, 0)
-    pos = np.zeros(num_samples, dtype=np.int64)
-    time = np.zeros(num_samples, dtype=np.int64)
-    alive = np.arange(num_samples)
-    while alive.size:
-        p = pos[alive]
-        k = (gen.random(alive.size) * degs[p]).astype(np.int64)
-        pos[alive] = table[p, k]
-        time[alive] += 1
-        alive = alive[pos[alive] != 1]
-    return float(time.mean())
+    walk = walk_frontier(gadget.indptr, gadget.indices,
+                         np.arange(gadget.vertex_count) == 1, 0,
+                         num_samples, seed)
+    return float(_absorption_times(walk, num_samples).mean())
 
 
 def cylinder_passage_exact(gadget: LeveledGraph) -> float:
@@ -315,6 +311,11 @@ def hitting_mixing_ratio(stats: HittingStats) -> float:
 # exact descent chain of the 5-regular family
 
 
+# every transition probability of the chain is a multiple of 1/5, so each
+# state samples its successor from a table of five equally likely entries
+_CHAIN_COLUMNS = 5
+
+
 class DescentChain:
     """Markov chain of the level coordinate along the root-leaf column.
 
@@ -329,46 +330,37 @@ class DescentChain:
         self.leaf = leaf
         self.labels = labels
         self.node_at_level = node_at_level
-        self.cum = np.ones((size, 4))
-        self.targets = np.zeros((size, 4), dtype=np.int64)
         self._p = np.zeros((size, size))
+        rows = []
         for s, mv in enumerate(moves):
             if not mv:
                 mv = [(s, 1.0)]
             total = sum(p for _, p in mv)
             if abs(total - 1.0) > 1e-12:
                 raise GraphError(f"chain state {s} has mass {total}")
-            acc = 0.0
-            for col in range(4):
-                t, p = mv[col] if col < len(mv) else (mv[-1][0], 0.0)
-                acc = min(1.0, acc + p)
-                self.cum[s, col] = acc
-                self.targets[s, col] = t
-            self.cum[s, -1] = 1.0
+            row = []
             for t, p in mv:
+                k = round(p * _CHAIN_COLUMNS)
+                if abs(p * _CHAIN_COLUMNS - k) > 1e-9:
+                    raise GraphError(f"chain move {s}->{t} has probability "
+                                     f"{p}, not a multiple of "
+                                     f"1/{_CHAIN_COLUMNS}")
+                row += [t] * k
                 self._p[s, t] += p
+            rows.append(row)
+        self._indptr, self._indices = _csr(rows)
 
     @property
     def size(self):
-        return len(self.targets)
+        return len(self._p)
 
     def sample(self, num_samples, seed, start=None) -> np.ndarray:
         """Hitting times of the leaf level for num_samples trajectories."""
         start = self.root if start is None else start
-        t = np.zeros(num_samples, dtype=np.int64)
-        if start == self.leaf:
-            return t
-        gen = rng.stream(seed, 0)
-        state = np.full(num_samples, start, dtype=np.int64)
-        alive = np.arange(num_samples)
-        while alive.size:
-            u = gen.random(alive.size)
-            st = state[alive]
-            choice = (u[:, None] >= self.cum[st, :3]).sum(axis=1)
-            state[alive] = self.targets[st, choice]
-            t[alive] += 1
-            alive = alive[state[alive] != self.leaf]
-        return t
+        walk = walk_frontier(self._indptr, self._indices,
+                             np.arange(self.size) == self.leaf, start,
+                             num_samples, seed)
+        return _absorption_times(walk, num_samples)
 
     def exact_mean(self, start=None) -> float:
         """Expected hitting time of the leaf by a dense linear solve."""

@@ -314,7 +314,7 @@ def test_c10b_cylinder_passage_near_square():
     for L, n in ((5, 100000), (9, 40000)):
         k = (L - 1) // 4
         gadget = standalone_cylinder(L)
-        results[L] = cylinder_passage_oracle(gadget, L, n, seed=1010)
+        results[L] = cylinder_passage_oracle(gadget, n, seed=1010)
         exact[L] = cylinder_passage_exact(gadget)
         closed = (9 * k + 1) * (5 * k + 2) / 2
         assert abs(exact[L] - closed) <= 1e-9 * closed, (L, exact[L], closed)

@@ -49,6 +49,32 @@ def test_profile_and_spectral(tmp_path):
     assert 0.0 < rep["gap"] < 1.0
 
 
+def test_start_outside_graph_exits_1(tmp_path):
+    out = tmp_path / "run"
+    run("build", "--variant", "five_regular", "--h", "1", "--L", "2",
+        "--seed", "1", "--out", str(out))
+    graph = str(out / "graph.ev")
+    for start in ("999999", "-1"):
+        assert run("profile", "--graph", graph, "--starts", start,
+                   "--out", str(out)) == 1
+        assert run("hitting", "--graph", graph, "--start", start,
+                   "--samples", "10", "--seed", "1", "--out", str(out)) == 1
+
+
+def test_truncated_graph_exits_1(tmp_path):
+    out = tmp_path / "run"
+    run("build", "--variant", "cubic", "--h", "2", "--L", "2",
+        "--seed", "3", "--out", str(out))
+    lines = (out / "graph.ev").read_text().splitlines(keepends=True)
+    for keep in (len(lines) // 2, len(lines) - 1):
+        bad = tmp_path / f"cut{keep}.ev"
+        bad.write_text("".join(lines[:keep]))
+        assert run("profile", "--graph", str(bad), "--out", str(out)) == 1
+    mangled = tmp_path / "mangled.ev"
+    mangled.write_text("".join(lines[:5] + ["1 x\n"] + lines[6:]))
+    assert run("spectral", "--graph", str(mangled), "--out", str(out)) == 1
+
+
 def test_hitting_chain_mode(tmp_path):
     out = tmp_path / "hit"
     rc = run("hitting", "--chain", "--variant", "five_regular", "--h", "4",

@@ -133,6 +133,11 @@ def test_profile_until_respects_cap():
     g = cycle_graph(4)
     with pytest.raises(GraphError, match="not mixed"):
         tv_profile_until(g, 0, target=1e-9, t_cap=5, stride=1, laziness=0.5)
+    # a stride that does not divide the cap still records and stops there
+    c5 = cycle_graph(5)
+    with pytest.raises(GraphError, match="not mixed"):
+        tv_profile_until(c5, 0, target=0.1, t_cap=8, stride=5)
+    assert tv_profile(c5, 0, t_max=8, stride=5).times.tolist() == [0, 5, 8]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from expander_cutoff.construction import ConstructionParams, standalone_cylinder
 from expander_cutoff.graphs import GraphError, build_tree, stretch_edges
 from expander_cutoff.montecarlo import (
+    DescentChain,
     absorbing_mean_hitting,
     bimodality_check,
     chain_hitting_stats,
@@ -15,7 +16,6 @@ from expander_cutoff.montecarlo import (
     path_passage_exact,
     path_passage_oracle,
     predicted_tau,
-    sample_hitting_time,
     sample_hitting_times,
     stretched_edge_delay,
     stretched_edge_delay_mc,
@@ -100,7 +100,8 @@ def test_oracle_determinism():
 
 def test_leaf_start_hits_immediately(five_reg_h1):
     leaf = int(np.flatnonzero(five_reg_h1.role == 3)[0])
-    assert sample_hitting_time(five_reg_h1, leaf, seed=1) == 0
+    stats = sample_hitting_times(five_reg_h1, leaf, 5, seed=1)
+    assert stats.samples.tolist() == [0] * 5
 
 
 def test_stretched_edge_graph_mean():
@@ -113,11 +114,11 @@ def test_stretched_edge_graph_mean():
 
 
 def test_trajectory_seed_determinism(five_reg_h1):
-    a = sample_hitting_time(five_reg_h1, 0, seed=3, stream_index=5)
-    b = sample_hitting_time(five_reg_h1, 0, seed=3, stream_index=5)
-    c = sample_hitting_time(five_reg_h1, 0, seed=4, stream_index=5)
-    assert a == b
-    assert isinstance(c, int)
+    a = sample_hitting_times(five_reg_h1, 0, 6, seed=3).samples
+    b = sample_hitting_times(five_reg_h1, 0, 6, seed=3).samples
+    c = sample_hitting_times(five_reg_h1, 0, 6, seed=4).samples
+    assert a.tolist() == b.tolist()
+    assert c.dtype == np.int64
 
 
 def test_batch_independent_of_size(five_reg_h1):
@@ -186,6 +187,11 @@ def test_chain_start_levels():
     assert chain_hitting_stats(chain, 10, seed=8, start_level=14).mean == 0.0
 
 
+def test_chain_rejects_moves_off_the_fifths_grid():
+    with pytest.raises(GraphError, match="multiple of 1/5"):
+        DescentChain([[(0, 0.3), (1, 0.7)], []], ["a", "b"], 0, 1, {})
+
+
 def test_chain_rejects_other_variants():
     with pytest.raises(GraphError):
         descent_chain(ConstructionParams(h=2, L=2, variant="cubic"))
@@ -246,7 +252,7 @@ def test_concentration_tightens_with_h():
 
 def test_cylinder_length_one_is_single_step():
     gad = standalone_cylinder(1)
-    assert cylinder_passage_oracle(gad, 1, 500, seed=1) == 1.0
+    assert cylinder_passage_oracle(gad, 500, seed=1) == 1.0
     assert cylinder_passage_exact(gad) == pytest.approx(1.0)
 
 
@@ -254,7 +260,7 @@ def test_cylinder_oracle_matches_linear_solve():
     for L, n in ((5, 40000), (9, 20000)):
         gad = standalone_cylinder(L)
         exact = cylinder_passage_exact(gad)
-        mc = cylinder_passage_oracle(gad, L, n, seed=6)
+        mc = cylinder_passage_oracle(gad, n, seed=6)
         assert abs(mc - exact) / exact < 0.05
 
 
