@@ -209,6 +209,17 @@ def _load_graph(path):
     return from_text(read_artifact(p))
 
 
+def _int_option(text, option) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{option} must be an integer, got {text!r}") from None
+
+
+def _int_list_option(text, option) -> list:
+    return [_int_option(x, option) for x in text.split(",")]
+
+
 def _param_summary(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
@@ -254,7 +265,7 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_profile(args) -> int:
     g = _load_graph(args.graph)
-    starts = ([int(s) for s in args.starts.split(",")] if args.starts
+    starts = (_int_list_option(args.starts, "--starts") if args.starts
               else mixing.default_starts(g))
     summaries, worst = mixing.cutoff_report(
         g, starts, eps_grid=args.eps or [0.25, 0.75], t_max=args.tmax,
@@ -277,6 +288,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_hitting(args) -> int:
+    start = _int_option(args.start, "--start")
     out = Path(args.out)
     info = _param_summary(args, ("variant", "h", "L", "Lprime", "seed",
                                  "samples", "start", "chain"))
@@ -286,13 +298,13 @@ def _cmd_hitting(args) -> int:
         predicted = (montecarlo.predicted_tau(0, params.h, params.L)
                      if params.variant == "five_regular" else None)
         stats = montecarlo.chain_hitting_stats(chain, args.samples, args.seed,
-                                               start_level=int(args.start),
+                                               start_level=start,
                                                predicted=predicted)
     else:
         if not args.graph:
             raise UsageError("hitting needs --graph or --chain")
         g = _load_graph(args.graph)
-        stats = montecarlo.sample_hitting_times(g, int(args.start),
+        stats = montecarlo.sample_hitting_times(g, start,
                                                 args.samples, args.seed)
     bimodal = montecarlo.bimodality_check(stats) if len(stats.samples) >= 1000 else None
     body = stats.as_dict()
@@ -311,6 +323,8 @@ def _cmd_hitting(args) -> int:
 def _cmd_cutoff_report(args) -> int:
     if args.L is None:
         raise UsageError("--L is required")
+    if args.hmin > args.hmax:
+        raise UsageError(f"--hmin {args.hmin} is above --hmax {args.hmax}")
     eps = args.eps or [0.25, 0.75]
     rows = ["h,n,tmix_quarter,tmix_threequarter,cutoff_ratio,window"]
     details = []
@@ -338,7 +352,10 @@ def _cmd_cutoff_report(args) -> int:
 
 
 def _cmd_cylinder_sweep(args) -> int:
-    lengths = [int(x) for x in args.Ls.split(",")]
+    lengths = _int_list_option(args.Ls, "--Ls")
+    if len(set(lengths)) < 2:
+        raise UsageError("--Ls needs at least two distinct lengths for the "
+                         "log-log fit")
     host = make_expander(ExpanderSpec(3, args.m, 0.01, args.seed))
     rows = ["L,n,tmix_quarter,tmix_threequarter"]
     pts = []

@@ -43,7 +43,8 @@ class LeveledGraph:
         Construction provenance (params, seeds, tree blocks).
     """
 
-    __slots__ = ("indptr", "indices", "level", "role", "meta", "_csr")
+    __slots__ = ("indptr", "indices", "level", "role", "meta", "_csr",
+                 "_float_degrees")
 
     def __init__(self, indptr, indices, level, role, meta=None):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -52,6 +53,7 @@ class LeveledGraph:
         self.role = np.asarray(role, dtype=np.uint8)
         self.meta = dict(meta or {})
         self._csr = None
+        self._float_degrees = None
         for arr in (self.indptr, self.indices, self.level, self.role):
             arr.setflags(write=False)
 
@@ -68,6 +70,15 @@ class LeveledGraph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    def float_degrees(self) -> np.ndarray:
+        """Degrees as a cached, read-only float64 array (the walk kernel's
+        divisor)."""
+        if self._float_degrees is None:
+            d = self.degrees().astype(np.float64)
+            d.setflags(write=False)
+            self._float_degrees = d
+        return self._float_degrees
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]

@@ -7,9 +7,14 @@ profiles on builds with a few hundred thousand vertices take seconds.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+# the kernel scipy's csr_matrix.dot runs, called here into preallocated
+# buffers; test_mixing checks it against a.dot() bit for bit
+from scipy.sparse._sparsetools import csr_matvec
 
 from .construction import leaf_level
 from .graphs import GraphError, LeveledGraph, PATH_INTERIOR, UNLEVELED
@@ -35,23 +40,48 @@ def check_dist(p: np.ndarray) -> None:
         raise GraphError(f"distribution mass {p.sum()} is not 1")
 
 
-def step(g: LeveledGraph, p: np.ndarray, laziness: float = 0.0) -> np.ndarray:
+def _walk_buffer(buf, n: int) -> np.ndarray:
+    # csr_matvec checks no lengths: a short buffer corrupts the heap
+    if buf is None:
+        return np.empty(n)
+    if buf.shape != (n,) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
+        raise GraphError(f"walk buffers must be contiguous float64 of length {n}")
+    return buf
+
+
+def step(g: LeveledGraph, p: np.ndarray, laziness: float = 0.0,
+         out: np.ndarray | None = None,
+         work: np.ndarray | None = None) -> np.ndarray:
     """One step of the walk: p'(v) = laziness p(v)
-    + (1 - laziness) sum_{u ~ v} p(u)/deg(u)."""
+    + (1 - laziness) sum_{u ~ v} p(u)/deg(u).
+
+    The result goes into `out` and `work` is scratch; both are allocated
+    when not given (contiguous float64 of length n, distinct from p and
+    from each other).  Returns `out`."""
     if not (0.0 <= laziness <= 0.5):
         raise GraphError("laziness must lie in [0, 1/2]")
     a = g.adjacency_csr()
-    q = a.dot(p / g.degrees())
+    n = a.shape[0]
+    out = _walk_buffer(out, n)
+    work = _walk_buffer(work, n)
+    np.divide(p, g.float_degrees(), out=work)
+    out.fill(0)
+    csr_matvec(n, n, a.indptr, a.indices, a.data, work, out)
     if laziness:
-        q *= (1.0 - laziness)
-        q += laziness * p
-    return q
+        out *= 1.0 - laziness
+        np.multiply(p, laziness, out=work)
+        out += work
+    return out
 
 
-def tv_to_uniform(p: np.ndarray) -> float:
-    """Half the L1 distance between p and the uniform distribution."""
+def tv_to_uniform(p: np.ndarray, work: np.ndarray | None = None) -> float:
+    """Half the L1 distance between p and the uniform distribution; `work`
+    (float64, length n) is scratch, allocated when not given."""
     n = len(p)
-    return 0.5 * float(np.abs(p - 1.0 / n).sum())
+    work = np.empty(n) if work is None else work
+    np.subtract(p, 1.0 / n, out=work)
+    np.abs(work, out=work)
+    return 0.5 * float(work.sum())
 
 
 def default_laziness(g: LeveledGraph) -> float:
@@ -103,20 +133,23 @@ def tv_profile_until(g, start, target, t_cap, stride=None,
         raise GraphError(f"start {start} is not a vertex (n={n})")
     stride = default_stride(t_cap) if stride is None else max(1, int(stride))
     p = point_mass(n, start)
+    q = np.empty(n)
+    work = np.empty(n)
     times = [0]
-    tv = [tv_to_uniform(p)]
+    tv = [tv_to_uniform(p, work)]
     renorms = 0
     t = 0
     while t < t_cap and (target is None or tv[-1] >= target):
         for _ in range(min(stride, t_cap - t)):
             t += 1
-            p = step(g, p, laziness)
+            step(g, p, laziness, out=q, work=work)
+            p, q = q, p
         mass = p.sum()
         if abs(mass - 1.0) > RENORM_TOL:
             p /= mass
             renorms += 1
         times.append(t)
-        tv.append(tv_to_uniform(p))
+        tv.append(tv_to_uniform(p, work))
     if target is not None and tv[-1] >= target:
         raise GraphError(f"not mixed below {target} by t_max={t_cap}")
     return TVProfile(start=int(start), times=np.asarray(times, dtype=np.int64),
@@ -199,6 +232,12 @@ def default_starts(g: LeveledGraph) -> list:
     return sorted({0, far})
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
                   laziness=None, stride=None):
     """Per-start mixing summaries (each carrying its profile) plus the
@@ -207,9 +246,17 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     t_max defaults to a generous multiple of the theoretical worst-case
     time when the build provides one; stride defaults to default_stride
     and laziness to default_laziness.
+
+    The starts evolve concurrently, one thread each up to the CPUs this
+    process may use (the kernel's numpy and sparse calls release the GIL).
+    Results and the first error raised are those of a serial loop over
+    `starts` in order; a failing start cancels the starts not yet begun,
+    and an interrupt waits for the running ones to finish.
     """
     if not starts:
         raise GraphError("starts must be nonempty")
+    if len(set(starts)) != len(starts):
+        raise GraphError(f"starts must be distinct: {list(starts)}")
     if laziness is None:
         laziness = default_laziness(g)
     tstar = g.meta.get("tstar")
@@ -219,10 +266,33 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
         else:
             t_max = 100 * g.vertex_count.bit_length() ** 2
     min_eps = min(float(e) for e in list(eps_grid) + [0.25])
-    summaries = []
-    for s in starts:
+    # built once here, then only read by the workers
+    g.adjacency_csr()
+    g.float_degrees()
+
+    def summary(s):
         prof = tv_profile_until(g, s, target=min_eps * 0.98, t_cap=t_max,
                                 stride=stride, laziness=laziness)
-        summaries.append(summarize_profile(prof, eps_grid, tstar=tstar))
+        return summarize_profile(prof, eps_grid, tstar=tstar)
+
+    workers = min(len(starts), _usable_cpus())
+    if workers == 1:
+        summaries = [summary(s) for s in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(summary, s) for s in starts]
+
+            def cancel_pending(done):
+                if not done.cancelled() and done.exception() is not None:
+                    for f in futures:
+                        f.cancel()
+
+            for f in futures:
+                f.add_done_callback(cancel_pending)
+            try:
+                summaries = [f.result() for f in futures]
+            finally:
+                for f in futures:
+                    f.cancel()
     worst = max(summaries, key=lambda sm: sm.tmix[0.25])
     return summaries, worst

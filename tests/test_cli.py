@@ -151,3 +151,47 @@ def test_cylinder_sweep(tmp_path):
     body = read_json(out / "cylinder_sweep.json")
     assert len(body["points"]) == 2
     assert body["loglog_slope"] > 1.0
+
+
+def test_non_integer_values_exit_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    run("build", "--variant", "five_regular", "--h", "1", "--L", "2",
+        "--seed", "1", "--out", str(out))
+    graph = str(out / "graph.ev")
+    assert run("profile", "--graph", graph, "--starts", "a",
+               "--out", str(out)) == 2
+    assert "--starts must be an integer, got 'a'" in capsys.readouterr().err
+    assert run("hitting", "--graph", graph, "--start", "x", "--samples", "10",
+               "--seed", "1", "--out", str(out)) == 2
+    assert "--start must be an integer" in capsys.readouterr().err
+    assert run("hitting", "--chain", "--h", "2", "--L", "2", "--start", "x",
+               "--seed", "1", "--out", str(out)) == 2
+    assert "--start must be an integer" in capsys.readouterr().err
+    assert run("cylinder-sweep", "--Ls", "5,x", "--seed", "1",
+               "--out", str(out)) == 2
+    assert "--Ls must be an integer, got 'x'" in capsys.readouterr().err
+
+
+def test_empty_height_range_exits_2(tmp_path):
+    out = tmp_path / "cr"
+    assert run("cutoff-report", "--variant", "cubic", "--L", "3",
+               "--hmin", "3", "--hmax", "2", "--seed", "1",
+               "--out", str(out)) == 2
+    assert not (out / "cutoff_vs_h.csv").exists()
+
+
+def test_cylinder_sweep_needs_two_lengths(tmp_path):
+    out = tmp_path / "cyl"
+    for lengths in ("5", "5,5"):
+        assert run("cylinder-sweep", "--Ls", lengths, "--seed", "1",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_repeated_start_exits_1(tmp_path):
+    out = tmp_path / "run"
+    run("build", "--variant", "five_regular", "--h", "1", "--L", "2",
+        "--seed", "1", "--out", str(out))
+    assert run("profile", "--graph", str(out / "graph.ev"), "--starts", "0,0",
+               "--out", str(out)) == 1
+    assert not (out / "profile_summary.json").exists()

@@ -1,7 +1,11 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 
-from expander_cutoff.graphs import GraphError
+from expander_cutoff import mixing
+from expander_cutoff.graphs import GraphError, from_text, to_text
 from expander_cutoff.mixing import (
     TVProfile,
     check_dist,
@@ -65,6 +69,43 @@ def test_laziness_must_be_bounded():
     g = cycle_graph(4)
     with pytest.raises(GraphError):
         step(g, point_mass(4, 0), laziness=0.7)
+
+
+def _reference_step(g, p, laziness):
+    # the kernel's original formula; step must reproduce it bit for bit
+    q = g.adjacency_csr().dot(p / g.degrees())
+    if laziness:
+        q *= (1.0 - laziness)
+        q += laziness * p
+    return q
+
+
+@pytest.mark.parametrize("laziness", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("fixture", ["cubic_h2", "five_reg_h2"])
+def test_step_matches_reference_formula_exactly(request, fixture, laziness):
+    g = request.getfixturevalue(fixture)
+    n = g.vertex_count
+    ref = point_mass(n, 0)
+    fresh = ref.copy()
+    p, out, work = ref.copy(), np.empty(n), np.empty(n)
+    for _ in range(150):
+        ref = _reference_step(g, ref, laziness)
+        fresh = step(g, fresh, laziness)
+        assert step(g, p, laziness, out=out, work=work) is out
+        p, out = out, p
+        assert np.array_equal(fresh, ref)
+        assert np.array_equal(p, ref)
+        assert tv_to_uniform(p, work) == 0.5 * float(np.abs(ref - 1.0 / n).sum())
+
+
+def test_step_rejects_mismatched_buffers():
+    g = cycle_graph(4)
+    p = point_mass(4, 0)
+    for bad in (np.empty(5), np.empty(4, dtype=np.float32), np.empty(8)[::2]):
+        with pytest.raises(GraphError, match="buffers"):
+            step(g, p, out=bad)
+        with pytest.raises(GraphError, match="buffers"):
+            step(g, p, work=bad)
 
 
 def test_check_dist_contract():
@@ -231,3 +272,80 @@ def test_default_laziness(five_reg_h1):
 def test_cutoff_report_requires_starts(five_reg_h1):
     with pytest.raises(GraphError, match="nonempty"):
         cutoff_report(five_reg_h1, [])
+    with pytest.raises(GraphError, match="distinct"):
+        cutoff_report(five_reg_h1, [0, 0])
+
+
+# ---------------------------------------------------------------------------
+# concurrent starts
+
+
+def _serial_summaries(g, starts, t_max, stride=None):
+    """cutoff_report's per-start evolution, one start after another."""
+    out = []
+    for s in starts:
+        prof = tv_profile_until(g, s, target=0.25 * 0.98, t_cap=t_max,
+                                stride=stride, laziness=default_laziness(g))
+        out.append(summarize_profile(prof, tstar=g.meta.get("tstar")))
+    return out
+
+
+def _assert_same(summaries, serial):
+    assert [s.start for s in summaries] == [s.start for s in serial]
+    for a, b in zip(summaries, serial):
+        assert a.as_dict() == b.as_dict()
+        assert np.array_equal(a.profile.times, b.profile.times)
+        assert np.array_equal(a.profile.tv, b.profile.tv)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """At least two workers, so the pool runs on a one-CPU host too."""
+    n = max(2, mixing._usable_cpus())
+    monkeypatch.setattr(mixing, "_usable_cpus", lambda: n)
+    return n
+
+
+def test_concurrent_starts_equal_serial_in_order(five_reg_h2, cpus):
+    starts = list(reversed(default_starts(five_reg_h2)))
+    summaries, worst = cutoff_report(five_reg_h2, starts, t_max=2000,
+                                     stride=1)
+    _assert_same(summaries,
+                 _serial_summaries(five_reg_h2, starts, 2000, stride=1))
+    assert worst.tmix[0.25] == max(s.tmix[0.25] for s in summaries)
+
+
+def test_failing_start_raises_serial_error(five_reg_h2, cpus):
+    starts = default_starts(five_reg_h2)
+    summaries, _ = cutoff_report(five_reg_h2, starts, stride=1)
+    stop = {s.start: int(s.profile.times[-1]) for s in summaries}
+    slow = max(starts, key=stop.get)
+    fast = [s for s in starts if stop[s] < stop[slow]]
+    cap = max(stop[s] for s in fast)
+    # the slow start fails first in start order, also when a bad vertex
+    # after it fails at once on another worker
+    for order in ([slow] + fast, fast + [slow], [slow, 10**9] + fast):
+        with pytest.raises(GraphError, match=f"not mixed .* t_max={cap}$"):
+            cutoff_report(five_reg_h2, order, t_max=cap, stride=1)
+    with pytest.raises(GraphError, match="not a vertex"):
+        cutoff_report(five_reg_h2, fast + [10**9, slow], t_max=cap, stride=1)
+
+
+def test_concurrent_stress_on_fresh_graph(five_reg_h1, cpus):
+    # more starts than workers, each round on a freshly parsed graph (CSR
+    # and float degrees not yet cached), with the interpreter switching
+    # threads every 10 us; rounds repeat for about two seconds
+    text = to_text(five_reg_h1)
+    starts = list(range(0, five_reg_h1.vertex_count, 97))[:2 * cpus + 3]
+    serial = _serial_summaries(from_text(text), starts, t_max=700)
+    interval = sys.getswitchinterval()
+    deadline = time.perf_counter() + 2.0
+    try:
+        sys.setswitchinterval(1e-5)
+        rounds = 0
+        while rounds < 2 or time.perf_counter() < deadline:
+            summaries, _ = cutoff_report(from_text(text), starts, t_max=700)
+            _assert_same(summaries, serial)
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
