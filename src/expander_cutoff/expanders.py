@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import rng
-from .graphs import GraphError, LeveledGraph, is_connected
+from .graphs import GraphError, LeveledGraph, assert_regular, is_connected
 
 DENSE_LIMIT = 2000
 _EIG_TOL = 1e-8
@@ -117,17 +117,23 @@ def adjacency_extremes(g: LeveledGraph):
     return float(w[1]), float(w[0])
 
 
-def certify_gap(g: LeveledGraph, degree: int) -> float:
-    """1 - lam/degree with lam the largest absolute nontrivial adjacency
-    eigenvalue.  Errors on disconnected input (lam would equal degree)."""
+def regular_extremes(g: LeveledGraph, degree: int):
+    """(lam2, lam_min, lam_abs) of a connected `degree`-regular graph: the
+    second largest and the smallest adjacency eigenvalue, signed, and the
+    largest absolute nontrivial one.  Errors on disconnected input (lam_abs
+    would equal the degree) and on input that is not `degree`-regular."""
     if not is_connected(g):
-        raise GraphError("cannot certify a disconnected graph")
-    degs = g.degrees()
-    if not (degs == degree).all():
+        raise GraphError("graph is disconnected")
+    if not assert_regular(g, degree):
         raise GraphError(f"graph is not {degree}-regular")
     lam2, lam_min = adjacency_extremes(g)
-    lam = max(abs(lam2), abs(lam_min))
-    return 1.0 - lam / degree
+    return lam2, lam_min, max(abs(lam2), abs(lam_min))
+
+
+def certify_gap(g: LeveledGraph, degree: int) -> float:
+    """1 - lam/degree with lam the largest absolute nontrivial adjacency
+    eigenvalue of a connected `degree`-regular graph."""
+    return 1.0 - regular_extremes(g, degree)[2] / degree
 
 
 @lru_cache(maxsize=32)

@@ -4,9 +4,10 @@ trees, edge stretching, interior interconnection across isomorphic trees,
 line-graph auxiliary embedding, and path contraction.
 
 Vertex ids are dense integers assigned in construction order.  Graphs are
-immutable after build; every operation returns a new graph.  Adding a
-parallel edge or a self-loop is an error, never a silent no-op: that policy
-catches construction bugs early.
+immutable after build; every operation returns a new graph.  A parallel
+edge or a self-loop is an error, never a silent no-op: that policy catches
+construction bugs early.  A self-loop added edge by edge is refused at once;
+duplicates are found when the builder freezes the graph.
 """
 
 from __future__ import annotations
@@ -152,9 +153,10 @@ class LeveledGraph:
 class GraphBuilder:
     """Mutable accumulator that freezes into a LeveledGraph.
 
-    add_edge rejects duplicates and self-loops immediately;
-    add_edge_array defers the duplicate scan to finish(), where the whole
-    edge set is re-verified in one vectorized pass.
+    add_edge refuses a self-loop or an unknown endpoint at once and
+    appends; add_edge_array appends whole arrays.  finish() checks the
+    whole edge set in one vectorized pass: a duplicate edge, a self-loop or
+    an unknown endpoint is a GraphError there, never dropped silently.
     """
 
     def __init__(self, meta=None):
@@ -163,7 +165,6 @@ class GraphBuilder:
         self._src = []
         self._dst = []
         self._chunks = []
-        self._keys = set()
         self.meta = dict(meta or {})
 
     @classmethod
@@ -172,9 +173,7 @@ class GraphBuilder:
         b._level = g.level.tolist()
         b._role = g.role.tolist()
         edges = g.edge_array()
-        b._src = edges[:, 0].tolist()
-        b._dst = edges[:, 1].tolist()
-        b._keys = {(u << 32) | v for u, v in zip(b._src, b._dst)}
+        b.add_edge_array(edges[:, 0], edges[:, 1])
         return b
 
     @property
@@ -205,27 +204,16 @@ class GraphBuilder:
         n = len(self._level)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) references unknown vertex")
-        if u > v:
-            u, v = v, u
-        key = (u << 32) | v
-        if key in self._keys:
-            raise GraphError(f"duplicate edge ({u}, {v})")
-        self._keys.add(key)
         self._src.append(u)
         self._dst.append(v)
 
     def add_edge_array(self, us, vs) -> None:
-        """Bulk edge insertion; uniqueness is re-checked at finish()."""
+        """Bulk edge insertion; every check runs at finish()."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         if us.shape != vs.shape:
             raise GraphError("endpoint arrays differ in length")
         self._chunks.append((us, vs))
-
-    def has_edge(self, u, v) -> bool:
-        if u > v:
-            u, v = v, u
-        return ((u << 32) | v) in self._keys
 
     def _all_edges(self):
         parts_u = [np.asarray(self._src, dtype=np.int64)]
@@ -499,31 +487,11 @@ def interconnect_interiors(g, tree_groups, mode) -> LeveledGraph:
 # line-graph auxiliary embedding
 
 
-def _embed_line_graph_onto(b, host_edges_by_vertex, attach):
-    aux_ids = []
-    for w, incident in enumerate(host_edges_by_vertex):
-        targets = [attach[e] for e in incident]
-        lvls = {int(b._level[t]) for t in targets}
-        lvl = lvls.pop() if len(lvls) == 1 else UNLEVELED
-        aux = b.add_vertex(lvl, AUXILIARY)
-        for t in targets:
-            b.add_edge(aux, t)
-        aux_ids.append(aux)
-    return aux_ids
-
-
-def _incident_edges(host) -> list:
-    by_vertex = [[] for _ in range(host.vertex_count)]
-    for u, v in map(tuple, host.edge_array()):
-        by_vertex[u].append((u, v))
-        by_vertex[v].append((u, v))
-    return by_vertex
-
-
 def _embed_line_graph_bulk(b, host_n, host_edges, targets, aux_level):
     """Vectorized embedding: one auxiliary per host vertex, joined to
     targets[j] for every host edge j incident to it.  targets must follow
-    the host's edge_array order."""
+    the host's edge_array order; aux_level is one level for every auxiliary
+    or an array of one level per host vertex."""
     targets = np.asarray(targets, dtype=np.int64)
     aux0 = b.add_vertex_array(np.full(host_n, aux_level, dtype=np.int64),
                               np.full(host_n, AUXILIARY, dtype=np.int64))
@@ -543,21 +511,28 @@ def line_graph_embed(g, host, attach) -> LeveledGraph:
     host_g = getattr(host, "graph", host)
     if not assert_regular(host_g, 3):
         raise GraphError("host is not 3-regular")
-    host_edges = {(int(u), int(v)) for u, v in host_g.edge_array()}
+    edges = host_g.edge_array()
+    host_edges = [tuple(e) for e in edges.tolist()]
     norm = {}
     for e, t in attach.items():
         u, v = int(e[0]), int(e[1])
         if u > v:
             u, v = v, u
         norm[(u, v)] = int(t)
-    if set(norm) != host_edges or len(set(norm.values())) != len(norm):
+    if set(norm) != set(host_edges) or len(set(norm.values())) != len(norm):
         raise GraphError("attachment mismatch: need a bijection onto the host edges")
     degs = g.degrees()
     for t in norm.values():
         if degs[t] not in (1, 2):
             raise GraphError(f"attachment mismatch: vertex {t} has degree {degs[t]}")
+    targets = np.asarray([norm[e] for e in host_edges], dtype=np.int64)
+    # an auxiliary takes the level its three targets share, else UNLEVELED
+    by_vertex = np.repeat(g.level[targets], 2)[
+        np.argsort(edges.ravel(), kind="stable")].reshape(-1, 3)
+    shared = (by_vertex == by_vertex[:, :1]).all(axis=1)
     b = GraphBuilder.from_graph(g)
-    _embed_line_graph_onto(b, _incident_edges(host_g), norm)
+    _embed_line_graph_bulk(b, host_g.vertex_count, edges, targets,
+                           np.where(shared, by_vertex[:, 0], UNLEVELED))
     return b.finish()
 
 
@@ -666,12 +641,6 @@ def is_bipartite(g: LeveledGraph) -> bool:
     return bool((color[edges[:, 0]] != color[edges[:, 1]]).all())
 
 
-def eccentricity_vertex(g: LeveledGraph, source: int):
-    d = bfs_distances(g, source)
-    far = int(np.argmax(d))
-    return far, int(d[far])
-
-
 # ---------------------------------------------------------------------------
 # serialization: text edge-list with a levels section
 
@@ -684,18 +653,19 @@ def to_text(g: LeveledGraph) -> str:
     L = int(meta.get("L", 0))
     variant = str(meta.get("variant", "custom"))
     lines = [f"ev {g.vertex_count} {g.edge_count} {h} {L} {variant}"]
-    for u, v in g.edge_array():
-        lines.append(f"{u} {v}")
+    lines += [f"{u} {v}" for u, v in g.edge_array().tolist()]
     lines.append("levels")
-    for v in range(g.vertex_count):
-        lines.append(f"{v} {g.level[v]} {ROLE_NAMES[g.role[v]]}")
+    names = [ROLE_NAMES[r] for r in g.role.tolist()]
+    lines += [f"{v} {lvl} {name}"
+              for v, (lvl, name) in enumerate(zip(g.level.tolist(), names))]
     lines.append("")
     return "\n".join(lines)
 
 
 def from_text(text: str) -> LeveledGraph:
     """Parse the to_text format; any missing line, wrong field count,
-    non-integer field or unknown role raises GraphError."""
+    non-integer or out-of-range field, unknown role, duplicate edge or
+    self-loop raises GraphError."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("ev "):
         raise GraphError("bad header")
@@ -705,9 +675,12 @@ def from_text(text: str) -> LeveledGraph:
         b = GraphBuilder(meta={"h": int(h_s), "L": int(L_s),
                                "variant": variant})
         b.add_vertices(n)
+        us, vs = [], []
         for i in range(1, 1 + m):
             u_s, v_s = lines[i].split()
-            b.add_edge(int(u_s), int(v_s))
+            us.append(int(u_s))
+            vs.append(int(v_s))
+        b.add_edge_array(us, vs)
         if lines[1 + m] != "levels":
             raise GraphError("missing levels section")
         for i in range(2 + m, 2 + m + n):
@@ -717,11 +690,11 @@ def from_text(text: str) -> LeveledGraph:
                 raise GraphError(f"line {i + 1}: vertex {v} out of range")
             b._level[v] = int(lvl_s)
             b._role[v] = ROLE_CODES[role_s]
+        return b.finish()
     except GraphError:
         raise
-    except (IndexError, KeyError, ValueError) as exc:
+    except (IndexError, KeyError, ValueError, OverflowError) as exc:
         raise GraphError(f"malformed graph text: {exc!r}") from exc
-    return b.finish()
 
 
 # ---------------------------------------------------------------------------

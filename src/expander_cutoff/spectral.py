@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expanders import DENSE_LIMIT, adjacency_extremes
+from .expanders import DENSE_LIMIT, regular_extremes
 from .graphs import (
     GraphError,
     LeveledGraph,
@@ -58,12 +58,7 @@ def cheeger_bounds(g: LeveledGraph, d: int):
     """((d - lam)/2, sqrt(2d(d - lam))) with lam the largest absolute
     nontrivial adjacency eigenvalue.  On bipartite input lam = d and the
     pair degenerates to (0, 0); a warning flags it."""
-    if not is_connected(g):
-        raise GraphError("graph must be connected")
-    if not (g.degrees() == d).all():
-        raise GraphError(f"graph is not {d}-regular")
-    lam2, lam_min = adjacency_extremes(g)
-    lam = max(abs(lam2), abs(lam_min))
+    lam = regular_extremes(g, d)[2]
     if lam >= d - 1e-9:
         warnings.warn("largest absolute nontrivial eigenvalue equals the "
                       "degree (bipartite input): bounds degenerate to (0, 0)")
@@ -76,12 +71,7 @@ def cheeger_sandwich(g: LeveledGraph, d: int):
     (d - lam_abs)/2 <= ch(g) <= sqrt(2d(d - lam_2)) with lam_2 the second
     largest signed eigenvalue (the upper bound stays meaningful on
     bipartite graphs, where lam_abs = d)."""
-    if not is_connected(g):
-        raise GraphError("graph must be connected")
-    if not (g.degrees() == d).all():
-        raise GraphError(f"graph is not {d}-regular")
-    lam2, lam_min = adjacency_extremes(g)
-    lam_abs = max(abs(lam2), abs(lam_min))
+    lam2, _, lam_abs = regular_extremes(g, d)
     lo = max(0.0, (d - lam_abs) / 2.0)
     hi = float(np.sqrt(2 * d * max(0.0, d - lam2)))
     return lo, hi
@@ -225,16 +215,12 @@ def spectral_report(g: LeveledGraph, degree=None, cheeger_exact=False,
                     dirichlet=False) -> SpectralReport:
     """Full report for a connected regular graph: extreme eigenvalues, the
     certified gap, Cheeger bounds (exact value on request for oracle-sized
-    graphs), and the distance-function Dirichlet bound on request."""
-    if not is_connected(g):
-        raise GraphError("graph must be connected")
-    degs = g.degrees()
+    graphs), and the distance-function Dirichlet bound on request.  The
+    degree defaults to the largest vertex degree; a graph that is not
+    degree-regular raises."""
     if degree is None:
-        if degs.min() != degs.max():
-            raise GraphError("graph is not regular; pass the degree explicitly")
-        degree = int(degs[0])
-    lam2, lam_min = adjacency_extremes(g)
-    lam_abs = max(abs(lam2), abs(lam_min))
+        degree = int(g.degrees().max(initial=0))
+    lam2, lam_min, lam_abs = regular_extremes(g, degree)
     gap = 1.0 - lam_abs / degree
     degenerate = lam_abs >= degree - 1e-9
     if degenerate:

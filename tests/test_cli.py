@@ -75,6 +75,15 @@ def test_truncated_graph_exits_1(tmp_path):
     assert run("spectral", "--graph", str(mangled), "--out", str(out)) == 1
 
 
+@pytest.mark.parametrize("edge_line", ["1 0", "2 2", "0 3"])
+def test_bad_edge_line_exits_1(tmp_path, capsys, edge_line):
+    bad = tmp_path / "bad.ev"
+    bad.write_text(f"ev 3 2 0 0 custom\n0 1\n{edge_line}\nlevels\n"
+                   + "".join(f"{v} 0 TreeNode\n" for v in range(3)))
+    assert run("profile", "--graph", str(bad), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_hitting_chain_mode(tmp_path):
     out = tmp_path / "hit"
     rc = run("hitting", "--chain", "--variant", "five_regular", "--h", "4",

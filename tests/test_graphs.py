@@ -4,6 +4,7 @@ import pytest
 from expander_cutoff.graphs import (
     LEAF,
     PATH_INTERIOR,
+    UNLEVELED,
     GraphBuilder,
     GraphError,
     are_isomorphic,
@@ -242,6 +243,24 @@ def test_line_graph_embed_rejects_partial_attachment():
         line_graph_embed(g, host, attach)
 
 
+@pytest.mark.parametrize("levels, expected", [
+    ([7] * 12, [7, 7, 7, 7]),
+    # host edge 0 is (0, 1): its target sits alone on level 8
+    ([8] + [7] * 11, [UNLEVELED, UNLEVELED, 7, 7]),
+])
+def test_line_graph_embed_auxiliary_levels(levels, expected):
+    host = complete_graph(4)
+    b = GraphBuilder()
+    b.add_vertex_array(levels, [PATH_INTERIOR] * 12)
+    for i in range(6):
+        b.add_edge(2 * i, 2 * i + 1)
+    g = b.finish()
+    attach = {tuple(e): 2 * j for j, e in enumerate(host.edge_array())}
+    out = line_graph_embed(g, host, attach)
+    assert out.level[12:].tolist() == expected
+    assert out.level[:12].tolist() == levels
+
+
 def test_line_graph_walk_moves_between_incident_host_edges():
     # from an attachment vertex, two auxiliary steps reach exactly the
     # attachment vertices of host edges sharing an endpoint with it
@@ -279,8 +298,9 @@ def test_duplicate_edge_raises():
     b = GraphBuilder()
     b.add_vertices(3)
     b.add_edge(0, 1)
-    with pytest.raises(GraphError, match="duplicate edge"):
-        b.add_edge(1, 0)
+    b.add_edge(1, 0)
+    with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
+        b.finish()
 
 
 def test_bulk_duplicate_detected_at_finish():
@@ -318,3 +338,35 @@ def test_serialization_header():
     text = to_text(g)
     assert text.splitlines()[0] == "ev 3 2 0 0 custom"
     assert "levels" in text
+
+
+def test_serialization_full_text():
+    b = GraphBuilder(meta={"variant": "tiny", "h": 1, "L": 2})
+    b.add_vertex_array([0, 0, UNLEVELED, 1], [0, 1, 2, 3])
+    b.add_edge_array([3, 0, 1], [1, 2, 0])
+    g = b.finish()
+    assert to_text(g) == (
+        "ev 4 3 1 2 tiny\n"
+        "0 1\n"
+        "0 2\n"
+        "1 3\n"
+        "levels\n"
+        "0 0 TreeNode\n"
+        "1 0 PathInterior\n"
+        "2 -1 Auxiliary\n"
+        "3 1 Leaf\n")
+    assert from_text(to_text(g)).same_structure(g)
+
+
+@pytest.mark.parametrize("edge_line, message", [
+    ("1 0", r"duplicate edge \(0, 1\)"),
+    ("2 2", "self-loop at vertex 2"),
+    ("0 3", "unknown vertex"),
+    ("-1 2", "unknown vertex"),
+    (f"0 {2 ** 70}", "malformed"),
+])
+def test_from_text_rejects_bad_edge_line(edge_line, message):
+    text = f"ev 3 2 0 0 custom\n0 1\n{edge_line}\nlevels\n" + "".join(
+        f"{v} 0 TreeNode\n" for v in range(3))
+    with pytest.raises(GraphError, match=message):
+        from_text(text)

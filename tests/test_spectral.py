@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from expander_cutoff.expanders import ExpanderSpec, make_expander
-from expander_cutoff.graphs import GraphError
+from expander_cutoff.graphs import GraphBuilder, GraphError
 from expander_cutoff.spectral import (
     cheeger_bounds,
     cheeger_bruteforce,
@@ -220,3 +220,13 @@ def test_report_bipartite_carries_lazy_gap():
     rep = spectral_report(cycle_graph(6))
     assert rep.degenerate
     assert rep.lazy_gap == pytest.approx((1 - 1.0 / 2.0) / 2.0, abs=1e-9)
+
+
+def test_report_rejects_irregular_graph_with_degree():
+    path = graph_from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(GraphError, match="not 2-regular"):
+        spectral_report(path, degree=2)
+    with pytest.raises(GraphError, match="not 2-regular"):
+        spectral_report(path)
+    with pytest.raises(GraphError, match="not 0-regular"):
+        spectral_report(GraphBuilder().finish())
