@@ -131,8 +131,13 @@ def build_parser():
                    help="also write one sample per line")
     _add_common(p, seed_required=True)
 
-    p = sub.add_parser("cutoff-report",
-                       help="cutoff ratio versus h for a build family")
+    p = sub.add_parser(
+        "cutoff-report", help="cutoff ratio versus h for a build family",
+        description="Cutoff ratio versus h from the root.  cubic and "
+                    "five_regular reports come from the exact root-class "
+                    "chain: nothing is built, so --seed and --min-gap do "
+                    "not change their output, and expanders are certified "
+                    "only by build.  no_cutoff and cylinder are built.")
     _add_build_params(p)
     p.add_argument("--hmin", type=int, required=True)
     p.add_argument("--hmax", type=int, required=True)
@@ -333,7 +338,10 @@ def _cmd_cutoff_report(args) -> int:
             h=h, L=args.L, variant=args.variant, L_prime=args.Lprime,
             m=args.m, expander_seeds=(args.seed, args.seed + 1),
             min_gap=args.min_gap)
-        g = construction.build(params)
+        if args.variant in construction.ROOT_CHAIN_VARIANTS:
+            g = construction.root_chain(params)
+        else:
+            g = construction.build(params)
         summaries, worst = mixing.cutoff_report(
             g, [0], eps_grid=eps, t_max=args.tmax, laziness=args.laziness,
             stride=args.stride or 1)

@@ -29,6 +29,7 @@ from .graphs import (
     _embed_line_graph_bulk,
     _graft_trees_onto,
     _interconnect_onto,
+    _tree_template,
     assert_regular,
     is_bipartite,
     is_connected,
@@ -371,6 +372,203 @@ def build(params: ConstructionParams) -> LeveledGraph:
     host = make_expander(ExpanderSpec(3, params.m, params.min_gap,
                                       params.expander_seeds[0]))
     return build_cylinder(host, params.L)
+
+
+def family_vertex_count(variant: str, h: int, L: int) -> int:
+    """Closed-form size of a cubic or five_regular build: the tree top,
+    three bands of stretched trees, and (cubic) the pendants and
+    auxiliaries of the line-graph embeddings."""
+    if variant == "cubic":
+        t = 2 ** (h + 1) - 2                  # edges of one binary tree
+        return (10 + 6 * L * t                                 # top, band 1
+                + 6 * 2 ** h * (2 * L - 1) * t                 # band 2, pendants
+                + (L - 1) * t * 2 ** (h + 2)                   # H1 auxiliaries
+                + 6 * 4 ** h * t + 2 ** (3 * h + 2))           # band 3, H2
+    if variant == "five_regular":
+        t = (4 ** (h + 1) - 4) // 3           # edges of one 4-ary tree
+        return 26 + 20 * L * t * (1 + 4 ** h) + 20 * 16 ** h * t
+    raise GraphError(f"no closed-form size for variant {variant!r}")
+
+
+# ---------------------------------------------------------------------------
+# root-class chain: the walk from the root, lumped without building
+
+
+class RootChain:
+    """The walk from the root (vertex 0) of a cubic or five_regular build,
+    lumped onto the classes of an equitable partition containing {root}.
+
+    State c stands for the sizes[c] vertices of one class, and counts[c, c']
+    is the number of neighbours in class c' of every vertex of class c.
+    Started at the root the walk stays constant on each class, so the
+    per-vertex mass x_c evolves exactly as x' = (1 - l) B x / d + l x with
+    B = counts (Levin-Peres-Wilmer, section 2.3), and the TV distance to
+    uniform is 1/2 sum_c sizes[c] |x_c - 1/n|.  No expander enters: the
+    cross wiring only ever joins vertices of one class, or a class to its
+    own pendant and auxiliary classes.
+
+    The walk kernel reads the chain like a graph: vertex_count is n,
+    adjacency_csr() is B and float_degrees() the degree of every state.
+    """
+
+    __slots__ = ("sizes", "counts", "degree", "meta", "_n", "_csr",
+                 "_weights", "_float_degrees")
+
+    def __init__(self, sizes, counts, degree, meta):
+        self.sizes = tuple(int(s) for s in sizes)
+        self._n = sum(self.sizes)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.counts.setflags(write=False)
+        self.degree = int(degree)
+        self.meta = dict(meta)
+        self._csr = None
+        self._weights = np.asarray([float(s) for s in self.sizes])
+        self._weights.setflags(write=False)
+        self._float_degrees = np.full(len(self.sizes), float(degree))
+        self._float_degrees.setflags(write=False)
+
+    @property
+    def vertex_count(self) -> int:
+        return self._n
+
+    @property
+    def state_count(self) -> int:
+        return len(self.sizes)
+
+    def float_degrees(self) -> np.ndarray:
+        return self._float_degrees
+
+    def adjacency_csr(self):
+        """B as a cached scipy CSR matrix with float64 entries."""
+        if self._csr is None:
+            import scipy.sparse as sp
+
+            self._csr = sp.csr_matrix(self.counts.astype(np.float64))
+        return self._csr
+
+    def mass(self, x: np.ndarray) -> float:
+        return float(self._weights @ x)
+
+    def tv_to_uniform(self, x: np.ndarray, work: np.ndarray) -> float:
+        np.subtract(x, 1.0 / self._n, out=work)
+        np.abs(work, out=work)
+        return 0.5 * float(self._weights @ work)
+
+    def is_bipartite(self) -> bool:
+        """True iff no edge joins two vertices at equal distance from the
+        root, the odd-cycle rule is_bipartite decides on a build.  All
+        vertices of a class share their distance, since the partition is
+        equitable, so a breadth-first search over classes finds it."""
+        dist = np.full(self.state_count, -1, dtype=np.int64)
+        dist[0] = 0
+        frontier = [0]
+        while frontier:
+            nxt = np.flatnonzero(self.counts[frontier].any(axis=0) & (dist < 0))
+            dist[nxt] = dist[frontier[0]] + 1
+            frontier = nxt.tolist()
+        rows, cols = np.nonzero(self.counts)
+        return bool((dist[rows] != dist[cols]).all())
+
+
+class _ChainBuilder:
+    """Class sizes and neighbour counts, added the way a build adds
+    vertices and edges."""
+
+    def __init__(self):
+        self.sizes = []
+        self.counts = {}
+
+    def add(self, size) -> int:
+        self.sizes.append(size)
+        return len(self.sizes) - 1
+
+    def join(self, a, b, per_a, per_b) -> None:
+        """Every vertex of a gets per_a neighbours in b, every vertex of b
+        per_b in a; a == b adds per_a neighbours inside the class."""
+        if self.sizes[a] * per_a != self.sizes[b] * per_b:
+            raise GraphError(f"classes {a} and {b} cannot be joined "
+                             f"{per_a}:{per_b}")
+        self.counts[a, b] = self.counts.get((a, b), 0) + per_a
+        if a != b:
+            self.counts[b, a] = self.counts.get((b, a), 0) + per_b
+
+    def below(self, parent, branching) -> int:
+        """A class of `branching` children per vertex of `parent`."""
+        child = self.add(self.sizes[parent] * branching)
+        self.join(parent, child, branching, 1)
+        return child
+
+    def graft(self, roots, branching, height, L):
+        """The classes of one band, a stretched tree below every vertex of
+        `roots`: one class per distance from its root, root side first
+        (the last holds the band's leaves), and the interior ones among
+        them.  Every depth repeats one edge of the template the builds
+        graft: its interiors, then its lower node."""
+        edge = _tree_template(branching, 1, lambda d, p: L, TREE_NODE)["roles"][:L]
+        band, interiors = [], []
+        prev = roots
+        for _ in range(height):
+            for k, role in enumerate(edge.tolist()):
+                prev = self.below(prev, branching if k == 0 else 1)
+                band.append(prev)
+                if role == PATH_INTERIOR:
+                    interiors.append(prev)
+        return band, interiors
+
+    def chain(self, degree, meta) -> RootChain:
+        k = len(self.sizes)
+        counts = np.zeros((k, k), dtype=np.int64)
+        for (a, b), c in self.counts.items():
+            counts[a, b] = c
+        bad = np.flatnonzero(counts.sum(axis=1) != degree)
+        if len(bad):
+            raise GraphError(f"chain bug: class {bad[0]} has degree "
+                             f"{counts[bad[0]].sum()}, expected {degree}")
+        return RootChain(self.sizes, counts, degree, meta)
+
+
+ROOT_CHAIN_VARIANTS = ("cubic", "five_regular")
+
+
+def root_chain(params: ConstructionParams) -> RootChain:
+    """The exact root-class chain of the cubic or five_regular build with
+    these parameters, derived from the tree template without building;
+    the expander seeds and min_gap do not enter it."""
+    params.validate()
+    if params.variant not in ROOT_CHAIN_VARIANTS:
+        raise GraphError(f"no root chain for variant {params.variant!r}")
+    h, L = params.h, params.L
+    cubic = params.variant == "cubic"
+    fanout, branching, degree = (3, 2, 3) if cubic else (5, 4, 5)
+    c = _ChainBuilder()
+    top = c.below(c.below(c.add(1), fanout), branching)
+    band1, interiors1 = c.graft(top, branching, h, L)
+    for s in interiors1:
+        # cross matching (cubic) or clique of 4 (five_regular)
+        c.join(s, s, 1 if cubic else 3, 1 if cubic else 3)
+    band2, interiors2 = c.graft(band1[-1], branching, h, L)
+    for s in interiors2:
+        if cubic:
+            # each interior's pendant, joined through the auxiliaries of
+            # its own copy of H1's line graph
+            pendant = c.below(s, 1)
+            aux = c.add(c.sizes[pendant] * 2 // 3)
+            c.join(pendant, aux, 2, 3)
+        else:
+            c.join(s, s, 3, 3)         # matching along the 3-regular H1
+    band3, _ = c.graft(band2[-1], branching, h, 1)
+    leaves = band3[-1]
+    if cubic:
+        aux = c.add(c.sizes[leaves] * 2 // 3)
+        c.join(leaves, aux, 2, 3)      # H2's line graph
+    else:
+        c.join(leaves, leaves, 4, 4)   # the 4-regular H2
+    meta = {"variant": params.variant, "h": h, "L": L}
+    if not cubic:
+        meta["tstar"] = theoretical_tstar(h, L)
+    chain = c.chain(degree, meta)
+    chain.meta["bipartite"] = chain.is_bipartite()
+    return chain
 
 
 def level_census(g: LeveledGraph) -> dict:

@@ -12,6 +12,8 @@ duplicates are found when the builder freezes the graph.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 TREE_NODE = 0
@@ -664,8 +666,9 @@ def to_text(g: LeveledGraph) -> str:
 
 def from_text(text: str) -> LeveledGraph:
     """Parse the to_text format; any missing line, wrong field count,
-    non-integer or out-of-range field, unknown role, duplicate edge or
-    self-loop raises GraphError."""
+    non-integer or out-of-range field, unknown role, duplicate edge,
+    self-loop, or levels section that does not list vertices 0..n-1 in
+    order raises GraphError."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("ev "):
         raise GraphError("bad header")
@@ -683,13 +686,18 @@ def from_text(text: str) -> LeveledGraph:
         b.add_edge_array(us, vs)
         if lines[1 + m] != "levels":
             raise GraphError("missing levels section")
-        for i in range(2 + m, 2 + m + n):
-            v_s, lvl_s, role_s = lines[i].split()
-            v = int(v_s)
-            if not 0 <= v < n:
-                raise GraphError(f"line {i + 1}: vertex {v} out of range")
+        ids = array("q")
+        for v in range(n):
+            v_s, lvl_s, role_s = lines[2 + m + v].split()
+            ids.append(int(v_s))
             b._level[v] = int(lvl_s)
             b._role[v] = ROLE_CODES[role_s]
+        # to_text lists every vertex once, in order
+        bad = np.flatnonzero(np.frombuffer(ids, dtype=np.int64) != np.arange(n))
+        if len(bad):
+            v = int(bad[0])
+            raise GraphError(f"line {v + 3 + m}: expected vertex {v}, "
+                             f"got {ids[v]}")
         return b.finish()
     except GraphError:
         raise

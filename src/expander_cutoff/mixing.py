@@ -3,6 +3,9 @@
 Distributions are plain float64 vectors indexed by vertex.  One step of
 the (optionally lazy) simple random walk is a sparse matvec, so full
 profiles on builds with a few hundred thousand vertices take seconds.
+The same loop evolves a construction.RootChain, whose vector holds the
+per-vertex mass of each class, so root profiles of the cubic and
+five_regular families cost microseconds per step at any height.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 # buffers; test_mixing checks it against a.dot() bit for bit
 from scipy.sparse._sparsetools import csr_matvec
 
-from .construction import leaf_level
+from .construction import RootChain, leaf_level
 from .graphs import GraphError, LeveledGraph, PATH_INTERIOR, UNLEVELED
 
 MASS_TOL = 1e-12
@@ -125,18 +128,27 @@ def tv_profile_until(g, start, target, t_cap, stride=None,
     """The evolution loop behind every profile: records the TV distance to
     uniform every `stride` steps and at t_cap, and stops at the first
     record below `target` (errors if t_cap comes first).  target=None
-    runs to t_cap."""
+    runs to t_cap.  g is a LeveledGraph, or a RootChain evolved from the
+    root (start 0) with the TV distance and mass summed over its classes."""
     if t_cap < 0:
         raise GraphError("t_max must be >= 0")
     n = g.vertex_count
     if not 0 <= start < n:
         raise GraphError(f"start {start} is not a vertex (n={n})")
     stride = default_stride(t_cap) if stride is None else max(1, int(stride))
-    p = point_mass(n, start)
-    q = np.empty(n)
-    work = np.empty(n)
+    if isinstance(g, RootChain):
+        # per-vertex mass on each class; vertex 0 is the root class
+        if start != 0:
+            raise GraphError("a root chain evolves the walk from vertex 0 only")
+        p = point_mass(g.state_count, 0)
+        distance, mass_of = g.tv_to_uniform, g.mass
+    else:
+        p = point_mass(n, start)
+        distance, mass_of = tv_to_uniform, np.sum
+    q = np.empty_like(p)
+    work = np.empty_like(p)
     times = [0]
-    tv = [tv_to_uniform(p, work)]
+    tv = [distance(p, work)]
     renorms = 0
     t = 0
     while t < t_cap and (target is None or tv[-1] >= target):
@@ -144,12 +156,12 @@ def tv_profile_until(g, start, target, t_cap, stride=None,
             t += 1
             step(g, p, laziness, out=q, work=work)
             p, q = q, p
-        mass = p.sum()
+        mass = mass_of(p)
         if abs(mass - 1.0) > RENORM_TOL:
             p /= mass
             renorms += 1
         times.append(t)
-        tv.append(tv_to_uniform(p, work))
+        tv.append(distance(p, work))
     if target is not None and tv[-1] >= target:
         raise GraphError(f"not mixed below {target} by t_max={t_cap}")
     return TVProfile(start=int(start), times=np.asarray(times, dtype=np.int64),
@@ -245,7 +257,8 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
 
     t_max defaults to a generous multiple of the theoretical worst-case
     time when the build provides one; stride defaults to default_stride
-    and laziness to default_laziness.
+    and laziness to default_laziness.  g may be a RootChain, with starts
+    [0].
 
     The starts evolve concurrently, one thread each up to the CPUs this
     process may use (the kernel's numpy and sparse calls release the GIL).

@@ -299,8 +299,10 @@ def bimodality_check(stats: HittingStats) -> BimodalityReport:
 
 def hitting_mixing_ratio(stats: HittingStats) -> float:
     """Quantile ratio Q75/Q25 of the hitting time: a coarse stand-in for
-    the mixing-time ratio on builds too large for exact evolution (the
-    walk mixes shortly after first reaching the leaf level)."""
+    the mixing-time ratio on no_cutoff builds too large for exact
+    evolution (the walk mixes shortly after first reaching the leaf
+    level).  Cubic and five_regular root profiles are exact at any h from
+    construction.root_chain."""
     q25 = stats.quantiles[0.25]
     if q25 <= 0:
         return float("inf")

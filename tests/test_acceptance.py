@@ -6,9 +6,9 @@ bugs (see the repository README's known-limitations section for the
 quantitative analysis):
 
   5b  cutoff ratio <= 1.6 at cubic h = 5: exact evolution gives 2.168
-      (3.048 -> 2.506 -> 2.168 over h = 3, 4, 5); with ratio - 1 falling
-      roughly like 1/h, 1.6 is reached near h ~ 9-10, beyond exact
-      evolution.
+      (3.048 -> 2.506 -> 2.168 over h = 3, 4, 5); the exact root-class
+      chain gives 1.951 at h = 6 and crosses 1.6 between h = 11 and
+      h = 12, with ratio - 1 falling like about h^(-1/2).
   7a  bimodality flag at uneven-stretch h = 4: the exact leaf-hitting law
       (DescentChain.survival, 5-step moving average) has a single mode
       (t ~ 92 at h = 4) for every h <= 16 and two modes only from h = 20,

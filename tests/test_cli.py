@@ -1,6 +1,10 @@
 import pytest
 
+from expander_cutoff import construction
 from expander_cutoff.cli import main, read_artifact, read_json
+from expander_cutoff.construction import ConstructionParams
+from expander_cutoff.graphs import GraphError
+from expander_cutoff.mixing import cutoff_report
 
 
 def run(*argv):
@@ -82,6 +86,14 @@ def test_bad_edge_line_exits_1(tmp_path, capsys, edge_line):
                    + "".join(f"{v} 0 TreeNode\n" for v in range(3)))
     assert run("profile", "--graph", str(bad), "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_repeated_level_line_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.ev"
+    bad.write_text("ev 3 2 0 0 c\n0 1\n1 2\nlevels\n"
+                   "0 5 Leaf\n0 5 Leaf\n2 5 Leaf\n")
+    assert run("profile", "--graph", str(bad), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: line 6: expected vertex 1")
 
 
 def test_hitting_chain_mode(tmp_path):
@@ -187,6 +199,61 @@ def test_empty_height_range_exits_2(tmp_path):
                "--hmin", "3", "--hmax", "2", "--seed", "1",
                "--out", str(out)) == 2
     assert not (out / "cutoff_vs_h.csv").exists()
+
+
+CUTOFF_FILES = ("cutoff_vs_h.csv", "cutoff_vs_h.json")
+
+
+def test_cutoff_report_bodies_do_not_depend_on_seed(tmp_path):
+    bodies = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert run("cutoff-report", "--variant", "cubic", "--L", "3",
+                   "--hmin", "2", "--hmax", "4", "--seed", seed,
+                   "--out", str(out)) == 0
+        bodies.append([read_artifact(out / f) for f in CUTOFF_FILES])
+    assert bodies[0] == bodies[1]
+
+
+def test_cutoff_report_rows_equal_materialized(tmp_path, monkeypatch):
+    csv, rows = ["h,n,tmix_quarter,tmix_threequarter,cutoff_ratio,window"], []
+    for h in (2, 3):
+        g = construction.build(ConstructionParams(h=h, L=3, variant="cubic"))
+        (s,), _ = cutoff_report(g, [0], stride=1)
+        csv.append(f"{h},{g.vertex_count},{s.tmix[0.25]},{s.tmix[0.75]},"
+                   f"{s.cutoff_ratio:.6f},{s.window_estimate}")
+        rows.append({"h": h, "n": g.vertex_count, **s.as_dict()})
+
+    def no_build(params):
+        raise AssertionError("cutoff-report built a cubic graph")
+
+    monkeypatch.setattr(construction, "build", no_build)
+    out = tmp_path / "cr"
+    assert run("cutoff-report", "--variant", "cubic", "--L", "3",
+               "--hmin", "2", "--hmax", "3", "--seed", "1",
+               "--out", str(out)) == 0
+    assert read_artifact(out / "cutoff_vs_h.csv") == "\n".join(csv) + "\n"
+    assert read_json(out / "cutoff_vs_h.json") == {"rows": rows}
+
+
+def test_cutoff_report_no_cutoff_still_builds(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def record(params):
+        built.append(params)
+        raise GraphError("recorded")
+
+    def no_chain(params):
+        raise AssertionError("no_cutoff has no exact root chain")
+
+    monkeypatch.setattr(construction, "build", record)
+    monkeypatch.setattr(construction, "root_chain", no_chain)
+    assert run("cutoff-report", "--variant", "no_cutoff", "--L", "2",
+               "--Lprime", "4", "--hmin", "2", "--hmax", "2", "--seed", "3",
+               "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: recorded\n"
+    assert built == [ConstructionParams(h=2, L=2, variant="no_cutoff",
+                                        L_prime=4, expander_seeds=(3, 4))]
 
 
 def test_cylinder_sweep_needs_two_lengths(tmp_path):

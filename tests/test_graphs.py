@@ -370,3 +370,15 @@ def test_from_text_rejects_bad_edge_line(edge_line, message):
         f"{v} 0 TreeNode\n" for v in range(3))
     with pytest.raises(GraphError, match=message):
         from_text(text)
+
+
+@pytest.mark.parametrize("vertex_lines, message", [
+    # vertex 0 named twice and vertex 1 never: 1 would keep level -1
+    ("0 5 Leaf\n0 5 Leaf\n2 5 Leaf\n", "line 6: expected vertex 1, got 0"),
+    ("0 5 Leaf\n2 5 Leaf\n1 5 Leaf\n", "line 6: expected vertex 1, got 2"),
+    ("0 5 Leaf\n1 5 Leaf\n7 5 Leaf\n", "line 7: expected vertex 2, got 7"),
+])
+def test_from_text_requires_vertex_lines_in_order(vertex_lines, message):
+    text = "ev 3 2 0 0 c\n0 1\n1 2\nlevels\n" + vertex_lines
+    with pytest.raises(GraphError, match=message):
+        from_text(text)

@@ -1,0 +1,125 @@
+"""The root-class chain against the builds it lumps: equal TV profiles,
+equal summaries, an equitable partition, and its invariants at any h."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from expander_cutoff.construction import (
+    ConstructionParams,
+    build,
+    family_vertex_count,
+    root_chain,
+)
+from expander_cutoff.graphs import GraphError
+from expander_cutoff.mixing import cutoff_report, default_laziness, tv_profile_until
+
+# cubic L=1 has no cross edge on an interior and is bipartite
+SMALL = [("cubic", 3, 2), ("cubic", 3, 3), ("five_regular", 2, 1),
+         ("five_regular", 2, 2), ("cubic", 1, 2)]
+# builds conftest already holds, with the same expander seeds
+SHARED = {("five_regular", 2, 1): "five_reg_h1",
+          ("five_regular", 2, 2): "five_reg_h2"}
+
+
+@functools.lru_cache(maxsize=None)
+def _built(variant, L, h):
+    return build(ConstructionParams(h=h, L=L, variant=variant))
+
+
+@pytest.fixture
+def g(request, variant, L, h):
+    name = SHARED.get((variant, L, h))
+    return request.getfixturevalue(name) if name else _built(variant, L, h)
+
+
+def chain(variant, L, h):
+    return root_chain(ConstructionParams(h=h, L=L, variant=variant))
+
+
+@pytest.mark.parametrize("laziness", [0.0, 0.25])
+@pytest.mark.parametrize("variant, L, h", SMALL)
+def test_chain_tv_equals_materialized(g, variant, L, h, laziness):
+    c = chain(variant, L, h)
+    exact = tv_profile_until(g, 0, None, 1000, stride=1, laziness=laziness)
+    lumped = tv_profile_until(c, 0, None, 1000, stride=1, laziness=laziness)
+    assert np.array_equal(lumped.times, exact.times)
+    assert np.abs(lumped.tv - exact.tv).max() < 1e-12
+    assert lumped.meta == exact.meta
+
+
+@pytest.mark.parametrize("variant, L, h", SMALL)
+def test_chain_summary_equals_materialized(g, variant, L, h):
+    c = chain(variant, L, h)
+    assert sum(c.sizes) == c.vertex_count == g.vertex_count
+    assert c.vertex_count == family_vertex_count(variant, h, L)
+    assert c.meta["bipartite"] == g.meta["bipartite"]
+    assert default_laziness(c) == default_laziness(g)
+    assert c.meta.get("tstar") == g.meta.get("tstar")
+    (s_chain,), _ = cutoff_report(c, [0], stride=1)
+    (s_build,), _ = cutoff_report(g, [0], stride=1)
+    assert s_chain.tmix == s_build.tmix
+    assert s_chain.brackets == s_build.brackets
+    assert s_chain.as_dict() == s_build.as_dict()
+
+
+def _refine(signatures):
+    """Canonical colours: signature rows ranked in lexicographic order."""
+    rows, colours = np.unique(signatures, axis=0, return_inverse=True)
+    return rows, colours.ravel()
+
+
+@pytest.mark.parametrize("variant, L, h", SMALL)
+def test_chain_classes_are_an_equitable_partition(g, variant, L, h):
+    """Colour refinement from {root}, run on the build and on the chain in
+    lockstep with canonical colours, ends in the chain's classes; then
+    every vertex of class c has exactly counts[c, c'] neighbours in c'."""
+    c = chain(variant, L, h)
+    d = c.degree
+    nbrs = g.indices.reshape(-1, d)
+    # a state's neighbour colours, one entry per neighbour
+    state_nbrs = np.asarray([np.repeat(np.arange(c.state_count), row)
+                             for row in c.counts])
+    vertex_colour = (np.arange(g.vertex_count) == 0).astype(np.int64)
+    state_colour = (np.arange(c.state_count) == 0).astype(np.int64)
+    while True:
+        rows_g, new_vertex = _refine(np.column_stack(
+            [vertex_colour, np.sort(vertex_colour[nbrs], axis=1)]))
+        rows_c, new_state = _refine(np.column_stack(
+            [state_colour, np.sort(state_colour[state_nbrs], axis=1)]))
+        assert np.array_equal(rows_g, rows_c)
+        stable = new_vertex.max() == vertex_colour.max()
+        vertex_colour, state_colour = new_vertex, new_state
+        if stable:
+            break
+    # every state is its own colour, so colours name states one to one
+    assert len(set(state_colour.tolist())) == c.state_count
+    state_of = np.argsort(state_colour)[vertex_colour]
+    assert np.bincount(state_of).tolist() == list(c.sizes)
+    per_class = np.zeros((g.vertex_count, c.state_count), dtype=np.int64)
+    np.add.at(per_class, (np.repeat(np.arange(g.vertex_count), d),
+                          state_of[nbrs].ravel()), 1)
+    assert np.array_equal(per_class, c.counts[state_of])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(variant=st.sampled_from(["cubic", "five_regular"]),
+       h=st.integers(1, 40), L=st.integers(1, 6))
+def test_chain_invariants_at_any_height(variant, h, L):
+    c = chain(variant, L, h)
+    counts = c.counts
+    assert (counts.sum(axis=1) == c.degree).all()
+    sizes = list(c.sizes)
+    for a, b in zip(*np.nonzero(counts)):
+        assert sizes[a] * int(counts[a, b]) == sizes[b] * int(counts[b, a])
+    assert sum(sizes) == family_vertex_count(variant, h, L)
+    assert c.meta["bipartite"] == (variant == "cubic" and L == 1)
+
+
+def test_chain_rejects_other_variants_and_starts():
+    with pytest.raises(GraphError, match="no root chain"):
+        root_chain(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
+    with pytest.raises(GraphError, match="vertex 0 only"):
+        tv_profile_until(chain("cubic", 3, 2), 1, None, 10)
