@@ -1,10 +1,10 @@
-"""Hitting times to the leaf level: sampling, the exact level chain, and
-the closed-form prediction.
+"""Hitting times to the leaf level: sampling, the exact descent chain,
+and the closed-form prediction.
 
-The level coordinate of the walk is a Markov chain of its own (cross edges
-join isomorphic interiors at equal height), so leaf-hitting times can be
-sampled from a tiny chain at any h, with the same law as on the full
-graph.
+Started at the root, the walk's class in the tree template is a Markov
+chain of its own (cross edges join isomorphic interiors at equal height),
+so leaf-hitting times can be sampled from a tiny chain at any h, with the
+same law as on the full graph, for the cubic family as well.
 
 Run:  python demos/04_hitting_times.py
 """
@@ -32,14 +32,14 @@ print(f"stretched-edge delay, L=2: monte carlo {delay_mc:.3f}, "
       f"closed form {stretched_edge_delay(2):.1f}")
 
 print()
-print("graph sampling vs the exact level chain, 5-regular h=2 L=2")
+print("graph sampling vs the exact descent chain, 5-regular h=2 L=2")
 print("-" * 64)
 g = build_five_regular(ConstructionParams(h=2, L=2))
 graph_stats = sample_hitting_times(g, 0, 3000, seed=11)
 chain = descent_chain(ConstructionParams(h=2, L=2))
 print(f"graph sampler:  mean={graph_stats.mean:.2f} "
       f"(stderr {graph_stats.stderr():.2f})")
-print(f"level chain:    exact mean={chain.exact_mean():.2f}")
+print(f"descent chain:  exact mean={chain.exact_mean():.2f}")
 print(f"prediction:     {predicted_tau(0, 2, 2):.1f}")
 
 print()

@@ -121,8 +121,8 @@ def build_parser():
     p = sub.add_parser("hitting", help="hitting-time samples to the leaf level")
     p.add_argument("--graph", type=str, default=None)
     p.add_argument("--chain", action="store_true",
-                   help="sample the exact level chain instead of a built "
-                        "graph (any h, 5-regular family only)")
+                   help="sample the leaf-hitting chain instead of a built "
+                        "graph")
     _add_build_params(p)
     p.add_argument("--start", type=str, default="0",
                    help="start vertex (graph mode) or start level (chain mode)")
@@ -193,6 +193,13 @@ def _apply_config(args):
 def _require_seed(args):
     if getattr(args, "_seed_required", False) and args.seed is None:
         raise UsageError("this command needs an explicit --seed")
+
+
+def _require_positive(args):
+    for key in ("samples", "stride"):
+        value = getattr(args, key, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{key} must be >= 1, got {value}")
 
 
 def _params_from_args(args) -> ConstructionParams:
@@ -437,6 +444,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         _require_seed(args)
+        _require_positive(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

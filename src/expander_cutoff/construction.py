@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -142,6 +143,17 @@ def _l_floor_meta(params, gap1, gap2):
 # 5-regular family (with the uneven-stretch variant)
 
 
+def _band1_length(params, depth, pos):
+    """Stretch length of the band-1 edge ending at the depth-`depth` node
+    with left-to-right index `pos` in its tree: L_prime below the
+    odd-indexed depth-h/2 vertices of a no_cutoff build, L elsewhere."""
+    half = params.h // 2
+    if (params.variant == "no_cutoff" and depth > half
+            and (pos // 4 ** (depth - half)) % 2 == 1):
+        return params.L_prime
+    return params.L
+
+
 def _build_five_regular_family(params: ConstructionParams) -> LeveledGraph:
     h, L = params.h, params.L
     seed1, seed2 = params.expander_seeds
@@ -149,24 +161,11 @@ def _build_five_regular_family(params: ConstructionParams) -> LeveledGraph:
     exp2 = make_expander(ExpanderSpec(4, 20 * 4 ** (3 * h), params.min_gap, seed2))
     floor_meta = _l_floor_meta(params, exp1.gap, exp2.gap)
 
-    uneven = params.variant == "no_cutoff"
-    if uneven:
-        half = h // 2
-        shift = {d: 4 ** (d - half) for d in range(half + 1, h + 1)}
-
-        def length_at(depth, pos):
-            # subtrees rooted at odd-indexed depth-h/2 vertices stretch to L'
-            if depth > half and (pos // shift[depth]) % 2 == 1:
-                return params.L_prime
-            return L
-    else:
-        def length_at(depth, pos):
-            return L
-
     b = GraphBuilder()
     u = _tree_top(b, 5, 4)
 
-    band1 = _graft_trees_onto(b, u, 4, h, length_at, [2] * len(u))
+    band1 = _graft_trees_onto(b, u, 4, h, partial(_band1_length, params),
+                              [2] * len(u))
     groups = [list(range(i, i + 4)) for i in range(0, 20, 4)]
     _interconnect_onto(b, band1, groups, "clique")
     set_a = _block_leaves(band1)
@@ -189,7 +188,7 @@ def _build_five_regular_family(params: ConstructionParams) -> LeveledGraph:
         "variant": params.variant,
         "h": h,
         "L": L,
-        "L_prime": params.L_prime if uneven else 0,
+        "L_prime": params.L_prime if params.variant == "no_cutoff" else 0,
         "degree": 5,
         "seeds": tuple(params.expander_seeds),
         "gap1": exp1.gap,
@@ -405,22 +404,27 @@ class RootChain:
     B = counts (Levin-Peres-Wilmer, section 2.3), and the TV distance to
     uniform is 1/2 sum_c sizes[c] |x_c - 1/n|.  No expander enters: the
     cross wiring only ever joins vertices of one class, or a class to its
-    own pendant and auxiliary classes.
+    own pendant and auxiliary classes.  levels[c] is the tree level of a
+    class of tree nodes or leaves (UNLEVELED for the others), and `leaves`
+    lists the leaf classes.  class_chain builds one for no_cutoff too, on
+    classes that are not equitable; only the descent chain reads it.
 
     The walk kernel reads the chain like a graph: vertex_count is n,
     adjacency_csr() is B and float_degrees() the degree of every state.
     """
 
-    __slots__ = ("sizes", "counts", "degree", "meta", "_n", "_csr",
-                 "_weights", "_float_degrees")
+    __slots__ = ("sizes", "counts", "degree", "meta", "levels", "leaves",
+                 "_n", "_csr", "_weights", "_float_degrees")
 
-    def __init__(self, sizes, counts, degree, meta):
+    def __init__(self, sizes, counts, degree, meta, levels, leaves):
         self.sizes = tuple(int(s) for s in sizes)
         self._n = sum(self.sizes)
         self.counts = np.asarray(counts, dtype=np.int64)
         self.counts.setflags(write=False)
         self.degree = int(degree)
         self.meta = dict(meta)
+        self.levels = tuple(int(v) for v in levels)
+        self.leaves = tuple(int(c) for c in leaves)
         self._csr = None
         self._weights = np.asarray([float(s) for s in self.sizes])
         self._weights.setflags(write=False)
@@ -471,15 +475,17 @@ class RootChain:
 
 
 class _ChainBuilder:
-    """Class sizes and neighbour counts, added the way a build adds
-    vertices and edges."""
+    """Class sizes, neighbour counts and tree levels, added the way a
+    build adds vertices and edges."""
 
     def __init__(self):
         self.sizes = []
+        self.levels = []
         self.counts = {}
 
-    def add(self, size) -> int:
+    def add(self, size, level=UNLEVELED) -> int:
         self.sizes.append(size)
+        self.levels.append(level)
         return len(self.sizes) - 1
 
     def join(self, a, b, per_a, per_b) -> None:
@@ -492,30 +498,46 @@ class _ChainBuilder:
         if a != b:
             self.counts[b, a] = self.counts.get((b, a), 0) + per_b
 
-    def below(self, parent, branching) -> int:
+    def below(self, parent, branching, level=UNLEVELED) -> int:
         """A class of `branching` children per vertex of `parent`."""
-        child = self.add(self.sizes[parent] * branching)
+        child = self.add(self.sizes[parent] * branching, level)
         self.join(parent, child, branching, 1)
         return child
 
-    def graft(self, roots, branching, height, L):
+    def graft(self, roots, branching, height, length_at, base_level,
+              split=0):
         """The classes of one band, a stretched tree below every vertex of
-        `roots`: one class per distance from its root, root side first
-        (the last holds the band's leaves), and the interior ones among
-        them.  Every depth repeats one edge of the template the builds
-        graft: its interiors, then its lower node."""
-        edge = _tree_template(branching, 1, lambda d, p: L, TREE_NODE)["roles"][:L]
-        band, interiors = [], []
-        prev = roots
-        for _ in range(height):
-            for k, role in enumerate(edge.tolist()):
-                prev = self.below(prev, branching if k == 0 else 1)
-                band.append(prev)
-                if role == PATH_INTERIOR:
-                    interiors.append(prev)
-        return band, interiors
+        each class in `roots`, with the edge lengths length_at(depth, pos)
+        the builds graft.  Each root class starts a column of classes, one
+        per distance from its root, and every depth repeats one edge of the
+        template: its interiors, then its lower node.  At depth `split`
+        every column splits by node index parity, branching/2 children per
+        parent each, the even column first.  Returns the columns' leaf
+        classes and all interior classes."""
+        columns = [(r, 0) for r in roots]    # class, index of one of its nodes
+        interiors = []
+        for depth in range(1, height + 1):
+            grown = []
+            for parent, pos in columns:
+                first = pos * branching
+                kids = ([(first, branching // 2), (first + 1, branching // 2)]
+                        if depth == split else [(first, branching)])
+                for child, per_parent in kids:
+                    length = length_at(depth, child)
+                    edge = _tree_template(1, 1, lambda d, p: length, TREE_NODE)
+                    prev = parent
+                    for k, role in enumerate(edge["roles"].tolist()):
+                        interior = role == PATH_INTERIOR
+                        level = UNLEVELED if interior else base_level + depth
+                        prev = self.below(prev, per_parent if k == 0 else 1,
+                                          level)
+                        if interior:
+                            interiors.append(prev)
+                    grown.append((prev, child))
+            columns = grown
+        return [c for c, _ in columns], interiors
 
-    def chain(self, degree, meta) -> RootChain:
+    def chain(self, degree, meta, leaves) -> RootChain:
         k = len(self.sizes)
         counts = np.zeros((k, k), dtype=np.int64)
         for (a, b), c in self.counts.items():
@@ -524,29 +546,34 @@ class _ChainBuilder:
         if len(bad):
             raise GraphError(f"chain bug: class {bad[0]} has degree "
                              f"{counts[bad[0]].sum()}, expected {degree}")
-        return RootChain(self.sizes, counts, degree, meta)
+        return RootChain(self.sizes, counts, degree, meta, self.levels, leaves)
 
 
 ROOT_CHAIN_VARIANTS = ("cubic", "five_regular")
 
 
-def root_chain(params: ConstructionParams) -> RootChain:
-    """The exact root-class chain of the cubic or five_regular build with
-    these parameters, derived from the tree template without building;
-    the expander seeds and min_gap do not enter it."""
+def class_chain(params: ConstructionParams) -> RootChain:
+    """The walk from the root of a cubic, five_regular or no_cutoff build,
+    lumped onto classes derived from the tree template without building;
+    the expander seeds and min_gap do not enter it.  no_cutoff's classes
+    carry the stretch regime below band 1's depth h/2 down through bands 2
+    and 3, but H1's matching of band-2 interiors joins the two regimes, so
+    that partition is not equitable and its chain is not exact."""
     params.validate()
-    if params.variant not in ROOT_CHAIN_VARIANTS:
-        raise GraphError(f"no root chain for variant {params.variant!r}")
+    if params.variant == "cylinder":
+        raise GraphError("no chain for variant 'cylinder'")
     h, L = params.h, params.L
     cubic = params.variant == "cubic"
     fanout, branching, degree = (3, 2, 3) if cubic else (5, 4, 5)
+    split = h // 2 if params.variant == "no_cutoff" else 0
     c = _ChainBuilder()
-    top = c.below(c.below(c.add(1), fanout), branching)
-    band1, interiors1 = c.graft(top, branching, h, L)
+    top = c.below(c.below(c.add(1, 0), fanout, 1), branching, 2)
+    band1, interiors1 = c.graft([top], branching, h,
+                                partial(_band1_length, params), 2, split)
     for s in interiors1:
         # cross matching (cubic) or clique of 4 (five_regular)
         c.join(s, s, 1 if cubic else 3, 1 if cubic else 3)
-    band2, interiors2 = c.graft(band1[-1], branching, h, L)
+    band2, interiors2 = c.graft(band1, branching, h, lambda d, p: L, h + 2)
     for s in interiors2:
         if cubic:
             # each interior's pendant, joined through the auxiliaries of
@@ -556,19 +583,27 @@ def root_chain(params: ConstructionParams) -> RootChain:
             c.join(pendant, aux, 2, 3)
         else:
             c.join(s, s, 3, 3)         # matching along the 3-regular H1
-    band3, _ = c.graft(band2[-1], branching, h, 1)
-    leaves = band3[-1]
-    if cubic:
-        aux = c.add(c.sizes[leaves] * 2 // 3)
-        c.join(leaves, aux, 2, 3)      # H2's line graph
-    else:
-        c.join(leaves, leaves, 4, 4)   # the 4-regular H2
+    leaves, _ = c.graft(band2, branching, h, lambda d, p: 1, 2 * h + 2)
+    for leaf in leaves:
+        if cubic:
+            aux = c.add(c.sizes[leaf] * 2 // 3)
+            c.join(leaf, aux, 2, 3)    # H2's line graph
+        else:
+            c.join(leaf, leaf, 4, 4)   # the 4-regular H2
     meta = {"variant": params.variant, "h": h, "L": L}
     if not cubic:
         meta["tstar"] = theoretical_tstar(h, L)
-    chain = c.chain(degree, meta)
+    chain = c.chain(degree, meta, leaves)
     chain.meta["bipartite"] = chain.is_bipartite()
     return chain
+
+
+def root_chain(params: ConstructionParams) -> RootChain:
+    """The exact root-class chain of the cubic or five_regular build with
+    these parameters: its class_chain, refused for no_cutoff."""
+    if params.variant not in ROOT_CHAIN_VARIANTS:
+        raise GraphError(f"no root chain for variant {params.variant!r}")
+    return class_chain(params)
 
 
 def level_census(g: LeveledGraph) -> dict:

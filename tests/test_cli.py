@@ -5,6 +5,7 @@ from expander_cutoff.cli import main, read_artifact, read_json
 from expander_cutoff.construction import ConstructionParams
 from expander_cutoff.graphs import GraphError
 from expander_cutoff.mixing import cutoff_report
+from expander_cutoff.montecarlo import descent_chain
 
 
 def run(*argv):
@@ -107,6 +108,17 @@ def test_hitting_chain_mode(tmp_path):
     assert body["predicted"] == pytest.approx(100.0)
 
 
+def test_hitting_chain_mode_cubic(tmp_path):
+    out = tmp_path / "hit"
+    assert run("hitting", "--chain", "--variant", "cubic", "--h", "3",
+               "--L", "3", "--seed", "5", "--out", str(out)) == 0
+    body = read_json(out / "hitting.json")
+    exact = descent_chain(
+        ConstructionParams(h=3, L=3, variant="cubic")).exact_mean()
+    stderr = body["stddev"] / body["count"] ** 0.5
+    assert abs(body["mean"] - exact) < 5 * stderr
+
+
 def test_hitting_graph_mode(tmp_path):
     out = tmp_path / "hit2"
     run("build", "--variant", "five_regular", "--h", "1", "--L", "2",
@@ -191,6 +203,25 @@ def test_non_integer_values_exit_2(tmp_path, capsys):
     assert run("cylinder-sweep", "--Ls", "5,x", "--seed", "1",
                "--out", str(out)) == 2
     assert "--Ls must be an integer, got 'x'" in capsys.readouterr().err
+
+
+def test_samples_below_one_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    for argv in (("hitting", "--chain", "--h", "2", "--L", "2"),
+                 ("hitting", "--graph", str(tmp_path / "graph.ev")),
+                 ("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4")):
+        assert run(*argv, "--samples", "-1", "--seed", "1", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --samples must be >= 1, got -1\n"
+
+
+def test_stride_below_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "cr"
+    assert run("cutoff-report", "--variant", "cubic", "--L", "3",
+               "--hmin", "2", "--hmax", "2", "--stride", "0", "--seed", "1",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: --stride must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_empty_height_range_exits_2(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from expander_cutoff.construction import ConstructionParams, standalone_cylinder
 from expander_cutoff.graphs import GraphError, build_tree, stretch_edges
 from expander_cutoff.montecarlo import (
-    DescentChain,
     absorbing_mean_hitting,
     bimodality_check,
     chain_hitting_stats,
@@ -20,7 +19,6 @@ from expander_cutoff.montecarlo import (
     stretched_edge_delay,
     stretched_edge_delay_mc,
 )
-from expander_cutoff.montecarlo import _build_five_family_chain
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +156,13 @@ def test_chain_mean_matches_graph_no_cutoff(no_cutoff_h2):
 
 def test_chain_tracks_prediction_at_large_h():
     for h, L in ((8, 2), (40, 2), (12, 3)):
-        chain = _build_five_family_chain(h, L)
+        chain = descent_chain(ConstructionParams(h=h, L=L))
         ratio = chain.exact_mean() / predicted_tau(0, h, L)
         assert abs(ratio - 1.0) < 0.05, (h, L)
 
 
 def test_chain_sampler_agrees_with_linear_solve():
-    chain = _build_five_family_chain(4, 2)
+    chain = descent_chain(ConstructionParams(h=4, L=2))
     samples = chain.sample(40000, seed=21)
     exact = chain.exact_mean()
     se = samples.std() / np.sqrt(len(samples))
@@ -172,7 +170,7 @@ def test_chain_sampler_agrees_with_linear_solve():
 
 
 def test_chain_survival_is_monotone():
-    chain = _build_five_family_chain(2, 2)
+    chain = descent_chain(ConstructionParams(h=2, L=2))
     surv = chain.survival(400)
     assert surv[0] == 1.0
     assert (np.diff(surv) <= 1e-12).all()
@@ -180,21 +178,16 @@ def test_chain_survival_is_monotone():
 
 
 def test_chain_start_levels():
-    chain = _build_five_family_chain(4, 2)
+    chain = descent_chain(ConstructionParams(h=4, L=2))
     stats_root = chain_hitting_stats(chain, 2000, seed=8, start_level=0)
     stats_low = chain_hitting_stats(chain, 2000, seed=8, start_level=10)
     assert stats_low.mean < stats_root.mean
     assert chain_hitting_stats(chain, 10, seed=8, start_level=14).mean == 0.0
 
 
-def test_chain_rejects_moves_off_the_fifths_grid():
-    with pytest.raises(GraphError, match="multiple of 1/5"):
-        DescentChain([[(0, 0.3), (1, 0.7)], []], ["a", "b"], 0, 1, {})
-
-
 def test_chain_rejects_other_variants():
-    with pytest.raises(GraphError):
-        descent_chain(ConstructionParams(h=2, L=2, variant="cubic"))
+    with pytest.raises(GraphError, match="no chain for variant 'cylinder'"):
+        descent_chain(ConstructionParams(h=2, L=5, m=4, variant="cylinder"))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +211,7 @@ def test_bimodality_needs_mass():
 
 
 def test_five_regular_concentrates():
-    chain = _build_five_family_chain(3, 2)
+    chain = descent_chain(ConstructionParams(h=3, L=2))
     rep = bimodality_check(hitting_stats(chain.sample(10000, seed=7)))
     assert not rep.flag
 
@@ -226,21 +219,25 @@ def test_five_regular_concentrates():
 def test_uneven_stretch_departs_from_concentration():
     # the two descent routes separate as h grows; at h = 24 the detector
     # fires stably, and the quantile ratio is already far from 1 at h = 4
-    even = _build_five_family_chain(24, 2)
-    uneven = _build_five_family_chain(24, 2, 4)
+    def uneven_chain(h):
+        return descent_chain(
+            ConstructionParams(h=h, L=2, L_prime=4, variant="no_cutoff"))
+
+    even = descent_chain(ConstructionParams(h=24, L=2))
+    uneven = uneven_chain(24)
     assert not bimodality_check(hitting_stats(even.sample(50000, seed=7))).flag
     rep = bimodality_check(hitting_stats(uneven.sample(50000, seed=7)))
     assert rep.flag
     assert rep.cluster_means[1] / rep.cluster_means[0] > 1.5
 
-    small = hitting_stats(_build_five_family_chain(4, 2, 4).sample(10000, seed=7))
+    small = hitting_stats(uneven_chain(4).sample(10000, seed=7))
     assert hitting_mixing_ratio(small) > 1.5
 
 
 def test_concentration_tightens_with_h():
     cvs = []
     for h in (2, 3, 4):
-        chain = _build_five_family_chain(h, 2)
+        chain = descent_chain(ConstructionParams(h=h, L=2))
         s = chain.sample(20000, seed=17)
         cvs.append(s.std() / s.mean())
     assert cvs[0] > cvs[1] > cvs[2]

@@ -1,5 +1,6 @@
 """The root-class chain against the builds it lumps: equal TV profiles,
-equal summaries, an equitable partition, and its invariants at any h."""
+equal summaries, an equitable partition, its invariants at any h, and its
+absorbing form's leaf-hitting law."""
 
 import functools
 
@@ -13,8 +14,9 @@ from expander_cutoff.construction import (
     family_vertex_count,
     root_chain,
 )
-from expander_cutoff.graphs import GraphError
+from expander_cutoff.graphs import LEAF, GraphError
 from expander_cutoff.mixing import cutoff_report, default_laziness, tv_profile_until
+from expander_cutoff.montecarlo import descent_chain
 
 # cubic L=1 has no cross edge on an interior and is bipartite
 SMALL = [("cubic", 3, 2), ("cubic", 3, 3), ("five_regular", 2, 1),
@@ -123,3 +125,42 @@ def test_chain_rejects_other_variants_and_starts():
         root_chain(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
     with pytest.raises(GraphError, match="vertex 0 only"):
         tv_profile_until(chain("cubic", 3, 2), 1, None, 10)
+
+
+def _absorbing_survival(g, t_max):
+    """P(no leaf by step t) for the walk from vertex 0, evolved on g."""
+    adj, inv_deg = g.adjacency_csr(), 1.0 / g.float_degrees()
+    leaf = g.role == LEAF
+    x = (np.arange(g.vertex_count) == 0).astype(float)
+    out = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        x[leaf] = 0.0
+        out[t] = x.sum()
+        x = adj @ (x * inv_deg)
+    return out
+
+
+@pytest.mark.parametrize("variant, L, h", SMALL)
+def test_survival_equals_absorbing_evolution(g, variant, L, h):
+    chain = descent_chain(ConstructionParams(h=h, L=L, variant=variant))
+    exact = _absorbing_survival(g, 1500)
+    assert np.abs(chain.survival(1500) - exact).max() < 1e-12
+
+
+def test_survival_no_cutoff_tags_are_close(no_cutoff_h2):
+    # the regime tags are not an equitable partition: H1 matches band-2
+    # interiors across regimes.  Measured max |dS| is 2.6e-3, at t = 74.
+    chain = descent_chain(
+        ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
+    exact = _absorbing_survival(no_cutoff_h2, 1500)
+    assert np.abs(chain.survival(1500) - exact).max() < 0.01
+
+
+def test_exact_means_at_reference_sizes():
+    # the hand-wired five_regular chain this one replaced gave 1822.27777...
+    five = descent_chain(ConstructionParams(h=16, L=4))
+    assert five.size == 147
+    assert five.exact_mean() == pytest.approx(1822.2777777762506, rel=1e-9)
+    # sparse solve of (I - Q) h = 1 on the materialized cubic h=4 L=3 build
+    cubic = descent_chain(ConstructionParams(h=4, L=3, variant="cubic"))
+    assert cubic.exact_mean() == pytest.approx(416.6828613281203, rel=1e-9)
