@@ -162,7 +162,9 @@ def build_parser():
 
 _CONFIG_TYPES = {"h": int, "L": int, "Lprime": int, "m": int, "seed": int,
                  "tmax": int, "stride": int, "samples": int,
-                 "laziness": float, "min_gap": float}
+                 "laziness": float, "min_gap": float,
+                 # the repeatable --eps, as a comma-separated list
+                 "eps": lambda val: [float(e) for e in val.split(",")]}
 _POST_CONFIG_DEFAULTS = {"variant": "five_regular", "Lprime": 0, "m": 0,
                          "min_gap": 0.05}
 
@@ -184,7 +186,11 @@ def _apply_config(args):
             if not hasattr(args, key):
                 raise UsageError(f"unknown config key: {key}")
             if getattr(args, key) is None:
-                setattr(args, key, _CONFIG_TYPES.get(key, str)(val))
+                try:
+                    setattr(args, key, _CONFIG_TYPES.get(key, str)(val))
+                except ValueError:
+                    raise UsageError(f"bad value for config key {key}: "
+                                     f"{val!r}") from None
     for key, default in _POST_CONFIG_DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, default)
@@ -195,11 +201,14 @@ def _require_seed(args):
         raise UsageError("this command needs an explicit --seed")
 
 
-def _require_positive(args):
+def _require_in_range(args):
     for key in ("samples", "stride"):
         value = getattr(args, key, None)
         if value is not None and value < 1:
             raise UsageError(f"--{key} must be >= 1, got {value}")
+    for eps in getattr(args, "eps", None) or ():
+        if not 0.0 < eps < 1.0:
+            raise UsageError(f"--eps must lie in (0, 1), got {eps}")
 
 
 def _params_from_args(args) -> ConstructionParams:
@@ -444,7 +453,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         _require_seed(args)
-        _require_positive(args)
+        _require_in_range(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -409,12 +409,17 @@ class RootChain:
     lists the leaf classes.  class_chain builds one for no_cutoff too, on
     classes that are not equitable; only the descent chain reads it.
 
-    The walk kernel reads the chain like a graph: vertex_count is n,
-    adjacency_csr() is B and float_degrees() the degree of every state.
+    mixing.step walks the chain like a graph: vertex_count is n,
+    float_degrees() the degree of every state, and matvec_kernel() gives
+    B x from the nonzeros of each row of counts (at most 3 for every
+    variant up to h=40), summed in numpy bit-identically to scipy's
+    csr_matvec, so a chain is walked without loading scipy.  `weights`
+    holds the class sizes as floats, the weights mixing.tv_to_uniform
+    gives x.  adjacency_csr() still builds B, for tracing and tests.
     """
 
     __slots__ = ("sizes", "counts", "degree", "meta", "levels", "leaves",
-                 "_n", "_csr", "_weights", "_float_degrees")
+                 "weights", "_n", "_csr", "_kernel", "_float_degrees")
 
     def __init__(self, sizes, counts, degree, meta, levels, leaves):
         self.sizes = tuple(int(s) for s in sizes)
@@ -426,8 +431,9 @@ class RootChain:
         self.levels = tuple(int(v) for v in levels)
         self.leaves = tuple(int(c) for c in leaves)
         self._csr = None
-        self._weights = np.asarray([float(s) for s in self.sizes])
-        self._weights.setflags(write=False)
+        self._kernel = None
+        self.weights = np.asarray([float(s) for s in self.sizes])
+        self.weights.setflags(write=False)
         self._float_degrees = np.full(len(self.sizes), float(degree))
         self._float_degrees.setflags(write=False)
 
@@ -450,13 +456,33 @@ class RootChain:
             self._csr = sp.csr_matrix(self.counts.astype(np.float64))
         return self._csr
 
-    def mass(self, x: np.ndarray) -> float:
-        return float(self._weights @ x)
+    def matvec_kernel(self):
+        """Cached kernel(x, out) writing B x into `out`, bit-identical to
+        csr_matvec on adjacency_csr(): each row's nonzeros are summed in
+        column order starting from 0.0.  columns[j, c] is the j-th nonzero
+        column of row c and values[j, c] its count; shorter rows are padded
+        with column 0 and count 0.0, which leaves a finite sum unchanged."""
+        if self._kernel is None:
+            rows, cols = np.nonzero(self.counts)    # columns ascending per row
+            rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+            shape = (int(rank.max()) + 1, self.state_count)
+            columns = np.zeros(shape, dtype=np.int64)
+            values = np.zeros(shape)
+            columns[rank, rows] = cols
+            values[rank, rows] = self.counts[rows, cols]
 
-    def tv_to_uniform(self, x: np.ndarray, work: np.ndarray) -> float:
-        np.subtract(x, 1.0 / self._n, out=work)
-        np.abs(work, out=work)
-        return 0.5 * float(self._weights @ work)
+            def kernel(x, out):
+                terms = x[columns]
+                terms *= values
+                out.fill(0)
+                for term in terms:
+                    out += term
+
+            self._kernel = kernel
+        return self._kernel
+
+    def mass(self, x: np.ndarray) -> float:
+        return float(self.weights @ x)
 
     def is_bipartite(self) -> bool:
         """True iff no edge joins two vertices at equal distance from the

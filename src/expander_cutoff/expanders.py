@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import rng
 from .graphs import GraphError, LeveledGraph, assert_regular, is_connected
@@ -108,6 +107,10 @@ def adjacency_extremes(g: LeveledGraph):
     if n <= DENSE_LIMIT:
         w = np.linalg.eigvalsh(g.adjacency_dense())
         return float(w[-2]), float(w[0])
+    # imported here, the one eigsh call, so commands that never certify
+    # above DENSE_LIMIT start without scipy
+    import scipy.sparse.linalg as spla
+
     a = g.adjacency_csr()
     v0 = np.full(n, 1.0)
     v0[::2] += 0.5

@@ -47,7 +47,7 @@ class LeveledGraph:
     """
 
     __slots__ = ("indptr", "indices", "level", "role", "meta", "_csr",
-                 "_float_degrees")
+                 "_kernel", "_float_degrees")
 
     def __init__(self, indptr, indices, level, role, meta=None):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -56,6 +56,7 @@ class LeveledGraph:
         self.role = np.asarray(role, dtype=np.uint8)
         self.meta = dict(meta or {})
         self._csr = None
+        self._kernel = None
         self._float_degrees = None
         for arr in (self.indptr, self.indices, self.level, self.role):
             arr.setflags(write=False)
@@ -113,6 +114,24 @@ class LeveledGraph:
                  if n < 2**31 else self.indices, self.indptr),
                 shape=(n, n))
         return self._csr
+
+    def matvec_kernel(self):
+        """Cached kernel(x, out) writing A x into `out`: scipy's csr_matvec,
+        the loop csr_matrix.dot runs, on adjacency_csr().  It checks no
+        lengths, so x and out must be distinct contiguous float64 vectors of
+        length n (mixing.step checks them)."""
+        if self._kernel is None:
+            from scipy.sparse._sparsetools import csr_matvec
+
+            a = self.adjacency_csr()
+            n = self.vertex_count
+
+            def kernel(x, out):
+                out.fill(0)
+                csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
+
+            self._kernel = kernel
+        return self._kernel
 
     def adjacency_dense(self) -> np.ndarray:
         n = self.vertex_count

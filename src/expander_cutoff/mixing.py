@@ -6,18 +6,22 @@ profiles on builds with a few hundred thousand vertices take seconds.
 The same loop evolves a construction.RootChain, whose vector holds the
 per-vertex mass of each class, so root profiles of the cubic and
 five_regular families cost microseconds per step at any height.
+
+step takes the product from the object it walks (`matvec_kernel()`): a
+graph runs scipy's csr_matvec on its CSR adjacency, a chain a numpy
+row sum bit-identical to it.  Nothing here imports scipy, so a chain is
+evolved without loading it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-# the kernel scipy's csr_matrix.dot runs, called here into preallocated
-# buffers; test_mixing checks it against a.dot() bit for bit
-from scipy.sparse._sparsetools import csr_matvec
 
 from .construction import RootChain, leaf_level
 from .graphs import GraphError, LeveledGraph, PATH_INTERIOR, UNLEVELED
@@ -44,7 +48,8 @@ def check_dist(p: np.ndarray) -> None:
 
 
 def _walk_buffer(buf, n: int) -> np.ndarray:
-    # csr_matvec checks no lengths: a short buffer corrupts the heap
+    # a graph's kernel (csr_matvec) checks no lengths: a short buffer
+    # corrupts the heap
     if buf is None:
         return np.empty(n)
     if buf.shape != (n,) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
@@ -60,16 +65,16 @@ def step(g: LeveledGraph, p: np.ndarray, laziness: float = 0.0,
 
     The result goes into `out` and `work` is scratch; both are allocated
     when not given (contiguous float64 of length n, distinct from p and
-    from each other).  Returns `out`."""
+    from each other).  Returns `out`.  g is a LeveledGraph or a RootChain,
+    whose vectors have one entry per state."""
     if not (0.0 <= laziness <= 0.5):
         raise GraphError("laziness must lie in [0, 1/2]")
-    a = g.adjacency_csr()
-    n = a.shape[0]
+    degrees = g.float_degrees()
+    n = len(degrees)
     out = _walk_buffer(out, n)
     work = _walk_buffer(work, n)
-    np.divide(p, g.float_degrees(), out=work)
-    out.fill(0)
-    csr_matvec(n, n, a.indptr, a.indices, a.data, work, out)
+    np.divide(p, degrees, out=work)
+    g.matvec_kernel()(work, out)
     if laziness:
         out *= 1.0 - laziness
         np.multiply(p, laziness, out=work)
@@ -77,14 +82,29 @@ def step(g: LeveledGraph, p: np.ndarray, laziness: float = 0.0,
     return out
 
 
-def tv_to_uniform(p: np.ndarray, work: np.ndarray | None = None) -> float:
+@lru_cache(maxsize=32)
+def _total_weight(weight_bytes: bytes) -> float:
+    """Sum of float64 weights, rounded once as float(int n) is.  A float64
+    sum rounds beyond 2^53 (cubic h >= 17), and fsum costs about 70 ns a
+    weight, so it runs once per weights: a profile passes the same ones
+    at every record."""
+    return math.fsum(np.frombuffer(weight_bytes))
+
+
+def tv_to_uniform(p: np.ndarray, work: np.ndarray | None = None,
+                  weights: np.ndarray | None = None) -> float:
     """Half the L1 distance between p and the uniform distribution; `work`
-    (float64, length n) is scratch, allocated when not given."""
-    n = len(p)
-    work = np.empty(n) if work is None else work
+    (float64, p's length) is scratch, allocated when not given.
+
+    With `weights`, p holds the per-vertex mass of classes of weights[c]
+    vertices each (a RootChain's state vector, weights its `weights`), and
+    the distance is 1/2 sum_c weights[c] |p[c] - 1/n| with n the total
+    weight."""
+    n = len(p) if weights is None else _total_weight(weights.tobytes())
+    work = np.empty(len(p)) if work is None else work
     np.subtract(p, 1.0 / n, out=work)
     np.abs(work, out=work)
-    return 0.5 * float(work.sum())
+    return 0.5 * float(work.sum() if weights is None else weights @ work)
 
 
 def default_laziness(g: LeveledGraph) -> float:
@@ -135,20 +155,22 @@ def tv_profile_until(g, start, target, t_cap, stride=None,
     n = g.vertex_count
     if not 0 <= start < n:
         raise GraphError(f"start {start} is not a vertex (n={n})")
-    stride = default_stride(t_cap) if stride is None else max(1, int(stride))
+    stride = default_stride(t_cap) if stride is None else int(stride)
+    if stride < 1:
+        raise GraphError(f"stride must be >= 1, got {stride}")
     if isinstance(g, RootChain):
         # per-vertex mass on each class; vertex 0 is the root class
         if start != 0:
             raise GraphError("a root chain evolves the walk from vertex 0 only")
         p = point_mass(g.state_count, 0)
-        distance, mass_of = g.tv_to_uniform, g.mass
+        weights, mass_of = g.weights, g.mass
     else:
         p = point_mass(n, start)
-        distance, mass_of = tv_to_uniform, np.sum
+        weights, mass_of = None, np.sum
     q = np.empty_like(p)
     work = np.empty_like(p)
     times = [0]
-    tv = [distance(p, work)]
+    tv = [tv_to_uniform(p, work, weights)]
     renorms = 0
     t = 0
     while t < t_cap and (target is None or tv[-1] >= target):
@@ -161,7 +183,7 @@ def tv_profile_until(g, start, target, t_cap, stride=None,
             p /= mass
             renorms += 1
         times.append(t)
-        tv.append(distance(p, work))
+        tv.append(tv_to_uniform(p, work, weights))
     if target is not None and tv[-1] >= target:
         raise GraphError(f"not mixed below {target} by t_max={t_cap}")
     return TVProfile(start=int(start), times=np.asarray(times, dtype=np.int64),
@@ -209,9 +231,20 @@ class MixingSummary:
         }
 
 
+def _eps_grid(eps_grid) -> list:
+    """The thresholds a summary reports: eps_grid with 1/4 and 3/4, sorted.
+    Each must lie in (0, 1): TV distances lie in [0, 1), so eps <= 0 is
+    never reached and eps >= 1 is crossed at t=0."""
+    grid = sorted(set(float(e) for e in eps_grid) | {0.25, 0.75})
+    for eps in grid:
+        if not 0.0 < eps < 1.0:
+            raise GraphError(f"eps must lie in (0, 1), got {eps}")
+    return grid
+
+
 def summarize_profile(profile: TVProfile, eps_grid=(0.25, 0.75),
                       tstar=None) -> MixingSummary:
-    grid = sorted(set(float(e) for e in eps_grid) | {0.25, 0.75})
+    grid = _eps_grid(eps_grid)
     tmix = {}
     brackets = {}
     for eps in grid:
@@ -278,9 +311,10 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
             t_max = int(20 * tstar) + 200
         else:
             t_max = 100 * g.vertex_count.bit_length() ** 2
-    min_eps = min(float(e) for e in list(eps_grid) + [0.25])
-    # built once here, then only read by the workers
-    g.adjacency_csr()
+    min_eps = _eps_grid(eps_grid)[0]
+    # built once here, then only read by the workers; a graph's kernel
+    # builds its CSR adjacency, a chain's needs no scipy
+    g.matvec_kernel()
     g.float_degrees()
 
     def summary(s):

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import expander_cutoff
 from expander_cutoff import construction
 from expander_cutoff.cli import main, read_artifact, read_json
 from expander_cutoff.construction import ConstructionParams
@@ -155,6 +162,24 @@ def test_config_file(tmp_path):
     assert census["levels"]["2"] == 6
 
 
+def test_config_eps_is_a_checked_list(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    argv = ("cutoff-report", "--variant", "cubic", "--L", "3", "--hmin", "2",
+            "--hmax", "2", "--seed", "1", "--config", str(cfg))
+    cfg.write_text("eps=0.5,0.1\n")
+    assert run(*argv, "--out", str(tmp_path / "ok")) == 0
+    tmix = read_json(tmp_path / "ok" / "cutoff_vs_h.json")["rows"][0]["tmix"]
+    assert sorted(tmix) == ["0.1", "0.25", "0.5", "0.75"]
+    capsys.readouterr()
+    for text, err in (("eps=0.5,2\n", "--eps must lie in (0, 1), got 2.0"),
+                      ("eps=0.x\n", "bad value for config key eps: '0.x'"),
+                      ("h=two\n", "bad value for config key h: 'two'")):
+        cfg.write_text(text)
+        assert run(*argv, "--out", str(tmp_path / "bad")) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+    assert not (tmp_path / "bad").exists()
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("variant=five_regular\nh=2\nL=2\nseed=4\n")
@@ -302,3 +327,55 @@ def test_repeated_start_exits_1(tmp_path):
     assert run("profile", "--graph", str(out / "graph.ev"), "--starts", "0,0",
                "--out", str(out)) == 1
     assert not (out / "profile_summary.json").exists()
+
+
+def test_eps_outside_unit_interval_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    for argv in (("profile", "--graph", str(tmp_path / "graph.ev")),
+                 ("cutoff-report", "--variant", "cubic", "--L", "3",
+                  "--hmin", "2", "--hmax", "2"),
+                 ("cylinder-sweep", "--Ls", "5,9"),
+                 ("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4")):
+        for eps in ("0", "1", "2", "-0.5", "nan"):
+            assert run(*argv, "--eps", "0.5", "--eps", eps, "--seed", "1",
+                       "--out", out) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --eps must lie in (0, 1), got {float(eps)}\n"
+    assert not (tmp_path / "run").exists()
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import expander_cutoff
+from expander_cutoff import cli
+
+out = sys.argv[1]
+assert cli.main(["cutoff-report", "--variant", "cubic", "--L", "3",
+                 "--hmin", "2", "--hmax", "3", "--seed", "1",
+                 "--out", out + "/cr"]) == 0
+assert cli.main(["hitting", "--chain", "--h", "2", "--L", "2",
+                 "--samples", "200", "--seed", "1", "--out", out + "/hc"]) == 0
+chain_scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+# cubic h=3 certifies a 2048-vertex expander, above the dense limit
+assert cli.main(["build", "--variant", "cubic", "--h", "3", "--L", "1",
+                 "--seed", "1", "--out", out + "/b"]) == 0
+print(json.dumps({"chain_scipy": chain_scipy,
+                  "build_scipy": "scipy.sparse.linalg" in sys.modules}))
+"""
+
+
+def test_chain_commands_start_without_scipy(tmp_path):
+    """cutoff-report on a chain variant and hitting --chain import no scipy
+    in a fresh process; build still certifies with ARPACK afterwards."""
+    src = str(Path(expander_cutoff.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"chain_scipy": [], "build_scipy": True}
+    census = read_json(tmp_path / "b" / "census.json")
+    assert census["vertices"] > 2048 and census["meta"]["gap2"] > 0

@@ -7,15 +7,23 @@ import functools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse._sparsetools import csr_matvec
 
 from expander_cutoff.construction import (
     ConstructionParams,
     build,
+    class_chain,
     family_vertex_count,
     root_chain,
 )
 from expander_cutoff.graphs import LEAF, GraphError
-from expander_cutoff.mixing import cutoff_report, default_laziness, tv_profile_until
+from expander_cutoff.mixing import (
+    cutoff_report,
+    default_laziness,
+    summarize_profile,
+    tv_profile_until,
+    tv_to_uniform,
+)
 from expander_cutoff.montecarlo import descent_chain
 
 # cubic L=1 has no cross edge on an interior and is bipartite
@@ -125,6 +133,56 @@ def test_chain_rejects_other_variants_and_starts():
         root_chain(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
     with pytest.raises(GraphError, match="vertex 0 only"):
         tv_profile_until(chain("cubic", 3, 2), 1, None, 10)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(variant=st.sampled_from(["cubic", "five_regular", "no_cutoff"]),
+       h=st.integers(1, 40), L=st.integers(1, 6), seed=st.integers(0, 2**32),
+       scale=st.sampled_from([1.0, 1e-200, 1e100]))
+def test_chain_kernel_equals_csr_matvec(variant, h, L, seed, scale):
+    """The chain's numpy row sum is bit-identical to scipy's csr_matvec on
+    adjacency_csr(), and its weighted TV to the formula with the exact n."""
+    if variant == "no_cutoff":
+        h += h % 2
+    c = class_chain(ConstructionParams(h=h, L=L, variant=variant,
+                                       L_prime=L + 1))
+    k = c.state_count
+    x = np.random.default_rng(seed).random(k) * scale
+    out, ref = np.full(k, np.nan), np.zeros(k)
+    c.matvec_kernel()(x, out)
+    a = c.adjacency_csr()
+    csr_matvec(k, k, a.indptr, a.indices, a.data, x, ref)
+    assert np.array_equal(out, ref)
+    assert (np.count_nonzero(c.counts, axis=1) <= 3).all()
+    work = np.empty(k)
+    exact = 0.5 * float(c.weights @ np.abs(x - 1.0 / c.vertex_count))
+    assert tv_to_uniform(x, work, c.weights) == exact
+
+
+def test_weighted_tv_uses_the_exact_vertex_count():
+    # the float64 sum of these chains' class sizes rounds n differently
+    # from float(n); with it the root's point mass would read TV above 1
+    # (1.0000000000000002) at cubic h=31
+    for variant, L, h in (("cubic", 1, 31), ("five_regular", 4, 13)):
+        c = chain(variant, L, h)
+        x = np.zeros(c.state_count)
+        x[0] = 1.0
+        exact = 0.5 * float(c.weights @ np.abs(x - 1.0 / c.vertex_count))
+        assert tv_to_uniform(x, None, c.weights) == exact
+
+
+def test_profile_rejects_bad_stride_and_eps():
+    c = chain("cubic", 3, 2)
+    for stride in (0, -5):
+        with pytest.raises(GraphError, match=f"stride must be >= 1, got {stride}"):
+            tv_profile_until(c, 0, None, 10, stride=stride)
+    prof = tv_profile_until(c, 0, None, 2000, stride=1)
+    for eps in (0.0, 1.0, 2.0, -0.25, float("nan")):
+        with pytest.raises(GraphError, match="eps must lie in"):
+            summarize_profile(prof, (0.5, eps))
+        # refused before any step is taken
+        with pytest.raises(GraphError, match="eps must lie in"):
+            cutoff_report(c, [0], eps_grid=(eps,), t_max=10**9)
 
 
 def _absorbing_survival(g, t_max):
