@@ -6,10 +6,8 @@ Run:  python demos/01_constructions.py
 from expander_cutoff import (
     ConstructionParams,
     assert_regular,
-    build_cubic,
+    build,
     build_cylinder,
-    build_five_regular,
-    build_no_cutoff,
     choose_L,
     from_text,
     is_connected,
@@ -24,7 +22,7 @@ print("=" * 70)
 print("5-regular family")
 print("=" * 70)
 for h in (1, 2):
-    g = build_five_regular(ConstructionParams(h=h, L=2))
+    g = build(ConstructionParams(h=h, L=2))
     census = level_census(g)
     print(f"h={h} L=2: n={g.vertex_count} m={g.edge_count} "
           f"5-regular={assert_regular(g, 5)} connected={is_connected(g)}")
@@ -37,7 +35,7 @@ print("=" * 70)
 print("cubic family (expanders embedded through line graphs)")
 print("=" * 70)
 for h in (2, 3):
-    g = build_cubic(ConstructionParams(h=h, L=2, variant="cubic"))
+    g = build(ConstructionParams(h=h, L=2, variant="cubic"))
     print(f"h={h} L=2: n={g.vertex_count} 3-regular={assert_regular(g, 3)} "
           f"connected={is_connected(g)} leaves={int((g.role == 3).sum())}")
 
@@ -45,9 +43,9 @@ print()
 print("=" * 70)
 print("uneven-stretch variant (odd subtrees stretched to L')")
 print("=" * 70)
-g = build_no_cutoff(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
-lo = build_five_regular(ConstructionParams(h=2, L=2)).vertex_count
-hi = build_five_regular(ConstructionParams(h=2, L=4)).vertex_count
+g = build(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
+lo = build(ConstructionParams(h=2, L=2)).vertex_count
+hi = build(ConstructionParams(h=2, L=4)).vertex_count
 print(f"h=2 L=2 L'=4: n={g.vertex_count} (between the L=2 build {lo} "
       f"and the L=4 build {hi})")
 print(f"still 5-regular: {assert_regular(g, 5)}")
@@ -67,7 +65,7 @@ print()
 print("=" * 70)
 print("serialization round trip and the stretch-length floor")
 print("=" * 70)
-g = build_five_regular(ConstructionParams(h=1, L=2))
+g = build(ConstructionParams(h=1, L=2))
 text = to_text(g)
 assert to_text(from_text(text)) == text
 print(f"round trip of the h=1 build is bit-exact ({len(text)} bytes)")

@@ -10,7 +10,7 @@ Run:  python demos/03_cutoff_profiles.py
 
 from expander_cutoff import (
     ConstructionParams,
-    build_five_regular,
+    build,
     cutoff_report,
     default_starts,
     root_chain,
@@ -19,7 +19,7 @@ from expander_cutoff import (
 
 print("TV profile from the root, 5-regular h=1 L=2")
 print("-" * 60)
-g = build_five_regular(ConstructionParams(h=1, L=2))
+g = build(ConstructionParams(h=1, L=2))
 tstar = g.meta["tstar"]
 prof = tv_profile(g, 0, t_max=80, stride=1)
 marks = {0, 5, 10, 15, 20, 25, 30, 40, 50, 60, 80}
@@ -32,7 +32,7 @@ print(f"(theoretical time scale {tstar:.0f})")
 print()
 print("mixing times from every representative start, 5-regular h=2 L=2")
 print("-" * 60)
-g2 = build_five_regular(ConstructionParams(h=2, L=2))
+g2 = build(ConstructionParams(h=2, L=2))
 starts = default_starts(g2)
 summaries, worst = cutoff_report(g2, starts, stride=1)
 for s in summaries:

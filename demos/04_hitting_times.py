@@ -11,7 +11,7 @@ Run:  python demos/04_hitting_times.py
 
 from expander_cutoff import (
     ConstructionParams,
-    build_five_regular,
+    build,
     descent_chain,
     path_passage_exact,
     path_passage_oracle,
@@ -34,7 +34,7 @@ print(f"stretched-edge delay, L=2: monte carlo {delay_mc:.3f}, "
 print()
 print("graph sampling vs the exact descent chain, 5-regular h=2 L=2")
 print("-" * 64)
-g = build_five_regular(ConstructionParams(h=2, L=2))
+g = build(ConstructionParams(h=2, L=2))
 graph_stats = sample_hitting_times(g, 0, 3000, seed=11)
 chain = descent_chain(ConstructionParams(h=2, L=2))
 print(f"graph sampler:  mean={graph_stats.mean:.2f} "

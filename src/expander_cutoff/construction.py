@@ -1,12 +1,15 @@
 """Assembly of the four leveled graph families.
 
-Every build is a deterministic function of its parameters: a tree top,
-bands of stretched trees grafted level by level, cross wiring between
-isomorphic path interiors (cliques, matchings, or expander adjacency), and
-an expander identified with the leaf level.  The cubic family embeds its
-expanders through line graphs with auxiliary vertices so the degree stays
-at 3; the cylinder family replaces each edge of a cubic host by a
-degree-3 ladder gadget.
+Every build is a deterministic function of its parameters, made by
+build().  The tree families (five_regular, its uneven-stretch variant
+no_cutoff, and cubic) share one build: a tree top, bands of stretched
+trees grafted level by level, cross wiring between isomorphic path
+interiors (cliques, matchings, or expander adjacency), and an expander
+identified with the leaf level.  cubic embeds its expanders through line
+graphs with auxiliary vertices so the degree stays at 3.  class_chain
+lumps the walk from the root of a tree-family build onto classes, reading
+the same shapes and taking the same branches as the build.  The cylinder
+family replaces each edge of a cubic host by a degree-3 ladder gadget.
 """
 
 from __future__ import annotations
@@ -96,21 +99,6 @@ def theoretical_tstar(h: int, L: int) -> float:
 # shared scaffolding
 
 
-def _tree_top(b, fanout, branching):
-    """Root with `fanout` children, each with `branching` children; returns
-    the level-2 vertex list."""
-    root = b.add_vertex(0, TREE_NODE)
-    u = []
-    for _ in range(fanout):
-        x = b.add_vertex(1, TREE_NODE)
-        b.add_edge(root, x)
-        for _ in range(branching):
-            y = b.add_vertex(2, TREE_NODE)
-            b.add_edge(x, y)
-            u.append(y)
-    return u
-
-
 def _block_leaves(blocks):
     out = []
     for blk in blocks:
@@ -118,8 +106,8 @@ def _block_leaves(blocks):
     return out
 
 
-def _finalize(b, params, degree, extra_meta):
-    g = b.finish(**extra_meta)
+def _finalize(b, degree, meta):
+    g = b.finish(**meta)
     if not assert_regular(g, degree):
         degs = g.degrees()
         bad = int(np.flatnonzero(degs != degree)[0])
@@ -130,157 +118,113 @@ def _finalize(b, params, degree, extra_meta):
     return g.with_meta(bipartite=is_bipartite(g))
 
 
-def _l_floor_meta(params, gap1, gap2):
-    floor = choose_L(gap1, gap2)
-    if params.L < floor and not params.override_L:
-        raise GraphError(
-            f"L={params.L} is below the gap-derived floor {floor}; "
-            f"pass override_L=True for desk-scale builds")
-    return {"L_floor": floor, "meets_L_floor": params.L >= floor}
-
-
 # ---------------------------------------------------------------------------
-# 5-regular family (with the uneven-stretch variant)
+# the tree families: five_regular, no_cutoff and cubic
+
+# (fanout, branching, degree): the root's children, every lower tree node's
+# children, and the degree of every vertex
+_TREE_SHAPES = {"five_regular": (5, 4, 5), "no_cutoff": (5, 4, 5),
+                "cubic": (3, 2, 3)}
 
 
-def _band1_length(params, depth, pos):
-    """Stretch length of the band-1 edge ending at the depth-`depth` node
-    with left-to-right index `pos` in its tree: L_prime below the
-    odd-indexed depth-h/2 vertices of a no_cutoff build, L elsewhere."""
+def _stretch(params, band, depth, pos):
+    """Stretch length of the band-`band` edge ending at the depth-`depth`
+    node with left-to-right index `pos` in its tree, for the build and
+    class_chain alike: 1 in band 3, L in bands 1 and 2, except L_prime
+    below the odd-indexed depth-h/2 vertices of a no_cutoff build's band 1.
+    The trees stay pairwise isomorphic, so the cross cliques still match,
+    and the hitting time to the leaves takes one of two routes."""
+    if band == 3:
+        return 1
     half = params.h // 2
-    if (params.variant == "no_cutoff" and depth > half
+    if (band == 1 and params.variant == "no_cutoff" and depth > half
             and (pos // 4 ** (depth - half)) % 2 == 1):
         return params.L_prime
     return params.L
 
 
-def _build_five_regular_family(params: ConstructionParams) -> LeveledGraph:
+def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
+    """A five_regular, no_cutoff or cubic build, branch for branch as
+    class_chain lumps it: a tree top, band 1 cross-wired by cliques on
+    groups of `branching` trees, band 2 wired along H1, and band 3 whose
+    leaves carry H2.  five_regular matches band-2 interiors along the
+    3-regular H1 and joins the leaves along the 4-regular H2; cubic
+    identifies band-2 trees and leaves with the edges of 3-regular H1 and
+    H2 and wires them through line graphs with auxiliary vertices."""
     h, L = params.h, params.L
+    cubic = params.variant == "cubic"
+    fanout, branching, degree = _TREE_SHAPES[params.variant]
+    leaves1 = fanout * branching ** (h + 1)
+    sizes = [leaves1, leaves1 * branching ** (2 * h)]
+    if cubic:
+        sizes = [2 * n // 3 for n in sizes]   # one H edge per leaf
     seed1, seed2 = params.expander_seeds
-    exp1 = make_expander(ExpanderSpec(3, 20 * 4 ** h, params.min_gap, seed1))
-    exp2 = make_expander(ExpanderSpec(4, 20 * 4 ** (3 * h), params.min_gap, seed2))
-    floor_meta = _l_floor_meta(params, exp1.gap, exp2.gap)
+    exp1 = make_expander(ExpanderSpec(3, sizes[0], params.min_gap, seed1))
+    exp2 = make_expander(ExpanderSpec(3 if cubic else 4, sizes[1],
+                                      params.min_gap, seed2))
+    floor = choose_L(exp1.gap, exp2.gap)
+    if L < floor and not params.override_L:
+        raise GraphError(f"L={L} is below the gap-derived floor {floor}; "
+                         f"pass override_L=True for desk-scale builds")
 
     b = GraphBuilder()
-    u = _tree_top(b, 5, 4)
-
-    band1 = _graft_trees_onto(b, u, 4, h, partial(_band1_length, params),
-                              [2] * len(u))
-    groups = [list(range(i, i + 4)) for i in range(0, 20, 4)]
+    root = b.add_vertex(0, TREE_NODE)
+    top = []
+    for _ in range(fanout):
+        x = b.add_vertex(1, TREE_NODE)
+        b.add_edge(root, x)
+        for _ in range(branching):
+            top.append(b.add_vertex(2, TREE_NODE))
+            b.add_edge(x, top[-1])
+    band1 = _graft_trees_onto(b, top, branching, h,
+                              partial(_stretch, params, 1), [2] * len(top))
+    groups = np.arange(len(top)).reshape(-1, branching).tolist()
     _interconnect_onto(b, band1, groups, "clique")
     set_a = _block_leaves(band1)
-    assert len(set_a) == exp1.size
-
-    band2 = _graft_trees_onto(b, set_a, 4, h, lambda d, p: L,
+    band2 = _graft_trees_onto(b, set_a, branching, h,
+                              partial(_stretch, params, 2),
                               [h + 2] * len(set_a))
-    h1_groups = [[int(x), int(y)] for x, y in exp1.graph.edge_array()]
-    _interconnect_onto(b, band2, h1_groups, "matching")
+    h1_edges = exp1.graph.edge_array()
+    if cubic:
+        # every band-2 interior x gets a pendant x'; per interior class the
+        # x' are identified with the edges of H1 (tree i <-> edge i) and
+        # joined through one auxiliary per H1 vertex
+        bases = np.asarray([blk["base"] for blk in band2], dtype=np.int64)
+        for offset in band2[0]["interiors"].tolist():
+            xs = bases + offset
+            lvl = b._level[int(xs[0])]
+            pendants = b.add_vertices(len(xs), lvl, AUXILIARY) + np.arange(len(xs))
+            b.add_edge_array(xs, pendants)
+            _embed_line_graph_bulk(b, exp1.size, h1_edges, pendants, lvl)
+    else:
+        _interconnect_onto(b, band2, h1_edges.tolist(), "matching")
     set_b = _block_leaves(band2)
-
-    band3 = _graft_trees_onto(b, set_b, 4, h, lambda d, p: 1,
+    band3 = _graft_trees_onto(b, set_b, branching, h,
+                              partial(_stretch, params, 3),
                               [2 * h + 2] * len(set_b), leaf_role=LEAF)
     leaves = np.asarray(_block_leaves(band3), dtype=np.int64)
-    assert len(leaves) == exp2.size
     h2_edges = exp2.graph.edge_array()
-    b.add_edge_array(leaves[h2_edges[:, 0]], leaves[h2_edges[:, 1]])
+    if cubic:
+        _embed_line_graph_bulk(b, exp2.size, h2_edges, leaves, 3 * h + 2)
+    else:
+        b.add_edge_array(leaves[h2_edges[:, 0]], leaves[h2_edges[:, 1]])
 
     meta = {
         "variant": params.variant,
         "h": h,
         "L": L,
-        "L_prime": params.L_prime if params.variant == "no_cutoff" else 0,
-        "degree": 5,
+        "degree": degree,
         "seeds": tuple(params.expander_seeds),
         "gap1": exp1.gap,
         "gap2": exp2.gap,
         "leaf_level": 3 * h + 2,
-        "tstar": theoretical_tstar(h, L),
+        "L_floor": floor,
+        "meets_L_floor": L >= floor,
     }
-    meta.update(floor_meta)
-    return _finalize(b, params, 5, meta)
-
-
-def build_five_regular(params: ConstructionParams) -> LeveledGraph:
-    params.validate()
-    if params.variant != "five_regular":
-        raise GraphError("params.variant must be 'five_regular'")
-    return _build_five_regular_family(params)
-
-
-def build_no_cutoff(params: ConstructionParams) -> LeveledGraph:
-    """5-regular family with the edges of odd depth-h/2 subtrees stretched
-    to L_prime > L; trees stay pairwise isomorphic so the cross cliques
-    still match, and the hitting time to the leaves becomes bimodal."""
-    params.validate()
-    if params.variant != "no_cutoff":
-        raise GraphError("params.variant must be 'no_cutoff'")
-    return _build_five_regular_family(params)
-
-
-# ---------------------------------------------------------------------------
-# cubic family
-
-
-def build_cubic(params: ConstructionParams) -> LeveledGraph:
-    """Binary-tree analogue of the 5-regular family, kept 3-regular by
-    wiring the expanders through their line graphs with auxiliary
-    vertices."""
-    params.validate()
-    if params.variant != "cubic":
-        raise GraphError("params.variant must be 'cubic'")
-    h, L = params.h, params.L
-    seed1, seed2 = params.expander_seeds
-    # tree-per-edge and leaf-per-edge bijections fix the expander sizes:
-    # |E(H1)| = 6*2^h and |E(H2)| = 6*2^{3h} for 3-regular hosts
-    exp1 = make_expander(ExpanderSpec(3, 2 ** (h + 2), params.min_gap, seed1))
-    exp2 = make_expander(ExpanderSpec(3, 2 ** (3 * h + 2), params.min_gap, seed2))
-    floor_meta = _l_floor_meta(params, exp1.gap, exp2.gap)
-
-    b = GraphBuilder()
-    u = _tree_top(b, 3, 2)
-
-    band1 = _graft_trees_onto(b, u, 2, h, lambda d, p: L, [2] * 6)
-    _interconnect_onto(b, band1, [[0, 1], [2, 3], [4, 5]], "matching")
-    set_a = _block_leaves(band1)
-    h1_edges = exp1.graph.edge_array()
-    assert len(set_a) == len(h1_edges)
-
-    band2 = _graft_trees_onto(b, set_a, 2, h, lambda d, p: L,
-                              [h + 2] * len(set_a))
-    # every band-2 interior x gets a pendant x'; per interior class the x'
-    # are identified with the edges of H1 (tree i <-> edge i) and joined
-    # through one auxiliary per H1 vertex
-    bases = np.asarray([blk["base"] for blk in band2], dtype=np.int64)
-    interiors = band2[0]["interiors"]
-    for c in range(len(interiors)):
-        xs = bases + int(interiors[c])
-        lvl = b._level[int(xs[0])]
-        xp0 = b.add_vertex_array(np.full(len(xs), lvl, dtype=np.int64),
-                                 np.full(len(xs), AUXILIARY, dtype=np.int64))
-        pendants = xp0 + np.arange(len(xs), dtype=np.int64)
-        b.add_edge_array(xs, pendants)
-        _embed_line_graph_bulk(b, exp1.size, h1_edges, pendants, lvl)
-    set_b = _block_leaves(band2)
-
-    band3 = _graft_trees_onto(b, set_b, 2, h, lambda d, p: 1,
-                              [2 * h + 2] * len(set_b), leaf_role=LEAF)
-    leaves = np.asarray(_block_leaves(band3), dtype=np.int64)
-    h2_edges = exp2.graph.edge_array()
-    assert len(leaves) == len(h2_edges)
-    _embed_line_graph_bulk(b, exp2.size, h2_edges, leaves, 3 * h + 2)
-
-    meta = {
-        "variant": "cubic",
-        "h": h,
-        "L": L,
-        "degree": 3,
-        "seeds": tuple(params.expander_seeds),
-        "gap1": exp1.gap,
-        "gap2": exp2.gap,
-        "leaf_level": 3 * h + 2,
-    }
-    meta.update(floor_meta)
-    return _finalize(b, params, 3, meta)
+    if not cubic:
+        meta["L_prime"] = params.L_prime if params.variant == "no_cutoff" else 0
+        meta["tstar"] = theoretical_tstar(h, L)
+    return _finalize(b, degree, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +263,8 @@ def build_cylinder(host, L: int) -> LeveledGraph:
     host_g = getattr(host, "graph", host)
     if not assert_regular(host_g, 3):
         raise GraphError("cylinder host must be 3-regular")
+    if not is_connected(host_g):
+        raise GraphError("cylinder host must be connected")
     if L < 1 or L % 4 != 1:
         raise GraphError("cylinder length must satisfy L = 1 (mod 4)")
     m = host_g.vertex_count
@@ -331,10 +277,7 @@ def build_cylinder(host, L: int) -> LeveledGraph:
     b.add_vertices(m, UNLEVELED, TREE_NODE)
     for u, v in host_g.edge_array():
         _add_cylinder_gadget(b, int(u), int(v), k)
-    g = b.finish(**meta)
-    if not assert_regular(g, 3):
-        raise GraphError("build bug: cylinder graph is not 3-regular")
-    return g.with_meta(bipartite=is_bipartite(g))
+    return _finalize(b, 3, meta)
 
 
 def cylinder_vertex_count(m: int, num_host_edges: int, L: int) -> int:
@@ -349,10 +292,7 @@ def standalone_cylinder(L: int) -> LeveledGraph:
         raise GraphError("cylinder length must satisfy L = 1 (mod 4)")
     b = GraphBuilder()
     b.add_vertices(2, UNLEVELED, TREE_NODE)
-    if L == 1:
-        b.add_edge(0, 1)
-    else:
-        _add_cylinder_gadget(b, 0, 1, (L - 1) // 4)
+    _add_cylinder_gadget(b, 0, 1, (L - 1) // 4)
     return b.finish(variant="cylinder_gadget", L=L, h=0)
 
 
@@ -361,13 +301,11 @@ def standalone_cylinder(L: int) -> LeveledGraph:
 
 
 def build(params: ConstructionParams) -> LeveledGraph:
+    """The graph of any variant: a tree family, or a cylinder on a
+    certified 3-regular host of m vertices."""
     params.validate()
-    if params.variant == "five_regular":
-        return build_five_regular(params)
-    if params.variant == "cubic":
-        return build_cubic(params)
-    if params.variant == "no_cutoff":
-        return build_no_cutoff(params)
+    if params.variant != "cylinder":
+        return _build_tree_family(params)
     host = make_expander(ExpanderSpec(3, params.m, params.min_gap,
                                       params.expander_seeds[0]))
     return build_cylinder(host, params.L)
@@ -590,16 +528,16 @@ def class_chain(params: ConstructionParams) -> RootChain:
         raise GraphError("no chain for variant 'cylinder'")
     h, L = params.h, params.L
     cubic = params.variant == "cubic"
-    fanout, branching, degree = (3, 2, 3) if cubic else (5, 4, 5)
+    fanout, branching, degree = _TREE_SHAPES[params.variant]
     split = h // 2 if params.variant == "no_cutoff" else 0
     c = _ChainBuilder()
     top = c.below(c.below(c.add(1, 0), fanout, 1), branching, 2)
     band1, interiors1 = c.graft([top], branching, h,
-                                partial(_band1_length, params), 2, split)
+                                partial(_stretch, params, 1), 2, split)
     for s in interiors1:
-        # cross matching (cubic) or clique of 4 (five_regular)
-        c.join(s, s, 1 if cubic else 3, 1 if cubic else 3)
-    band2, interiors2 = c.graft(band1, branching, h, lambda d, p: L, h + 2)
+        c.join(s, s, branching - 1, branching - 1)   # cross clique
+    band2, interiors2 = c.graft(band1, branching, h,
+                                partial(_stretch, params, 2), h + 2)
     for s in interiors2:
         if cubic:
             # each interior's pendant, joined through the auxiliaries of
@@ -609,7 +547,8 @@ def class_chain(params: ConstructionParams) -> RootChain:
             c.join(pendant, aux, 2, 3)
         else:
             c.join(s, s, 3, 3)         # matching along the 3-regular H1
-    leaves, _ = c.graft(band2, branching, h, lambda d, p: 1, 2 * h + 2)
+    leaves, _ = c.graft(band2, branching, h, partial(_stretch, params, 3),
+                        2 * h + 2)
     for leaf in leaves:
         if cubic:
             aux = c.add(c.sizes[leaf] * 2 // 3)

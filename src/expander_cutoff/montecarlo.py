@@ -106,6 +106,22 @@ def walk_frontier(indptr, indices, absorbing, start, num_samples, seed,
         alive = alive[~absorbing[nxt]]
 
 
+def _transient_matrix(indptr, indices, absorbing) -> np.ndarray:
+    """The dense transition matrix of the walk walk_frontier samples on
+    (indptr, indices), restricted to the non-absorbing states in order:
+    the entries of each row are counted, then divided once by its degree."""
+    keep = np.flatnonzero(~absorbing)
+    pos = np.full(len(absorbing), -1, dtype=np.int64)
+    pos[keep] = np.arange(len(keep))
+    deg = np.diff(indptr)
+    rows = np.repeat(np.arange(len(deg)), deg)
+    inside = (pos[rows] >= 0) & (pos[indices] >= 0)
+    q = np.zeros((len(keep), len(keep)))
+    np.add.at(q, (pos[rows[inside]], pos[indices[inside]]), 1.0)
+    q /= deg[keep][:, None]
+    return q
+
+
 def _absorption_times(walk, num_samples) -> np.ndarray:
     times = np.zeros(num_samples, dtype=np.int64)
     for t, ids, _ in walk:
@@ -151,18 +167,24 @@ def stretched_edge_delay(L: int) -> float:
 # one-dimensional oracles
 
 
-def path_passage_oracle(L, num_samples, seed):
-    """Simple random walk from 0 absorbed at +-L: sample means of the
-    absorption time and of the visits to 0 (counting the start)."""
+def _path_chain(L):
+    """The walk on positions -L..L (state i is position i - L), absorbed
+    at +-L: (indptr, indices, absorbing)."""
     if L < 1:
         raise GraphError("L must be >= 1")
-    # state i is position i - L
     rows = [[i - 1, i + 1] for i in range(2 * L + 1)]
     rows[0] = rows[2 * L] = []
     indptr, indices = _csr(rows)
+    return indptr, indices, np.diff(indptr) == 0
+
+
+def path_passage_oracle(L, num_samples, seed):
+    """Simple random walk from 0 absorbed at +-L: sample means of the
+    absorption time and of the visits to 0 (counting the start)."""
+    indptr, indices, absorbing = _path_chain(L)
     time = np.zeros(num_samples, dtype=np.int64)
     visits = np.ones(num_samples, dtype=np.int64)
-    for t, ids, states in walk_frontier(indptr, indices, np.diff(indptr) == 0,
+    for t, ids, states in walk_frontier(indptr, indices, absorbing,
                                         L, num_samples, seed):
         time[ids] = t
         visits[ids[states == L]] += 1
@@ -170,21 +192,14 @@ def path_passage_oracle(L, num_samples, seed):
 
 
 def path_passage_exact(L):
-    """Absorbing-chain solve for the same quantities: expected absorption
-    time from 0 and expected visits to 0, on states -(L-1)..(L-1)."""
-    k = 2 * L - 1
-    center = L - 1
-    q = np.zeros((k, k))
-    for i in range(k):
-        if i > 0:
-            q[i, i - 1] = 0.5
-        if i < k - 1:
-            q[i, i + 1] = 0.5
-    m = np.eye(k) - q
-    times = np.linalg.solve(m, np.ones(k))
-    e0 = np.zeros(k)
-    e0[center] = 1.0
-    visits = np.linalg.solve(m, e0)
+    """Absorbing-chain solve for the same quantities, on the chain
+    path_passage_oracle walks: expected absorption time from 0 and
+    expected visits to 0."""
+    q = _transient_matrix(*_path_chain(L))
+    m = np.eye(len(q)) - q
+    center = L - 1                        # position 0 among the transients
+    times = np.linalg.solve(m, np.ones(len(q)))
+    visits = np.linalg.solve(m, (np.arange(len(q)) == center).astype(float))
     return float(times[center]), float(visits[center])
 
 
@@ -208,23 +223,13 @@ def stretched_edge_delay_mc(L, num_samples, seed):
 def absorbing_mean_hitting(g: LeveledGraph, start: int, targets) -> float:
     """Exact expected hitting time of `targets` from `start` by a dense
     linear solve; intended for oracle-sized graphs."""
-    n = g.vertex_count
-    target_mask = np.zeros(n, dtype=bool)
+    target_mask = np.zeros(g.vertex_count, dtype=bool)
     target_mask[np.asarray(list(targets), dtype=np.int64)] = True
     if target_mask[start]:
         return 0.0
-    trans = np.flatnonzero(~target_mask)
-    pos = -np.ones(n, dtype=np.int64)
-    pos[trans] = np.arange(len(trans))
-    q = np.zeros((len(trans), len(trans)))
-    for i, v in enumerate(trans):
-        nbrs = g.neighbors(v)
-        w = 1.0 / len(nbrs)
-        for u in nbrs:
-            if not target_mask[u]:
-                q[i, pos[u]] += w
-    h = np.linalg.solve(np.eye(len(trans)) - q, np.ones(len(trans)))
-    return float(h[pos[start]])
+    q = _transient_matrix(g.indptr, g.indices, target_mask)
+    h = np.linalg.solve(np.eye(len(q)) - q, np.ones(len(q)))
+    return float(h[np.count_nonzero(~target_mask[:start])])
 
 
 def cylinder_passage_oracle(gadget: LeveledGraph, num_samples, seed) -> float:
@@ -318,8 +323,9 @@ class DescentChain:
 
     State c moves to c' with probability counts[c, c'] / degree, so the
     counts are a CSR multigraph with `degree` entries per state, which
-    walk_frontier samples directly.  The law is exact for cubic and
-    five_regular; no_cutoff's regime tags are an approximation.
+    walk_frontier samples directly and exact_mean and survival solve on.
+    The law is exact for cubic and five_regular; no_cutoff's regime tags
+    are an approximation.
     """
 
     def __init__(self, classes):
@@ -330,8 +336,8 @@ class DescentChain:
         self._indices = np.repeat(cols, classes.counts[rows, cols])
         self._absorbing = np.zeros(k, dtype=bool)
         self._absorbing[list(classes.leaves)] = True
-        keep = ~self._absorbing
-        self._q = (classes.counts / classes.degree)[np.ix_(keep, keep)]
+        self._q = _transient_matrix(self._indptr, self._indices,
+                                    self._absorbing)
 
     @property
     def size(self):

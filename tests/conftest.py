@@ -1,6 +1,6 @@
 import pytest
 
-from expander_cutoff import ConstructionParams, build_cubic, build_five_regular, build_no_cutoff
+from expander_cutoff import ConstructionParams, build
 from expander_cutoff.graphs import GraphBuilder
 
 
@@ -39,19 +39,19 @@ def petersen():
 
 @pytest.fixture(scope="session")
 def five_reg_h1():
-    return build_five_regular(ConstructionParams(h=1, L=2))
+    return build(ConstructionParams(h=1, L=2))
 
 
 @pytest.fixture(scope="session")
 def five_reg_h2():
-    return build_five_regular(ConstructionParams(h=2, L=2))
+    return build(ConstructionParams(h=2, L=2))
 
 
 @pytest.fixture(scope="session")
 def cubic_h2():
-    return build_cubic(ConstructionParams(h=2, L=2, variant="cubic"))
+    return build(ConstructionParams(h=2, L=2, variant="cubic"))
 
 
 @pytest.fixture(scope="session")
 def no_cutoff_h2():
-    return build_no_cutoff(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
+    return build(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))

@@ -26,10 +26,8 @@ import numpy as np
 from expander_cutoff.cli import main as cli_main
 from expander_cutoff.construction import (
     ConstructionParams,
+    build,
     build_cylinder,
-    build_five_regular,
-    build_no_cutoff,
-    build_cubic,
     cylinder_vertex_count,
     level_census,
     standalone_cylinder,
@@ -66,12 +64,12 @@ def report(criterion, ok, detail):
 
 @functools.lru_cache(maxsize=None)
 def cubic(h, L):
-    return build_cubic(ConstructionParams(h=h, L=L, variant="cubic"))
+    return build(ConstructionParams(h=h, L=L, variant="cubic"))
 
 
 @functools.lru_cache(maxsize=None)
 def five_regular(h, L):
-    return build_five_regular(ConstructionParams(h=h, L=L))
+    return build(ConstructionParams(h=h, L=L))
 
 
 # 1 ------------------------------------------------------------------------
@@ -209,8 +207,7 @@ def test_c07a_no_cutoff_bimodality_flag():
 
 
 def test_c07b_no_cutoff_mixing_ratio():
-    g2 = build_no_cutoff(
-        ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
+    g2 = build(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
     summaries, _ = cutoff_report(g2, [0], stride=1)
     r2 = summaries[0].cutoff_ratio
     chain4 = descent_chain(

@@ -201,6 +201,18 @@ def test_nocutoff_demo(tmp_path):
     assert "bimodality" in body
 
 
+def test_nocutoff_demo_reports_every_eps(tmp_path):
+    out = tmp_path / "nc"
+    rc = run("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4",
+             "--eps", "0.1", "--seed", "2", "--samples", "1000",
+             "--out", str(out))
+    assert rc == 0
+    exact = read_json(out / "nocutoff.json")["exact_cutoff"]
+    assert sorted(exact["tmix"]) == sorted(exact["brackets"]) == [
+        "0.1", "0.25", "0.75"]
+    assert exact["tmix"]["0.1"] > exact["tmix"]["0.25"]
+
+
 def test_cylinder_sweep(tmp_path):
     out = tmp_path / "cyl"
     rc = run("cylinder-sweep", "--m", "4", "--Ls", "5,9", "--seed", "1",
@@ -334,13 +346,18 @@ def test_eps_outside_unit_interval_exits_2(tmp_path, capsys):
     for argv in (("profile", "--graph", str(tmp_path / "graph.ev")),
                  ("cutoff-report", "--variant", "cubic", "--L", "3",
                   "--hmin", "2", "--hmax", "2"),
-                 ("cylinder-sweep", "--Ls", "5,9"),
                  ("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4")):
         for eps in ("0", "1", "2", "-0.5", "nan"):
             assert run(*argv, "--eps", "0.5", "--eps", eps, "--seed", "1",
                        "--out", out) == 2
             err = capsys.readouterr().err
             assert err == f"error: --eps must lie in (0, 1), got {float(eps)}\n"
+    # cylinder-sweep reports only the 1/4 and 3/4 times and takes no --eps
+    with pytest.raises(SystemExit) as exc:
+        run("cylinder-sweep", "--Ls", "5,9", "--eps", "0.5", "--seed", "1",
+            "--out", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps 0.5" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,12 +1,11 @@
+import hashlib
+
 import pytest
 
 from expander_cutoff.construction import (
     ConstructionParams,
     build,
-    build_cubic,
     build_cylinder,
-    build_five_regular,
-    build_no_cutoff,
     choose_L,
     cylinder_vertex_count,
     leaf_level,
@@ -23,7 +22,7 @@ from expander_cutoff.graphs import (
     to_text,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, graph_from_edges
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +52,7 @@ def test_choose_L_rejects_bad_gaps():
 def test_L_floor_enforced_without_override():
     p = ConstructionParams(h=1, L=2, override_L=False)
     with pytest.raises(GraphError, match="below the gap-derived floor"):
-        build_five_regular(p)
+        build(p)
 
 
 def test_theoretical_tstar():
@@ -68,7 +67,7 @@ def test_theoretical_tstar():
 
 @pytest.mark.parametrize("h,L", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_five_regular_census(h, L):
-    g = build_five_regular(ConstructionParams(h=h, L=L))
+    g = build(ConstructionParams(h=h, L=L))
     assert assert_regular(g, 5)
     assert is_connected(g)
     census = level_census(g)
@@ -82,7 +81,7 @@ def test_five_regular_census(h, L):
 @pytest.mark.parametrize("h", [1, 2])
 def test_five_regular_full_level_census(h):
     # closed forms for every level: top 1/5/20, then 20*4^d per band depth
-    g = build_five_regular(ConstructionParams(h=h, L=2))
+    g = build(ConstructionParams(h=h, L=2))
     census = level_census(g)
     expect = {0: 1, 1: 5, 2: 20}
     for d in range(1, h + 1):
@@ -111,17 +110,12 @@ def test_five_regular_not_bipartite(five_reg_h1):
 
 @pytest.mark.parametrize("h,L", [(2, 2), (3, 2), (2, 3)])
 def test_cubic_regular_connected(h, L):
-    g = build_cubic(ConstructionParams(h=h, L=L, variant="cubic"))
+    g = build(ConstructionParams(h=h, L=L, variant="cubic"))
     assert assert_regular(g, 3)
     assert is_connected(g)
     census = level_census(g)
     assert census[2] == 6
     assert int((g.role == LEAF).sum()) == 6 * 2 ** (3 * h)
-
-
-def test_cubic_rejects_wrong_variant():
-    with pytest.raises(GraphError):
-        build_cubic(ConstructionParams(h=2, L=2, variant="five_regular"))
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +136,15 @@ def test_no_cutoff_census_and_size(no_cutoff_h2):
     g = no_cutoff_h2
     assert assert_regular(g, 5)
     assert is_connected(g)
-    lo = build_five_regular(ConstructionParams(h=2, L=2))
-    hi = build_five_regular(ConstructionParams(h=2, L=4))
+    lo = build(ConstructionParams(h=2, L=2))
+    hi = build(ConstructionParams(h=2, L=4))
     assert lo.vertex_count < g.vertex_count < hi.vertex_count
 
 
 def test_no_cutoff_intermediate_size_l3():
-    g = build_no_cutoff(ConstructionParams(h=2, L=2, L_prime=3, variant="no_cutoff"))
-    lo = build_five_regular(ConstructionParams(h=2, L=2))
-    hi = build_five_regular(ConstructionParams(h=2, L=3))
+    g = build(ConstructionParams(h=2, L=2, L_prime=3, variant="no_cutoff"))
+    lo = build(ConstructionParams(h=2, L=2))
+    hi = build(ConstructionParams(h=2, L=3))
     assert lo.vertex_count < g.vertex_count < hi.vertex_count
 
 
@@ -183,6 +177,14 @@ def test_cylinder_count_formula(m, seed, L):
     assert is_connected(g)
 
 
+@pytest.mark.parametrize("L", [1, 5])
+def test_cylinder_rejects_disconnected_host(L):
+    two_k4 = graph_from_edges(8, [(o + u, o + v) for o in (0, 4)
+                                  for u in range(4) for v in range(u + 1, 4)])
+    with pytest.raises(GraphError, match="cylinder host must be connected"):
+        build_cylinder(two_k4, L)
+
+
 def test_cylinder_rejects_bad_length():
     with pytest.raises(GraphError, match="mod 4"):
         build_cylinder(complete_graph(4), 7)
@@ -202,17 +204,44 @@ def test_standalone_gadget_ports():
 
 def test_build_determinism():
     p = ConstructionParams(h=1, L=2)
-    a = to_text(build_five_regular(p))
-    b = to_text(build_five_regular(p))
+    a = to_text(build(p))
+    b = to_text(build(p))
     assert a == b
 
 
-def test_build_dispatcher_matches_direct(five_reg_h1):
-    g = build(ConstructionParams(h=1, L=2))
-    assert g.same_structure(five_reg_h1)
+# sha256 of to_text for the session fixtures: a change to any of them
+# changes the artifact bytes a seed gives
+PINNED_BUILDS = [
+    ("five_reg_h1", 2106,
+     "3ff3445957f9e793ae456e26cf908818103490798cfbc0982047fad112690a07"),
+    ("five_reg_h2", 116026,
+     "8c71ae807d15ed3a2f975d41acac108a765834b36b44c1b3125a97f32b3a01b7"),
+    ("cubic_h2", 1442,
+     "4e4ae581c3271f704b52cff0f959bfb3d0de3821720f3096d6d0912ebab9f176"),
+    ("no_cutoff_h2", 116346,
+     "c9487666c246beeb5dd87227d06dc96c86f1ae5c5fa50e4ef8547c441df3050a"),
+]
+
+
+@pytest.mark.parametrize("fixture, n, digest", PINNED_BUILDS,
+                         ids=[b[0] for b in PINNED_BUILDS])
+def test_build_bytes_are_pinned(request, fixture, n, digest):
+    g = request.getfixturevalue(fixture)
+    assert g.vertex_count == n
+    assert hashlib.sha256(to_text(g).encode()).hexdigest() == digest
+    keys = {"variant", "h", "L", "degree", "seeds", "gap1", "gap2",
+            "leaf_level", "L_floor", "meets_L_floor", "bipartite"}
+    if g.meta["variant"] != "cubic":
+        keys |= {"L_prime", "tstar"}
+    assert set(g.meta) == keys
+
+
+def test_build_rejects_unknown_variant():
+    with pytest.raises(GraphError, match="unknown variant 'quartic'"):
+        build(ConstructionParams(h=1, L=2, variant="quartic"))
 
 
 def test_different_seeds_change_wiring():
-    a = build_five_regular(ConstructionParams(h=1, L=2, expander_seeds=(1, 2)))
-    b = build_five_regular(ConstructionParams(h=1, L=2, expander_seeds=(3, 4)))
+    a = build(ConstructionParams(h=1, L=2, expander_seeds=(1, 2)))
+    b = build(ConstructionParams(h=1, L=2, expander_seeds=(3, 4)))
     assert not a.same_structure(b)

@@ -62,11 +62,22 @@ def test_path_passage_length_one():
     assert mean_v == 1.0
 
 
+def _tridiagonal_passage(L):
+    """The same solves on a hand-set Q with 0.5 off the diagonal."""
+    k = 2 * L - 1
+    q = 0.5 * (np.eye(k, k=1) + np.eye(k, k=-1))
+    m = np.eye(k) - q
+    e0 = (np.arange(k) == L - 1).astype(float)
+    return (float(np.linalg.solve(m, np.ones(k))[L - 1]),
+            float(np.linalg.solve(m, e0)[L - 1]))
+
+
 def test_path_passage_exact_solver():
     for L in (1, 2, 5, 8):
         t, v = path_passage_exact(L)
         assert t == pytest.approx(L * L, rel=1e-10)
         assert v == pytest.approx(L, rel=1e-10)
+        assert (t, v) == _tridiagonal_passage(L)
 
 
 def test_path_passage_oracle_matches_exact():
@@ -102,13 +113,32 @@ def test_leaf_start_hits_immediately(five_reg_h1):
     assert stats.samples.tolist() == [0] * 5
 
 
+def _neighbor_loop_hitting(g, start, targets):
+    """absorbing_mean_hitting with Q filled by a loop over neighbors."""
+    target = np.isin(np.arange(g.vertex_count), targets)
+    trans = np.flatnonzero(~target)
+    pos = np.cumsum(~target) - 1
+    q = np.zeros((len(trans), len(trans)))
+    for i, v in enumerate(trans):
+        nbrs = g.neighbors(v)
+        for u in nbrs:
+            if not target[u]:
+                q[i, pos[u]] += 1.0 / len(nbrs)
+    h = np.linalg.solve(np.eye(len(trans)) - q, np.ones(len(trans)))
+    return float(h[pos[start]])
+
+
 def test_stretched_edge_graph_mean():
     k2 = build_tree(1, 1, 1)
     p = stretch_edges(k2, [(0, 1)], 2)
     exact = absorbing_mean_hitting(p, 0, np.flatnonzero(p.role == 3))
     assert exact == pytest.approx(4.0)
+    assert exact == _neighbor_loop_hitting(p, 0, np.flatnonzero(p.role == 3))
     stats = sample_hitting_times(p, 0, 4000, seed=2)
     assert abs(stats.mean - exact) < 4 * stats.stderr()
+    gadget = standalone_cylinder(9)
+    assert (cylinder_passage_exact(gadget)
+            == _neighbor_loop_hitting(gadget, 0, [1]))
 
 
 def test_trajectory_seed_determinism(five_reg_h1):

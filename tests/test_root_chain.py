@@ -214,6 +214,21 @@ def test_survival_no_cutoff_tags_are_close(no_cutoff_h2):
     assert np.abs(chain.survival(1500) - exact).max() < 0.01
 
 
+def _counts_solves(chain, t_max):
+    """Mean and survival from Q = counts / degree on the transient classes,
+    the entries the CSR the sampler walks must reproduce."""
+    classes = chain.classes
+    keep = ~np.isin(np.arange(classes.state_count), classes.leaves)
+    q = (classes.counts / classes.degree)[np.ix_(keep, keep)]
+    mean = np.linalg.solve(np.eye(len(q)) - q, np.ones(len(q)))[0]
+    dist = (np.arange(len(q)) == 0).astype(float)
+    surv = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        surv[t] = dist.sum()
+        dist = dist @ q
+    return float(mean), surv
+
+
 def test_exact_means_at_reference_sizes():
     # the hand-wired five_regular chain this one replaced gave 1822.27777...
     five = descent_chain(ConstructionParams(h=16, L=4))
@@ -222,3 +237,7 @@ def test_exact_means_at_reference_sizes():
     # sparse solve of (I - Q) h = 1 on the materialized cubic h=4 L=3 build
     cubic = descent_chain(ConstructionParams(h=4, L=3, variant="cubic"))
     assert cubic.exact_mean() == pytest.approx(416.6828613281203, rel=1e-9)
+    for c in (five, cubic):
+        mean, surv = _counts_solves(c, 300)
+        assert c.exact_mean() == mean
+        assert np.array_equal(c.survival(300), surv)

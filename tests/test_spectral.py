@@ -190,9 +190,9 @@ def test_five_regular_expansion_floor_consistent(L):
     # the build's expansion should dominate (leaf-expander floor)/(25 L),
     # with the floor taken from the certified leaf-expander spectrum; at
     # desk scale both spectral Cheeger bounds of the build must sit above it
-    from expander_cutoff.construction import ConstructionParams, build_five_regular
+    from expander_cutoff.construction import ConstructionParams, build
 
-    g = build_five_regular(ConstructionParams(h=1, L=L))
+    g = build(ConstructionParams(h=1, L=L))
     lam_leaf = 4.0 * (1.0 - g.meta["gap2"])
     kappa = min((4.0 - lam_leaf) / 2.0, 1.0) / 3.0
     floor = kappa / (25.0 * L)
