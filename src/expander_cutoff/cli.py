@@ -126,7 +126,7 @@ def build_parser():
     p.add_argument("--graph", type=str, default=None)
     p.add_argument("--chain", action="store_true",
                    help="sample the leaf-hitting chain instead of a built "
-                        "graph")
+                        "graph, and report its exact mean")
     _add_build_params(p)
     p.add_argument("--start", type=str, default="0",
                    help="start vertex (graph mode) or start level (chain mode)")
@@ -328,14 +328,17 @@ def _cmd_hitting(args) -> int:
         stats = montecarlo.chain_hitting_stats(chain, args.samples, args.seed,
                                                start_level=start,
                                                predicted=predicted)
+        extra = {"exact_mean": chain.exact_mean(
+            montecarlo.chain_start(chain, start))}
     else:
         if not args.graph:
             raise UsageError("hitting needs --graph or --chain")
         g = _load_graph(args.graph)
         stats = montecarlo.sample_hitting_times(g, start,
                                                 args.samples, args.seed)
+        extra = {}
     bimodal = montecarlo.bimodality_check(stats) if len(stats.samples) >= 1000 else None
-    body = stats.as_dict()
+    body = stats.as_dict() | extra
     if bimodal is not None:
         body["bimodality"] = bimodal.as_dict()
         body["quantile_ratio"] = montecarlo.hitting_mixing_ratio(stats)

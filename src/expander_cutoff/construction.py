@@ -271,7 +271,7 @@ def build_cylinder(host, L: int) -> LeveledGraph:
     meta = {"variant": "cylinder", "h": 0, "L": L, "m": m, "degree": 3,
             "host_gap": getattr(host, "gap", host_g.meta.get("gap"))}
     if L == 1:
-        return host_g.with_meta(**meta)
+        return host_g.with_meta(**meta, bipartite=is_bipartite(host_g))
     k = (L - 1) // 4
     b = GraphBuilder()
     b.add_vertices(m, UNLEVELED, TREE_NODE)
@@ -288,7 +288,7 @@ def cylinder_vertex_count(m: int, num_host_edges: int, L: int) -> int:
 def standalone_cylinder(L: int) -> LeveledGraph:
     """A single gadget with two degree-1 port vertices (ids 0 and 1), as
     consumed by the passage-time oracles."""
-    if L % 4 != 1:
+    if L < 1 or L % 4 != 1:
         raise GraphError("cylinder length must satisfy L = 1 (mod 4)")
     b = GraphBuilder()
     b.add_vertices(2, UNLEVELED, TREE_NODE)

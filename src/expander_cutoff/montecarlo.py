@@ -5,16 +5,25 @@ The descent chain is the walk from the root lumped onto the classes of
 construction.class_chain, with the leaf classes absorbing.  On an
 equitable partition the class of the walk is a Markov chain, so hitting
 times to the leaves drawn from it follow the same law as on the full
-graph, at any h, without materializing the graph.  For the uneven-stretch
-variant the classes also tag the stretch regime the walk descended into
-and carry the tag through the lower bands, although H1's matching joins
-band-2 interiors of both regimes.  The law is exact for cubic and
-five_regular; measured max |ΔS| 2.6e-3 on no_cutoff h=2.
+graph, at any h, without materializing the graph.  The chain draws them
+by inverting that law rather than by walking: one uniform U in (0, 1] per
+sample, and T = min{t : S(t) < U} for the exact survival S, evolved only
+until it falls below the smallest U; this costs O(T_tail * states^2 +
+samples * log T_tail) against O(samples * mean T) for walking.
+walk_frontier stays the one trajectory sampler, for graphs and the
+one-dimensional oracles.
+
+For the uneven-stretch variant the classes also tag the stretch regime
+the walk descended into and carry the tag through the lower bands,
+although H1's matching joins band-2 interiors of both regimes.  The law
+is exact for cubic and five_regular; measured max |ΔS| 2.6e-3 on
+no_cutoff h=2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -322,10 +331,10 @@ class DescentChain:
     absorbing: its hitting time of the leaf level.
 
     State c moves to c' with probability counts[c, c'] / degree, so the
-    counts are a CSR multigraph with `degree` entries per state, which
-    walk_frontier samples directly and exact_mean and survival solve on.
-    The law is exact for cubic and five_regular; no_cutoff's regime tags
-    are an approximation.
+    counts are a CSR multigraph with `degree` entries per state, the chain
+    walk_frontier would walk; exact_mean and survival solve on it, and
+    sample inverts survival.  The law is exact for cubic and five_regular;
+    no_cutoff's regime tags are an approximation.
     """
 
     def __init__(self, classes):
@@ -348,11 +357,38 @@ class DescentChain:
             raise GraphError(f"start {start} is not a state (n={self.size})")
         return (np.arange(self.size) == start)[~self._absorbing].astype(float)
 
+    def _survivals(self, start):
+        """S(0), S(1), ...: the mass of the walk from `start` not yet
+        absorbed, evolved one step of Q at a time; the one loop behind
+        survival and sample."""
+        dist = self._transient_point_mass(start)
+        while True:
+            yield dist.sum()
+            dist = dist @ self._q
+
     def sample(self, num_samples, seed, start=0) -> np.ndarray:
-        """Hitting times of the leaf level for num_samples trajectories."""
-        walk = walk_frontier(self._indptr, self._indices, self._absorbing,
-                             start, num_samples, seed)
-        return _absorption_times(walk, num_samples)
+        """Hitting times of the leaf level for num_samples trajectories,
+        drawn by inverting the exact law.  Sample i takes U_i = 1 - u_i
+        from u = rng.stream(seed, 0).random(num_samples), so U_i lies in
+        (0, 1] and no draw needs an unbounded walk, and is
+        T_i = min{t : S(t) < U_i}, with S the survival from `start` as a
+        running minimum; then P(T_i > t) = S(t).  S is evolved only until
+        it falls below min U, at T_tail, so the cost is
+        O(T_tail * states^2 + num_samples * log T_tail), and the first k
+        samples do not depend on num_samples.  Raises GraphError when a
+        sample needs more than STEP_CAP steps."""
+        u = 1.0 - rng.stream(seed, 0).random(num_samples)
+        floor = u.min(initial=np.inf)
+        surv, s_min = [], np.inf
+        for t, s in enumerate(self._survivals(start)):
+            s_min = min(s_min, s)
+            surv.append(s_min)
+            if s_min < floor:
+                break
+            if t == STEP_CAP:
+                raise GraphError(f"step cap {STEP_CAP} exceeded")
+        return np.searchsorted(-np.asarray(surv), -u,
+                               side="right").astype(np.int64, copy=False)
 
     def exact_mean(self, start=0) -> float:
         """Expected hitting time of the leaf level by a dense linear solve."""
@@ -364,12 +400,8 @@ class DescentChain:
 
     def survival(self, t_max, start=0) -> np.ndarray:
         """Exact P(hitting time > t) for t = 0..t_max."""
-        dist = self._transient_point_mass(start)
-        out = np.empty(t_max + 1)
-        for t in range(t_max + 1):
-            out[t] = dist.sum()
-            dist = dist @ self._q
-        return out
+        return np.fromiter(islice(self._survivals(start), t_max + 1),
+                           dtype=float, count=t_max + 1)
 
 
 def descent_chain(params: ConstructionParams) -> DescentChain:
@@ -377,14 +409,19 @@ def descent_chain(params: ConstructionParams) -> DescentChain:
     return DescentChain(class_chain(params))
 
 
-def chain_hitting_stats(chain: DescentChain, num_samples, seed,
-                        start_level=0, predicted=None) -> HittingStats:
-    """Hitting-time samples from the first class of tree nodes at
-    `start_level`."""
+def chain_start(chain: DescentChain, start_level=0) -> int:
+    """The first class of tree nodes at `start_level`."""
     levels = np.asarray(chain.classes.levels)
     nodes = np.flatnonzero((levels == int(start_level))
                            & (levels != UNLEVELED))
     if len(nodes) == 0:
         raise GraphError(f"no node state at level {start_level}")
-    samples = chain.sample(num_samples, seed, start=int(nodes[0]))
+    return int(nodes[0])
+
+
+def chain_hitting_stats(chain: DescentChain, num_samples, seed,
+                        start_level=0, predicted=None) -> HittingStats:
+    """Hitting-time samples from chain_start(chain, start_level)."""
+    samples = chain.sample(num_samples, seed,
+                           start=chain_start(chain, start_level))
     return hitting_stats(samples, predicted=predicted)

@@ -12,7 +12,7 @@ from expander_cutoff.cli import main, read_artifact, read_json
 from expander_cutoff.construction import ConstructionParams
 from expander_cutoff.graphs import GraphError
 from expander_cutoff.mixing import cutoff_report
-from expander_cutoff.montecarlo import descent_chain
+from expander_cutoff.montecarlo import chain_start, descent_chain
 
 
 def run(*argv):
@@ -126,6 +126,19 @@ def test_hitting_chain_mode_cubic(tmp_path):
     assert abs(body["mean"] - exact) < 5 * stderr
 
 
+@pytest.mark.parametrize("start", [0, 6])
+def test_hitting_chain_reports_exact_mean(tmp_path, start):
+    out = tmp_path / "hit"
+    assert run("hitting", "--chain", "--variant", "five_regular", "--h", "3",
+               "--L", "2", "--start", str(start), "--samples", "4000",
+               "--seed", "5", "--out", str(out)) == 0
+    body = read_json(out / "hitting.json")
+    chain = descent_chain(ConstructionParams(h=3, L=2))
+    assert body["exact_mean"] == chain.exact_mean(chain_start(chain, start))
+    stderr = body["stddev"] / body["count"] ** 0.5
+    assert abs(body["mean"] - body["exact_mean"]) < 4 * stderr
+
+
 def test_hitting_graph_mode(tmp_path):
     out = tmp_path / "hit2"
     run("build", "--variant", "five_regular", "--h", "1", "--L", "2",
@@ -135,6 +148,7 @@ def test_hitting_graph_mode(tmp_path):
     assert rc == 0
     raw = read_artifact(out / "hitting_samples.txt").split()
     assert len(raw) == 300
+    assert "exact_mean" not in read_json(out / "hitting.json")
 
 
 def test_determinism_modulo_timestamp(tmp_path):

@@ -18,6 +18,7 @@ from expander_cutoff.graphs import (
     LEAF,
     GraphError,
     assert_regular,
+    is_bipartite,
     is_connected,
     to_text,
 )
@@ -159,6 +160,13 @@ def test_cylinder_identity_at_length_one():
     assert g.edge_count == 12
 
 
+@pytest.mark.parametrize("L", [1, 5])
+def test_cylinder_meta_names_bipartiteness_at_every_length(L):
+    host = make_expander(ExpanderSpec(3, 8, 0.01, 1))
+    g = build_cylinder(host, L)
+    assert g.meta["bipartite"] == is_bipartite(g)
+
+
 def test_cylinder_k4_counts():
     g = build_cylinder(complete_graph(4), 5)
     assert g.vertex_count == 40
@@ -188,6 +196,12 @@ def test_cylinder_rejects_disconnected_host(L):
 def test_cylinder_rejects_bad_length():
     with pytest.raises(GraphError, match="mod 4"):
         build_cylinder(complete_graph(4), 7)
+
+
+@pytest.mark.parametrize("L", [-3, -7, 0, 3])
+def test_standalone_cylinder_rejects_bad_length(L):
+    with pytest.raises(GraphError, match="mod 4"):
+        standalone_cylinder(L)
 
 
 def test_standalone_gadget_ports():

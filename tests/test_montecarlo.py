@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from expander_cutoff.construction import ConstructionParams, standalone_cylinder
+from expander_cutoff import montecarlo
+from expander_cutoff.construction import (
+    ConstructionParams,
+    RootChain,
+    standalone_cylinder,
+)
 from expander_cutoff.graphs import GraphError, build_tree, stretch_edges
 from expander_cutoff.montecarlo import (
+    DescentChain,
     absorbing_mean_hitting,
     bimodality_check,
     chain_hitting_stats,
@@ -18,6 +24,7 @@ from expander_cutoff.montecarlo import (
     sample_hitting_times,
     stretched_edge_delay,
     stretched_edge_delay_mc,
+    walk_frontier,
 )
 
 
@@ -197,6 +204,69 @@ def test_chain_sampler_agrees_with_linear_solve():
     exact = chain.exact_mean()
     se = samples.std() / np.sqrt(len(samples))
     assert abs(samples.mean() - exact) < 4 * se
+
+
+def _walk_chain(chain, num_samples, seed):
+    """Hitting times from walking the chain's own CSR trajectory by
+    trajectory with walk_frontier, the sampler of graphs and oracles."""
+    times = np.zeros(num_samples, dtype=np.int64)
+    for t, ids, _ in walk_frontier(chain._indptr, chain._indices,
+                                   chain._absorbing, 0, num_samples, seed):
+        times[ids] = t
+    return times
+
+
+def _ks_to_exact(chain, samples):
+    """sup_t |F_n(t) - (1 - S(t))|: both CDFs jump only at integers, so
+    the integers up to the largest sample (where F_n reaches 1) suffice."""
+    t_max = int(samples.max())
+    ecdf = np.cumsum(np.bincount(samples, minlength=t_max + 1)) / len(samples)
+    return float(np.abs(ecdf - (1.0 - chain.survival(t_max))).max())
+
+
+@pytest.mark.parametrize("params", [
+    ConstructionParams(h=4, L=2),
+    ConstructionParams(h=4, L=2, L_prime=4, variant="no_cutoff"),
+], ids=["five_regular", "no_cutoff"])
+def test_inverse_cdf_sampler_agrees_with_walking(params):
+    chain = descent_chain(params)
+    exact = chain.exact_mean()
+    n = 20000
+    # 1.95 / sqrt(n) is the 0.1% point of the Kolmogorov distribution,
+    # conservative for a law on the integers
+    for samples in (chain.sample(n, seed=31), _walk_chain(chain, n, seed=32)):
+        assert abs(samples.mean() - exact) < 4 * samples.std() / np.sqrt(n)
+        assert _ks_to_exact(chain, samples) < 1.95 / np.sqrt(n)
+
+
+def test_chain_sample_prefixes_and_edges():
+    chain = descent_chain(ConstructionParams(h=3, L=2))
+    for start in (0, 4):
+        full = chain.sample(1000, seed=5, start=start)
+        assert chain.sample(100, seed=5, start=start).tolist() == \
+            full[:100].tolist()
+    empty = chain.sample(0, seed=5)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    leaf = chain.classes.leaves[0]
+    assert chain.sample(7, seed=5, start=leaf).tolist() == [0] * 7
+    with pytest.raises(GraphError, match="not a state"):
+        chain.sample(0, seed=5, start=chain.size)
+
+
+def test_chain_step_cap_raises(monkeypatch):
+    # one transient state that stays with probability 3/4: S(t) = 0.75^t
+    chain = DescentChain(RootChain(sizes=(1, 1), counts=[[3, 1], [1, 3]],
+                                   degree=4, meta={}, levels=(0, 1),
+                                   leaves=(1,)))
+    assert chain.survival(3).tolist() == [1.0, 0.75, 0.5625, 0.421875]
+    with pytest.raises(GraphError, match="step cap 5 exceeded"):
+        list(walk_frontier(chain._indptr, chain._indices, chain._absorbing,
+                           0, 1000, seed=1, step_cap=5))
+    monkeypatch.setattr(montecarlo, "STEP_CAP", 200)
+    assert chain.sample(1000, seed=1).max() <= 200
+    monkeypatch.setattr(montecarlo, "STEP_CAP", 5)
+    with pytest.raises(GraphError, match="step cap 5 exceeded"):
+        chain.sample(1000, seed=1)
 
 
 def test_chain_survival_is_monotone():
