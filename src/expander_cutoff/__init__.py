@@ -25,14 +25,9 @@ from .graphs import (
     GraphError,
     LeveledGraph,
     assert_regular,
-    build_tree,
-    contract_paths,
     from_text,
-    graft_stretched_trees,
-    interconnect_interiors,
     is_bipartite,
     is_connected,
-    line_graph_embed,
     stretch_edges,
     to_text,
 )

@@ -176,12 +176,22 @@ _POST_CONFIG_DEFAULTS = {"variant": "five_regular", "Lprime": 0, "m": 0,
                          "min_gap": 0.05}
 
 
+def _read_input(read, path, what) -> str:
+    """read(path) for an input file; a missing, unreadable or undecodable
+    file is a usage error."""
+    p = Path(path)
+    if not p.exists():
+        raise UsageError(f"{what} not found: {p}")
+    try:
+        return read(p)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {p}: {exc}") from None
+
+
 def _apply_config(args):
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        for line in path.read_text().splitlines():
+        for line in _read_input(Path.read_text, args.config,
+                                "config file").splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -208,6 +218,17 @@ def _require_seed(args):
         raise UsageError("this command needs an explicit --seed")
 
 
+def _require_out_dir(args):
+    """--out must name a directory or a path that can become one; checked
+    before any work so a long run cannot fail at its first write."""
+    out = Path(args.out)
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise UsageError(f"--out {out}: {p} is not a directory")
+            return
+
+
 def _require_in_range(args):
     for key in ("samples", "stride"):
         value = getattr(args, key, None)
@@ -231,10 +252,7 @@ def _params_from_args(args) -> ConstructionParams:
 
 
 def _load_graph(path):
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"graph file not found: {p}")
-    return from_text(read_artifact(p))
+    return from_text(_read_input(read_artifact, path, "graph file"))
 
 
 def _int_option(text, option) -> int:
@@ -464,6 +482,7 @@ def main(argv=None) -> int:
         _apply_config(args)
         _require_seed(args)
         _require_in_range(args)
+        _require_out_dir(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
-"""Sparse undirected graphs with per-vertex level and role tags, plus the
-structural builders that all constructions in this package compose: rooted
-trees, edge stretching, interior interconnection across isomorphic trees,
-line-graph auxiliary embedding, and path contraction.
+"""Sparse undirected graphs with per-vertex level and role tags, the
+builder that freezes them, and the structural operations the constructions
+compose on a builder: stretched-tree grafting from one shared template,
+cross wiring of isomorphic path interiors, and line-graph auxiliary
+embedding.  stretch_edges replaces edges of a finished graph by paths.
 
 Vertex ids are dense integers assigned in construction order.  Graphs are
 immutable after build; every operation returns a new graph.  A parallel
@@ -43,7 +44,7 @@ class LeveledGraph:
     role : uint8 array
         Per-vertex role code (TREE_NODE, PATH_INTERIOR, AUXILIARY, LEAF).
     meta : dict
-        Construction provenance (params, seeds, tree blocks).
+        Construction provenance (params, seeds, certified gaps).
     """
 
     __slots__ = ("indptr", "indices", "level", "role", "meta", "_csr",
@@ -188,15 +189,6 @@ class GraphBuilder:
         self._chunks = []
         self.meta = dict(meta or {})
 
-    @classmethod
-    def from_graph(cls, g: LeveledGraph) -> "GraphBuilder":
-        b = cls(meta=g.meta)
-        b._level = g.level.tolist()
-        b._role = g.role.tolist()
-        edges = g.edge_array()
-        b.add_edge_array(edges[:, 0], edges[:, 1])
-        return b
-
     @property
     def vertex_count(self) -> int:
         return len(self._level)
@@ -277,50 +269,6 @@ class GraphBuilder:
 
 
 # ---------------------------------------------------------------------------
-# basic constructors
-
-
-def from_edges(n, edges, level=None, role=None, meta=None) -> LeveledGraph:
-    b = GraphBuilder(meta=meta)
-    b.add_vertices(n)
-    for u, v in edges:
-        b.add_edge(int(u), int(v))
-    if level is not None:
-        b._level = [int(x) for x in level]
-    if role is not None:
-        b._role = [int(x) for x in role]
-    return b.finish()
-
-
-def build_tree(branching: int, height: int, root_degree: int) -> LeveledGraph:
-    """Rooted tree: the root has `root_degree` children and every deeper
-    internal node has `branching` children; level(v) is the depth from the
-    root and the deepest level is tagged LEAF.  height 0 is a single root.
-    """
-    if branching < 1:
-        raise GraphError("branching must be >= 1")
-    if root_degree < 1:
-        raise GraphError("root_degree must be >= 1")
-    if height < 0:
-        raise GraphError("height must be >= 0")
-    b = GraphBuilder()
-    root = b.add_vertex(0, LEAF if height == 0 else TREE_NODE)
-    prev = [root]
-    for depth in range(1, height + 1):
-        role = LEAF if depth == height else TREE_NODE
-        width = root_degree if depth == 1 else branching
-        cur = []
-        for p in prev:
-            for _ in range(width):
-                c = b.add_vertex(depth, role)
-                b.add_edge(p, c)
-                cur.append(c)
-        prev = cur
-    return b.finish(builder="tree", branching=branching, height=height,
-                    root_degree=root_degree)
-
-
-# ---------------------------------------------------------------------------
 # edge stretching
 
 
@@ -342,8 +290,7 @@ def stretch_edges(g: LeveledGraph, edges, L: int) -> LeveledGraph:
         targets.add((u, v))
     if L == 1 or not targets:
         return g
-    meta = {k: val for k, val in g.meta.items() if k != "tree_blocks"}
-    b = GraphBuilder(meta=meta)
+    b = GraphBuilder(meta=g.meta)
     b._level = g.level.tolist()
     b._role = g.role.tolist()
     for u, v in map(tuple, g.edge_array()):
@@ -361,7 +308,7 @@ def stretch_edges(g: LeveledGraph, edges, L: int) -> LeveledGraph:
 
 
 # ---------------------------------------------------------------------------
-# stretched-tree grafting (the layout interconnect_interiors relies on)
+# stretched-tree grafting and cross wiring on a builder
 
 
 def _tree_template(branching, height, length_at, leaf_role):
@@ -447,28 +394,6 @@ def _graft_trees_onto(b, roots, branching, height, length_at, base_levels,
     } for i in range(n_trees)]
 
 
-def graft_stretched_trees(g, roots, branching, height, stretch=1,
-                          stretch_of=None, leaf_role=TREE_NODE):
-    """Attach a stretched `branching`-ary tree of the given height below each
-    root vertex of g.  Returns (graph, tree_ids); the new graph's meta
-    carries the tree blocks that interconnect_interiors consumes.
-
-    stretch_of(depth, position) overrides the constant stretch per edge; it
-    must be the same function for every root (the trees stay isomorphic).
-    """
-    if height < 1:
-        raise GraphError("height must be >= 1")
-    length_at = stretch_of if stretch_of is not None else (lambda d, p: stretch)
-    b = GraphBuilder.from_graph(g)
-    base_levels = [int(g.level[r]) for r in roots]
-    blocks = _graft_trees_onto(b, [int(r) for r in roots], branching, height,
-                               length_at, base_levels, leaf_role=leaf_role)
-    existing = list(g.meta.get("tree_blocks", ()))
-    first = len(existing)
-    out = b.finish(tree_blocks=tuple(existing + blocks))
-    return out, list(range(first, first + len(blocks)))
-
-
 def _interconnect_onto(b, blocks, tree_groups, mode):
     if mode not in ("clique", "matching"):
         raise GraphError(f"unknown interconnect mode {mode!r}")
@@ -488,22 +413,6 @@ def _interconnect_onto(b, blocks, tree_groups, mode):
                 b.add_edge_array(blks[i]["base"] + ints, blks[j]["base"] + ints)
 
 
-def interconnect_interiors(g, tree_groups, mode) -> LeveledGraph:
-    """Wire isomorphic path interiors across each group of grafted trees.
-
-    mode "clique" adds a complete graph on every interior class of the group
-    (each interior's degree grows by group size - 1); mode "matching" adds a
-    single edge per class and takes groups of exactly 2.  Trees are named by
-    the ids graft_stretched_trees returned.
-    """
-    blocks = g.meta.get("tree_blocks")
-    if not blocks:
-        raise GraphError("graph has no grafted trees to interconnect")
-    b = GraphBuilder.from_graph(g)
-    _interconnect_onto(b, blocks, tree_groups, mode)
-    return b.finish()
-
-
 # ---------------------------------------------------------------------------
 # line-graph auxiliary embedding
 
@@ -511,98 +420,13 @@ def interconnect_interiors(g, tree_groups, mode) -> LeveledGraph:
 def _embed_line_graph_bulk(b, host_n, host_edges, targets, aux_level):
     """Vectorized embedding: one auxiliary per host vertex, joined to
     targets[j] for every host edge j incident to it.  targets must follow
-    the host's edge_array order; aux_level is one level for every auxiliary
-    or an array of one level per host vertex."""
+    the host's edge_array order; every auxiliary gets level aux_level."""
     targets = np.asarray(targets, dtype=np.int64)
     aux0 = b.add_vertex_array(np.full(host_n, aux_level, dtype=np.int64),
                               np.full(host_n, AUXILIARY, dtype=np.int64))
     us = np.concatenate([aux0 + host_edges[:, 0], aux0 + host_edges[:, 1]])
     b.add_edge_array(us, np.concatenate([targets, targets]))
     return aux0
-
-
-def line_graph_embed(g, host, attach) -> LeveledGraph:
-    """Add one auxiliary vertex per host vertex w, joined to the attachment
-    vertices of w's three incident host edges.
-
-    `attach` must be a bijection from the host's edge set onto attachment
-    vertices of current degree 1 or 2; a walk restricted to the attachment
-    vertices then moves between host edges that share a host endpoint.
-    """
-    host_g = getattr(host, "graph", host)
-    if not assert_regular(host_g, 3):
-        raise GraphError("host is not 3-regular")
-    edges = host_g.edge_array()
-    host_edges = [tuple(e) for e in edges.tolist()]
-    norm = {}
-    for e, t in attach.items():
-        u, v = int(e[0]), int(e[1])
-        if u > v:
-            u, v = v, u
-        norm[(u, v)] = int(t)
-    if set(norm) != set(host_edges) or len(set(norm.values())) != len(norm):
-        raise GraphError("attachment mismatch: need a bijection onto the host edges")
-    degs = g.degrees()
-    for t in norm.values():
-        if degs[t] not in (1, 2):
-            raise GraphError(f"attachment mismatch: vertex {t} has degree {degs[t]}")
-    targets = np.asarray([norm[e] for e in host_edges], dtype=np.int64)
-    # an auxiliary takes the level its three targets share, else UNLEVELED
-    by_vertex = np.repeat(g.level[targets], 2)[
-        np.argsort(edges.ravel(), kind="stable")].reshape(-1, 3)
-    shared = (by_vertex == by_vertex[:, :1]).all(axis=1)
-    b = GraphBuilder.from_graph(g)
-    _embed_line_graph_bulk(b, host_g.vertex_count, edges, targets,
-                           np.where(shared, by_vertex[:, 0], UNLEVELED))
-    return b.finish()
-
-
-# ---------------------------------------------------------------------------
-# path contraction
-
-
-def contract_paths(g: LeveledGraph) -> LeveledGraph:
-    """Collapse every maximal chain of degree-2 PATH_INTERIOR vertices into a
-    single edge between its non-interior endpoints.
-
-    Inverse of stretch_edges on graphs whose cross edges were removed first.
-    """
-    n = g.vertex_count
-    interior = g.role == PATH_INTERIOR
-    if not interior.any():
-        return g
-    degs = g.degrees()
-    bad = np.flatnonzero(interior & (degs != 2))
-    if len(bad):
-        raise GraphError(f"cannot contract: interior {bad[0]} has degree {degs[bad[0]]}")
-
-    keep = np.flatnonzero(~interior)
-    new_id = np.full(n, -1, dtype=np.int64)
-    new_id[keep] = np.arange(len(keep))
-    meta = {k: v for k, v in g.meta.items() if k != "tree_blocks"}
-    b = GraphBuilder(meta=meta)
-    for v in keep:
-        b.add_vertex(int(g.level[v]), int(g.role[v]))
-
-    seen = np.zeros(n, dtype=bool)
-    for u, v in map(tuple, g.edge_array()):
-        iu, iv = interior[u], interior[v]
-        if not iu and not iv:
-            b.add_edge(int(new_id[u]), int(new_id[v]))
-        elif not iu and iv and not seen[v]:
-            # walk the chain starting from endpoint u through v
-            prev, cur = u, v
-            while interior[cur]:
-                seen[cur] = True
-                a, c = g.neighbors(cur)
-                nxt = a if c == prev else c
-                prev, cur = cur, nxt
-            if interior[cur]:
-                raise GraphError("cannot contract: interior-only cycle")
-            b.add_edge(int(new_id[u]), int(new_id[cur]))
-    if not seen[interior].all():
-        raise GraphError("cannot contract: interior-only cycle")
-    return b.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -722,62 +546,3 @@ def from_text(text: str) -> LeveledGraph:
         raise
     except (IndexError, KeyError, ValueError, OverflowError) as exc:
         raise GraphError(f"malformed graph text: {exc!r}") from exc
-
-
-# ---------------------------------------------------------------------------
-# small-instance isomorphism (used by tests to check structural identities)
-
-
-def are_isomorphic(g1: LeveledGraph, g2: LeveledGraph, max_n: int = 12) -> bool:
-    """Exact isomorphism test by backtracking; intended for tiny graphs."""
-    n = g1.vertex_count
-    if n != g2.vertex_count or g1.edge_count != g2.edge_count:
-        return False
-    if n > max_n:
-        raise GraphError(f"isomorphism search capped at {max_n} vertices")
-    d1 = sorted(g1.degrees().tolist())
-    d2 = sorted(g2.degrees().tolist())
-    if d1 != d2:
-        return False
-    deg1, deg2 = g1.degrees(), g2.degrees()
-    order = sorted(range(n), key=lambda v: -deg1[v])
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i):
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(n):
-            if used[w] or deg2[w] != deg1[v]:
-                continue
-            ok = True
-            for u in g1.neighbors(v):
-                mu = mapping[u]
-                if mu >= 0 and not g2.has_edge(int(mu), w):
-                    ok = False
-                    break
-            if ok:
-                # also reject extra adjacencies of w to mapped non-neighbors
-                nbrs_v = set(g1.neighbors(v).tolist())
-                for x in range(n):
-                    mx = mapping[x]
-                    if mx >= 0 and x not in nbrs_v and g2.has_edge(int(mx), w):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return extend(0)
-
-
-def spectrum_fingerprint(g: LeveledGraph, digits: int = 8) -> tuple:
-    """Sorted adjacency spectrum rounded for structural comparison."""
-    w = np.linalg.eigvalsh(g.adjacency_dense())
-    return tuple(np.round(w, digits))

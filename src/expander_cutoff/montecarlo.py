@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .construction import ConstructionParams, class_chain
-from .graphs import LEAF, UNLEVELED, GraphError, LeveledGraph
+from .graphs import LEAF, UNLEVELED, GraphError, LeveledGraph, bfs_distances
 
 STEP_CAP = 10 ** 9
 
@@ -142,9 +142,13 @@ def sample_hitting_times(g, start, num_samples, seed,
                          predicted=None) -> HittingStats:
     """Steps of num_samples independent simple random walks from `start`
     until their first arrival at the leaf level; deterministic in (graph,
-    start, seed) and independent of batching."""
-    walk = walk_frontier(g.indptr, g.indices, g.role == LEAF, start,
-                         num_samples, seed)
+    start, seed) and independent of batching.  A start from which no leaf
+    is reachable is a GraphError, raised before any step is taken."""
+    leaf = g.role == LEAF
+    if (0 <= start < g.vertex_count
+            and not leaf[bfs_distances(g, start) >= 0].any()):
+        raise GraphError(f"no leaf vertex is reachable from start {start}")
+    walk = walk_frontier(g.indptr, g.indices, leaf, start, num_samples, seed)
     return hitting_stats(_absorption_times(walk, num_samples),
                          predicted=predicted)
 

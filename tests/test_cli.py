@@ -104,6 +104,24 @@ def test_repeated_level_line_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 6: expected vertex 1")
 
 
+@pytest.mark.parametrize("text", [
+    # two tree nodes, no leaf at all
+    "ev 2 1 0 0 c\n0 1\nlevels\n0 0 TreeNode\n1 0 TreeNode\n",
+    # the only leaf sits in the other component
+    "ev 4 2 0 0 c\n0 1\n2 3\nlevels\n"
+    "0 0 TreeNode\n1 0 TreeNode\n2 0 TreeNode\n3 1 Leaf\n",
+    # the start is isolated
+    "ev 2 0 0 0 c\nlevels\n0 0 TreeNode\n1 1 Leaf\n",
+], ids=["no_leaf", "leaf_elsewhere", "isolated_start"])
+def test_hitting_without_reachable_leaf_exits_1(tmp_path, capsys, text):
+    graph = tmp_path / "noleaf.ev"
+    graph.write_text(text)
+    assert run("hitting", "--graph", str(graph), "--start", "0",
+               "--samples", "10", "--seed", "1", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "error: no leaf vertex is reachable from start 0\n")
+
+
 def test_hitting_chain_mode(tmp_path):
     out = tmp_path / "hit"
     rc = run("hitting", "--chain", "--variant", "five_regular", "--h", "4",
@@ -192,6 +210,26 @@ def test_config_eps_is_a_checked_list(tmp_path, capsys):
         assert run(*argv, "--out", str(tmp_path / "bad")) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("case", ["graph_dir", "graph_bytes", "config_bytes",
+                                  "out_file", "out_below_file"])
+def test_bad_paths_exit_2(tmp_path, capsys, case):
+    blob = tmp_path / "blob"
+    blob.write_bytes(b"\xff\xfe not utf-8\n")
+    out = str(tmp_path / "out")
+    build = ("build", "--variant", "cubic", "--h", "2", "--L", "2",
+             "--seed", "1", "--out")
+    argv = {
+        "graph_dir": ("profile", "--graph", str(tmp_path), "--out", out),
+        "graph_bytes": ("profile", "--graph", str(blob), "--out", out),
+        "config_bytes": ("build", "--config", str(blob), "--out", out),
+        "out_file": build + (str(blob),),
+        "out_below_file": build + (str(blob / "run"),),
+    }[case]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_flags_override_config(tmp_path):

@@ -2,57 +2,82 @@ import numpy as np
 import pytest
 
 from expander_cutoff.graphs import (
+    AUXILIARY,
     LEAF,
     PATH_INTERIOR,
+    TREE_NODE,
     UNLEVELED,
     GraphBuilder,
     GraphError,
-    are_isomorphic,
+    _embed_line_graph_bulk,
+    _graft_trees_onto,
+    _interconnect_onto,
     assert_regular,
     bfs_distances,
-    build_tree,
-    contract_paths,
     from_text,
-    graft_stretched_trees,
-    interconnect_interiors,
     is_bipartite,
     is_connected,
-    line_graph_embed,
-    spectrum_fingerprint,
     stretch_edges,
     to_text,
 )
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, graph_from_edges
+
+
+def _grafted_tree(branching, height):
+    """A `branching`-ary tree of the given height grafted at stretch 1 below
+    a level-0 root (vertex 0), its deepest level tagged LEAF."""
+    b = GraphBuilder()
+    b.add_vertex(0, TREE_NODE)
+    _graft_trees_onto(b, [0], branching, height, lambda d, p: 1, [0],
+                      leaf_role=LEAF)
+    return b.finish()
+
+
+def _chain_ends(g, v):
+    """The two non-interior endpoints of the PATH_INTERIOR chain through v."""
+    interior = g.role == PATH_INTERIOR
+    ends = []
+    for start in g.neighbors(v):
+        prev, cur = v, int(start)
+        while interior[cur]:
+            nxt = [int(w) for w in g.neighbors(cur) if w != prev]
+            prev, cur = cur, nxt[0]
+        ends.append(cur)
+    return ends
 
 
 # ---------------------------------------------------------------------------
-# build_tree
+# trees: the build's top and grafted trees
 
 
-def test_tree_five_regular_top():
-    t = build_tree(branching=4, height=2, root_degree=5)
-    assert t.vertex_count == 1 + 5 + 20
-    assert t.edge_count == 25
-    assert int((t.level == 2).sum()) == 20
-    assert (t.role[t.level == 2] == LEAF).all()
+def test_tree_five_regular_top(five_reg_h1):
+    # the build's top: the root's 5 children, each with 4 tree-node
+    # children, and the grafted bands start below those 20
+    d = bfs_distances(five_reg_h1, 0)
+    top = np.flatnonzero(d <= 2)
+    assert top.tolist() == list(range(26))
+    assert [int((d == k).sum()) for k in (1, 2)] == [5, 20]
+    assert np.array_equal(five_reg_h1.level[top], d[top])
+    assert (five_reg_h1.role[top] == TREE_NODE).all()
 
 
 def test_tree_height_zero():
-    t = build_tree(branching=2, height=0, root_degree=3)
+    t = _grafted_tree(2, 0)
     assert t.vertex_count == 1
     assert t.edge_count == 0
 
 
 def test_tree_binary():
-    t = build_tree(branching=2, height=2, root_degree=3)
-    assert t.vertex_count == 1 + 3 + 6
-    assert t.edge_count == 9
-    assert [int((t.level == i).sum()) for i in range(3)] == [1, 3, 6]
+    t = _grafted_tree(2, 2)
+    assert t.vertex_count == 1 + 2 + 4
+    assert t.edge_count == 6
+    assert [int((t.level == i).sum()) for i in range(3)] == [1, 2, 4]
+    assert ((t.role == LEAF) == (t.level == 2)).all()
 
 
 def test_tree_levels_are_bfs_distances():
-    t = build_tree(branching=3, height=3, root_degree=2)
+    t = _grafted_tree(3, 3)
     assert np.array_equal(bfs_distances(t, 0), t.level)
 
 
@@ -61,7 +86,7 @@ def test_tree_levels_are_bfs_distances():
 
 
 def test_stretch_single_edge():
-    k2 = build_tree(1, 1, 1)
+    k2 = graph_from_edges(2, [(0, 1)])
     p = stretch_edges(k2, [(0, 1)], 3)
     assert p.vertex_count == 4
     assert p.edge_count == 3
@@ -75,11 +100,11 @@ def test_stretch_identity():
 
 
 def test_stretch_triangle_gives_hexagon():
+    # the only connected 2-regular graph on 6 vertices is the 6-cycle
     k3 = complete_graph(3)
     g = stretch_edges(k3, k3.edge_set(), 2)
     assert g.vertex_count == 6 and g.edge_count == 6
     assert assert_regular(g, 2) and is_connected(g)
-    assert are_isomorphic(g, cycle_graph(6))
 
 
 def test_stretch_count_arithmetic():
@@ -98,19 +123,11 @@ def test_stretch_unknown_edge():
 
 
 def test_stretch_interior_levels_take_lower_endpoint():
-    t = build_tree(2, 2, 2)
+    t = _grafted_tree(2, 2)
     s = stretch_edges(t, t.edge_set(), 3)
-    interior = s.role == PATH_INTERIOR
-    for v in np.flatnonzero(interior):
-        # walk the chain both ways to its non-interior endpoints
-        ends = []
-        for start in s.neighbors(v):
-            prev, cur = v, int(start)
-            while interior[cur]:
-                nxt = [int(w) for w in s.neighbors(cur) if w != prev]
-                prev, cur = cur, nxt[0]
-            ends.append(int(s.level[cur]))
-        assert int(s.level[v]) == min(ends)
+    for v in np.flatnonzero(s.role == PATH_INTERIOR):
+        ends = _chain_ends(s, int(v))
+        assert int(s.level[v]) == min(int(s.level[e]) for e in ends)
 
 
 # ---------------------------------------------------------------------------
@@ -120,48 +137,23 @@ def test_stretch_interior_levels_take_lower_endpoint():
 @pytest.mark.parametrize("make", [
     lambda: complete_graph(4),
     lambda: cycle_graph(5),
-    lambda: build_tree(2, 2, 3),
+    lambda: _grafted_tree(2, 2),
 ])
 @pytest.mark.parametrize("L", [2, 3])
 def test_stretch_contract_roundtrip(make, L):
+    # collapsing each interior chain into one edge between its ends gives
+    # back g exactly: stretch_edges keeps the ids and tags of g's vertices
     g = make()
     s = stretch_edges(g, g.edge_set(), L)
-    back = contract_paths(s)
-    if back.vertex_count <= 12:
-        assert are_isomorphic(back, g)
-    assert sorted(back.degrees().tolist()) == sorted(g.degrees().tolist())
-    assert back.edge_count == g.edge_count
-    assert spectrum_fingerprint(back) == spectrum_fingerprint(g)
-
-
-def test_contract_hexagon_to_triangle():
-    g = cycle_graph(6)
-    b = GraphBuilder.from_graph(g)
-    for v in (1, 3, 5):
-        b._role[v] = PATH_INTERIOR
-    marked = b.finish()
-    t = contract_paths(marked)
-    assert are_isomorphic(t, complete_graph(3))
-
-
-def test_contract_no_interiors_is_identity():
-    g = complete_graph(4)
-    assert contract_paths(g) is g
-
-
-def test_contract_stretched_k2():
-    k2 = build_tree(1, 1, 1)
-    s = stretch_edges(k2, [(0, 1)], 4)
-    back = contract_paths(s)
-    assert back.vertex_count == 2 and back.edge_count == 1
-
-
-def test_contract_rejects_high_degree_interior():
-    g = complete_graph(4)
-    b = GraphBuilder.from_graph(g)
-    b._role[0] = PATH_INTERIOR
-    with pytest.raises(GraphError, match="cannot contract"):
-        contract_paths(b.finish())
+    n = g.vertex_count
+    interior = np.flatnonzero(s.role == PATH_INTERIOR)
+    assert interior.tolist() == list(range(n, s.vertex_count))
+    assert (s.degrees()[interior] == 2).all()
+    assert np.array_equal(s.level[:n], g.level)
+    assert np.array_equal(s.role[:n], g.role)
+    contracted = {(u, v) for u, v in s.edge_set() if v < n}
+    contracted |= {tuple(sorted(_chain_ends(s, int(x)))) for x in interior}
+    assert contracted == g.edge_set()
 
 
 # ---------------------------------------------------------------------------
@@ -171,116 +163,92 @@ def test_contract_rejects_high_degree_interior():
 def _four_roots():
     b = GraphBuilder()
     b.add_vertices(4, level=0)
-    return b.finish()
+    return b
+
+
+def _graft_edges(b, roots, stretch):
+    """One stretched edge (a height-1 unary tree) below each root."""
+    return _graft_trees_onto(b, roots, 1, 1, lambda d, p: stretch,
+                             [0] * len(roots))
 
 
 def test_interconnect_clique_on_stretched_edges():
-    g, trees = graft_stretched_trees(_four_roots(), [0, 1, 2, 3],
-                                     branching=1, height=1, stretch=3)
-    wired = interconnect_interiors(g, [trees], "clique")
+    b = _four_roots()
+    blocks = _graft_edges(b, [0, 1, 2, 3], 3)
+    _interconnect_onto(b, blocks, [[0, 1, 2, 3]], "clique")
+    wired = b.finish()
     interiors = np.flatnonzero(wired.role == PATH_INTERIOR)
     assert len(interiors) == 8
     assert (wired.degrees()[interiors] == 5).all()
+    # the three cross edges of each interior join its counterparts
+    bases = [blk["base"] for blk in blocks]
+    assert {(int(bi + k), int(bj + k)) for k in blocks[0]["interiors"]
+            for bi in bases for bj in bases if bi < bj} <= wired.edge_set()
 
 
 def test_interconnect_single_tree_group_no_edges():
-    g, trees = graft_stretched_trees(_four_roots(), [0], 1, 1, stretch=3)
-    wired = interconnect_interiors(g, [trees], "clique")
-    assert wired.edge_count == g.edge_count
+    b = _four_roots()
+    blocks = _graft_edges(b, [0], 3)
+    grafted = b.finish().edge_count
+    _interconnect_onto(b, blocks, [[0]], "clique")
+    assert b.finish().edge_count == grafted
 
 
 def test_interconnect_matching_pair():
-    g, trees = graft_stretched_trees(_four_roots(), [0, 1], 1, 1, stretch=2)
-    wired = interconnect_interiors(g, [trees], "matching")
-    assert wired.edge_count == g.edge_count + 1
+    b = _four_roots()
+    blocks = _graft_edges(b, [0, 1], 2)
+    grafted = b.finish().edge_count
+    _interconnect_onto(b, blocks, [[0, 1]], "matching")
+    assert b.finish().edge_count == grafted + 1
 
 
 def test_interconnect_shape_mismatch():
-    base = _four_roots()
-    g, t1 = graft_stretched_trees(base, [0], 1, 1, stretch=2)
-    g, t2 = graft_stretched_trees(g, [1], 1, 1, stretch=3)
+    b = _four_roots()
+    blocks = _graft_edges(b, [0], 2) + _graft_edges(b, [1], 3)
     with pytest.raises(GraphError, match="group shape mismatch"):
-        interconnect_interiors(g, [[t1[0], t2[0]]], "matching")
+        _interconnect_onto(b, blocks, [[0, 1]], "matching")
 
 
 # ---------------------------------------------------------------------------
 # line-graph embedding
 
 
-def test_line_graph_embed_k4_host():
-    host = complete_graph(4)
+def _embed_on_k4():
+    """Six disjoint edges (2j, 2j + 1) with the K4 host's edge j attached at
+    vertex 2j, embedded with auxiliaries on level 7."""
+    host_edges = complete_graph(4).edge_array()
     b = GraphBuilder()
     b.add_vertices(12)
-    for i in range(6):
-        b.add_edge(2 * i, 2 * i + 1)
-    g = b.finish()
-    attach = {tuple(e): 2 * j for j, e in enumerate(host.edge_array())}
-    out = line_graph_embed(g, host, attach)
-    assert out.vertex_count == 16
-    aux = np.flatnonzero(out.role == 2)
-    assert len(aux) == 4
+    b.add_edge_array(np.arange(0, 12, 2), np.arange(1, 12, 2))
+    attach = {tuple(map(int, e)): 2 * j for j, e in enumerate(host_edges)}
+    aux0 = _embed_line_graph_bulk(b, 4, host_edges, list(attach.values()), 7)
+    return b.finish(), attach, aux0
+
+
+def test_line_graph_embed_k4_host():
+    out, attach, aux0 = _embed_on_k4()
+    assert aux0 == 12 and out.vertex_count == 16
+    aux = np.flatnonzero(out.role == AUXILIARY)
+    assert aux.tolist() == [12, 13, 14, 15]
     assert (out.degrees()[aux] == 3).all()
+    assert (out.level[aux] == 7).all()
+    assert (out.level[:12] == UNLEVELED).all()
     for t in attach.values():
         assert out.degree(t) == 3
-
-
-def test_line_graph_embed_rejects_non_cubic_host():
-    host = cycle_graph(4)
-    g = complete_graph(2)
-    with pytest.raises(GraphError, match="3-regular"):
-        line_graph_embed(g, host, {(0, 1): 0})
-
-
-def test_line_graph_embed_rejects_partial_attachment():
-    host = complete_graph(4)
-    b = GraphBuilder()
-    b.add_vertices(12)
-    for i in range(6):
-        b.add_edge(2 * i, 2 * i + 1)
-    g = b.finish()
-    attach = {tuple(e): 0 for e in host.edge_array()}
-    with pytest.raises(GraphError, match="attachment mismatch"):
-        line_graph_embed(g, host, attach)
-
-
-@pytest.mark.parametrize("levels, expected", [
-    ([7] * 12, [7, 7, 7, 7]),
-    # host edge 0 is (0, 1): its target sits alone on level 8
-    ([8] + [7] * 11, [UNLEVELED, UNLEVELED, 7, 7]),
-])
-def test_line_graph_embed_auxiliary_levels(levels, expected):
-    host = complete_graph(4)
-    b = GraphBuilder()
-    b.add_vertex_array(levels, [PATH_INTERIOR] * 12)
-    for i in range(6):
-        b.add_edge(2 * i, 2 * i + 1)
-    g = b.finish()
-    attach = {tuple(e): 2 * j for j, e in enumerate(host.edge_array())}
-    out = line_graph_embed(g, host, attach)
-    assert out.level[12:].tolist() == expected
-    assert out.level[:12].tolist() == levels
 
 
 def test_line_graph_walk_moves_between_incident_host_edges():
     # from an attachment vertex, two auxiliary steps reach exactly the
     # attachment vertices of host edges sharing an endpoint with it
-    host = complete_graph(4)
-    b = GraphBuilder()
-    b.add_vertices(12)
-    for i in range(6):
-        b.add_edge(2 * i, 2 * i + 1)
-    g = b.finish()
-    host_edges = [tuple(map(int, e)) for e in host.edge_array()]
-    attach = {e: 2 * j for j, e in enumerate(host_edges)}
-    out = line_graph_embed(g, host, attach)
+    out, attach, _ = _embed_on_k4()
     by_vertex = {v: e for e, v in attach.items()}
     for e, v in attach.items():
         reach = set()
         for a in out.neighbors(v):
-            if out.role[a] == 2:
+            if out.role[a] == AUXILIARY:
                 reach.update(int(x) for x in out.neighbors(a))
         incident = {w for w in reach if w in by_vertex and w != v}
-        expected = {attach[f] for f in host_edges
+        expected = {attach[f] for f in attach
                     if f != e and (set(f) & set(e))}
         assert incident == expected
 
@@ -323,7 +291,7 @@ def test_self_loop_raises():
 def test_bipartiteness():
     assert is_bipartite(cycle_graph(6))
     assert not is_bipartite(cycle_graph(5))
-    assert is_bipartite(build_tree(2, 3, 2))
+    assert is_bipartite(_grafted_tree(2, 3))
 
 
 def test_serialization_roundtrip(five_reg_h1):
@@ -334,7 +302,8 @@ def test_serialization_roundtrip(five_reg_h1):
 
 
 def test_serialization_header():
-    g = build_tree(2, 1, 2).with_meta(variant="custom", h=0, L=0)
+    g = graph_from_edges(3, [(0, 1), (0, 2)]).with_meta(
+        variant="custom", h=0, L=0)
     text = to_text(g)
     assert text.splitlines()[0] == "ev 3 2 0 0 custom"
     assert "levels" in text

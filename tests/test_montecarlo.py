@@ -7,7 +7,13 @@ from expander_cutoff.construction import (
     RootChain,
     standalone_cylinder,
 )
-from expander_cutoff.graphs import GraphError, build_tree, stretch_edges
+from expander_cutoff.graphs import (
+    LEAF,
+    TREE_NODE,
+    GraphBuilder,
+    GraphError,
+    stretch_edges,
+)
 from expander_cutoff.montecarlo import (
     DescentChain,
     absorbing_mean_hitting,
@@ -136,8 +142,10 @@ def _neighbor_loop_hitting(g, start, targets):
 
 
 def test_stretched_edge_graph_mean():
-    k2 = build_tree(1, 1, 1)
-    p = stretch_edges(k2, [(0, 1)], 2)
+    b = GraphBuilder()
+    b.add_vertex_array([0, 1], [TREE_NODE, LEAF])
+    b.add_edge(0, 1)
+    p = stretch_edges(b.finish(), [(0, 1)], 2)
     exact = absorbing_mean_hitting(p, 0, np.flatnonzero(p.role == 3))
     assert exact == pytest.approx(4.0)
     assert exact == _neighbor_loop_hitting(p, 0, np.flatnonzero(p.role == 3))
