@@ -50,12 +50,14 @@ def write_json(path: Path, command: str, params: dict, obj) -> None:
 
 
 def read_artifact(path) -> str:
-    """Artifact body with the provenance header stripped."""
-    lines = Path(path).read_text().splitlines(keepends=True)
-    i = 0
-    while i < len(lines) and lines[i].startswith("#"):
-        i += 1
-    return "".join(lines[i:])
+    """Artifact body: the text from the first line that does not start
+    with `#`.  The file is read with universal newlines, so its lines end
+    in LF whatever the file used."""
+    text = Path(path).read_text()
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1 or len(text)
+    return text[start:]
 
 
 def read_json(path):

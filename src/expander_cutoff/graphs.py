@@ -13,6 +13,7 @@ duplicates are found when the builder freezes the graph.
 
 from __future__ import annotations
 
+import re
 from array import array
 
 import numpy as np
@@ -182,8 +183,8 @@ class GraphBuilder:
     """
 
     def __init__(self, meta=None):
-        self._level = []
-        self._role = []
+        self._level = array("q")
+        self._role = array("B")
         self._src = []
         self._dst = []
         self._chunks = []
@@ -201,14 +202,14 @@ class GraphBuilder:
     def add_vertices(self, count, level=UNLEVELED, role=TREE_NODE) -> int:
         """Add `count` vertices with shared tags; returns the first new id."""
         first = len(self._level)
-        self._level.extend([int(level)] * count)
-        self._role.extend([int(role)] * count)
+        self._level.extend(array("q", [int(level)]) * count)
+        self._role.extend(array("B", [int(role)]) * count)
         return first
 
     def add_vertex_array(self, levels, roles) -> int:
         first = len(self._level)
-        self._level.extend(np.asarray(levels, dtype=np.int64).tolist())
-        self._role.extend(np.asarray(roles, dtype=np.int64).tolist())
+        self._level.frombytes(np.asarray(levels, dtype=np.int64).tobytes())
+        self._role.frombytes(np.asarray(roles, dtype=np.uint8).tobytes())
         return first
 
     def add_edge(self, u: int, v: int) -> None:
@@ -242,21 +243,21 @@ class GraphBuilder:
         if len(eu):
             if eu.min() < 0 or ev.min() < 0 or max(eu.max(), ev.max()) >= n:
                 raise GraphError("edge references unknown vertex")
-            lo = np.minimum(eu, ev)
-            hi = np.maximum(eu, ev)
-            if np.any(lo == hi):
-                bad = int(lo[np.argmax(lo == hi)])
-                raise GraphError(f"self-loop at vertex {bad}")
-            keys = np.sort((lo << 32) | hi)
+            loops = eu == ev
+            if loops.any():
+                raise GraphError(f"self-loop at vertex {eu[loops.argmax()]}")
+            # one (lo << 32) | hi key per edge: sorted, a duplicate repeats
+            keys = np.sort((np.minimum(eu, ev) << 32) | np.maximum(eu, ev))
             dup = np.flatnonzero(np.diff(keys) == 0)
             if len(dup):
                 k = int(keys[dup[0]])
                 raise GraphError(f"duplicate edge ({k >> 32}, {k & 0xffffffff})")
-            src = np.concatenate([eu, ev])
-            dst = np.concatenate([ev, eu])
-            order = np.lexsort((dst, src))
-            indices = dst[order]
-            counts = np.bincount(src, minlength=n)
+            # both arcs of each edge as (src << 32) | dst: sorted, they list
+            # the CSR rows in order
+            arcs = np.concatenate([keys, (keys & 0xffffffff) << 32 | keys >> 32])
+            arcs.sort()
+            indices = arcs & 0xffffffff
+            counts = np.bincount(arcs >> 32, minlength=n)
         else:
             indices = np.empty(0, np.int64)
             counts = np.zeros(n, np.int64)
@@ -264,8 +265,8 @@ class GraphBuilder:
         meta = dict(self.meta)
         meta.update(meta_updates)
         return LeveledGraph(indptr, indices,
-                            np.asarray(self._level, dtype=np.int64),
-                            np.asarray(self._role, dtype=np.uint8), meta)
+                            np.array(self._level, dtype=np.int64),
+                            np.array(self._role, dtype=np.uint8), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +292,7 @@ def stretch_edges(g: LeveledGraph, edges, L: int) -> LeveledGraph:
     if L == 1 or not targets:
         return g
     b = GraphBuilder(meta=g.meta)
-    b._level = g.level.tolist()
-    b._role = g.role.tolist()
+    b.add_vertex_array(g.level, g.role)
     for u, v in map(tuple, g.edge_array()):
         if (u, v) not in targets:
             b.add_edge(u, v)
@@ -489,6 +489,33 @@ def is_bipartite(g: LeveledGraph) -> bool:
 # ---------------------------------------------------------------------------
 # serialization: text edge-list with a levels section
 
+# rows formatted per % operation: bounds the Python objects alive at once
+_CHUNK_ROWS = 8192
+
+# at most 18 digits, so a field never leaves int64 (np.fromstring would
+# saturate it silently); (?=(...))\1 takes each line atomically, leaving no
+# backtracking state behind (an atomic group, which Python 3.10 lacks)
+_INT = r"-?[0-9]{1,18}"
+_EDGE_LINES = re.compile(
+    rf"(?:(?=([ \t]*{_INT}[ \t]+{_INT}[ \t]*\r?\n))\1)*")
+_VERTEX_LINES = re.compile(
+    rf"(?:(?=([ \t]*{_INT}[ \t]+{_INT}[ \t]+(?:{'|'.join(ROLE_NAMES)})"
+    rf"[ \t]*(?:\r?\n|\Z)))\1)*")
+_LEVELS_LINE = re.compile(r"levels(?:\r?\n|\Z)")
+_BLANK_TAIL = re.compile(r"[ \t\r\n]*\Z")
+
+
+def _format_rows(fmt, *columns):
+    """fmt % row for every row of the equal-length columns, one % per
+    chunk of rows."""
+    n = len(columns[0])
+    for i in range(0, n, _CHUNK_ROWS):
+        k = min(_CHUNK_ROWS, n - i)
+        cells = np.empty((k, len(columns)), dtype=object)
+        for j, col in enumerate(columns):
+            cells[:, j] = col[i:i + k]
+        yield fmt * k % tuple(cells.ravel().tolist())
+
 
 def to_text(g: LeveledGraph) -> str:
     """Serialize: header `ev <n> <m> <h> <L> <variant>`, one `u v` line per
@@ -497,52 +524,88 @@ def to_text(g: LeveledGraph) -> str:
     h = int(meta.get("h", 0))
     L = int(meta.get("L", 0))
     variant = str(meta.get("variant", "custom"))
-    lines = [f"ev {g.vertex_count} {g.edge_count} {h} {L} {variant}"]
-    lines += [f"{u} {v}" for u, v in g.edge_array().tolist()]
-    lines.append("levels")
-    names = [ROLE_NAMES[r] for r in g.role.tolist()]
-    lines += [f"{v} {lvl} {name}"
-              for v, (lvl, name) in enumerate(zip(g.level.tolist(), names))]
-    lines.append("")
-    return "\n".join(lines)
+    edges = g.edge_array()
+    names = np.array(ROLE_NAMES, dtype=object)[g.role]
+    return "".join([
+        f"ev {g.vertex_count} {g.edge_count} {h} {L} {variant}\n",
+        *_format_rows("%d %d\n", edges[:, 0], edges[:, 1]),
+        "levels\n",
+        *_format_rows("%d %d %s\n", np.arange(g.vertex_count), g.level,
+                      names)])
+
+
+def _malformed(text, pos, line_no, expected):
+    line = text[pos:text.find("\n", pos) + 1 or len(text)]
+    return GraphError(f"malformed graph text: line {line_no}: expected "
+                      f"{expected}, got {line[:80]!r}")
+
+
+def _match_lines(pattern, text, pos):
+    """End of the lines `pattern` matches from pos, and their count."""
+    end = pattern.match(text, pos).end()
+    count = text.count("\n", pos, end)
+    if end == len(text) > pos and not text.endswith("\n"):
+        count += 1
+    return end, count
 
 
 def from_text(text: str) -> LeveledGraph:
-    """Parse the to_text format; any missing line, wrong field count,
-    non-integer or out-of-range field, unknown role, duplicate edge,
-    self-loop, or levels section that does not list vertices 0..n-1 in
-    order raises GraphError."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("ev "):
+    """Parse the to_text format.
+
+    Lines end in LF or CRLF, and the last one may lack it.  Fields are
+    separated by runs of spaces or tabs, which may also lead or trail a
+    data line; integers are ASCII digits with an optional `-`, at most 18
+    of them.  After the last vertex line only blank lines may follow.
+
+    Each section's shape is checked with one regular expression and its
+    fields converted in bulk.  A missing line, wrong field count,
+    non-integer or overlong field, unknown role, duplicate edge,
+    self-loop, unknown endpoint, levels section that does not list
+    vertices 0..n-1 in order, or text after it raises GraphError.
+    """
+    pos = text.find("\n") + 1 or len(text)
+    header = text[:pos].removesuffix("\n").removesuffix("\r")
+    if not header.startswith("ev "):
         raise GraphError("bad header")
     try:
-        _, n_s, m_s, h_s, L_s, variant = lines[0].split(maxsplit=5)
+        _, n_s, m_s, h_s, L_s, variant = header.split(maxsplit=5)
         n, m = int(n_s), int(m_s)
-        b = GraphBuilder(meta={"h": int(h_s), "L": int(L_s),
-                               "variant": variant})
-        b.add_vertices(n)
-        us, vs = [], []
-        for i in range(1, 1 + m):
-            u_s, v_s = lines[i].split()
-            us.append(int(u_s))
-            vs.append(int(v_s))
-        b.add_edge_array(us, vs)
-        if lines[1 + m] != "levels":
-            raise GraphError("missing levels section")
-        ids = array("q")
-        for v in range(n):
-            v_s, lvl_s, role_s = lines[2 + m + v].split()
-            ids.append(int(v_s))
-            b._level[v] = int(lvl_s)
-            b._role[v] = ROLE_CODES[role_s]
-        # to_text lists every vertex once, in order
-        bad = np.flatnonzero(np.frombuffer(ids, dtype=np.int64) != np.arange(n))
-        if len(bad):
-            v = int(bad[0])
-            raise GraphError(f"line {v + 3 + m}: expected vertex {v}, "
-                             f"got {ids[v]}")
-        return b.finish()
-    except GraphError:
-        raise
-    except (IndexError, KeyError, ValueError, OverflowError) as exc:
+        meta = {"h": int(h_s), "L": int(L_s), "variant": variant}
+    except ValueError as exc:
         raise GraphError(f"malformed graph text: {exc!r}") from exc
+    if n < 0 or m < 0:
+        raise GraphError(f"malformed graph text: negative count in {header!r}")
+
+    end, count = _match_lines(_EDGE_LINES, text, pos)
+    if count < m:
+        raise _malformed(text, end, 2 + count, "an edge line 'u v'")
+    levels = _LEVELS_LINE.match(text, end) if count == m else None
+    if levels is None:
+        raise GraphError("missing levels section")
+    edges = np.fromstring(text[pos:end], dtype=np.int64, sep=" ")
+
+    pos = levels.end()
+    end, count = _match_lines(_VERTEX_LINES, text, pos)
+    if count < n:
+        raise _malformed(text, end, 3 + m + count,
+                         "a vertex line 'vertex level role'")
+    if count > n:
+        raise GraphError(f"malformed graph text: line {3 + m + n}: more "
+                         f"than the header's {n} vertex lines")
+    if not _BLANK_TAIL.match(text, end):
+        raise _malformed(text, end, 3 + m + n, "the end of the text")
+    section = text[pos:end]
+    for code, name in enumerate(ROLE_NAMES):
+        section = section.replace(name, str(code))
+    vertex, level, role = np.fromstring(section, dtype=np.int64,
+                                        sep=" ").reshape(n, 3).T
+    # to_text lists every vertex once, in order
+    bad = np.flatnonzero(vertex != np.arange(n))
+    if len(bad):
+        v = int(bad[0])
+        raise GraphError(f"line {v + 3 + m}: expected vertex {v}, "
+                         f"got {vertex[v]}")
+    b = GraphBuilder(meta=meta)
+    b.add_vertex_array(level, role)
+    b.add_edge_array(edges[0::2], edges[1::2])
+    return b.finish()

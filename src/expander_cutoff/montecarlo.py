@@ -94,12 +94,15 @@ def walk_frontier(indptr, indices, absorbing, start, num_samples, seed,
     Yields (t, ids that took step t, their new states).  Step t draws
     rng.stream(seed, t).random(max alive id + 1) and gives uniform u[i] to
     trajectory i, which moves to indices[indptr[s] + floor(u[i] deg(s))];
-    so the first k trajectories do not depend on num_samples.
+    so the first k trajectories do not depend on num_samples.  A
+    trajectory that has to leave a state of degree 0 is a GraphError.
     """
     n = len(indptr) - 1
     if not 0 <= start < n:
         raise GraphError(f"start {start} is not a state (n={n})")
     deg = np.diff(indptr)
+    stuck = (deg == 0) & ~np.asarray(absorbing, dtype=bool)
+    check_stuck = bool(stuck.any())
     state = np.full(num_samples, start, dtype=np.int64)
     alive = np.arange(0 if absorbing[start] else num_samples)
     t = 0
@@ -109,6 +112,9 @@ def walk_frontier(indptr, indices, absorbing, start, num_samples, seed,
         t += 1
         u = rng.stream(seed, t).random(int(alive[-1]) + 1)[alive]
         s = state[alive]
+        if check_stuck and stuck[s].any():
+            raise GraphError(f"state {s[stuck[s].argmax()]} has no edge to "
+                             f"leave by and is not absorbing")
         nxt = indices[indptr[s] + (u * deg[s]).astype(np.int64)]
         state[alive] = nxt
         yield t, alive, nxt
@@ -129,6 +135,28 @@ def _transient_matrix(indptr, indices, absorbing) -> np.ndarray:
     np.add.at(q, (pos[rows[inside]], pos[indices[inside]]), 1.0)
     q /= deg[keep][:, None]
     return q
+
+
+def _solve_no_pivoting(a, b) -> np.ndarray:
+    """x with a x = b by Gaussian elimination in the given order, in numpy
+    alone: a small LAPACK solve is slow under a multi-threaded BLAS.  With
+    a = I - Q for a substochastic Q, a is row diagonally dominant, so
+    elimination without pivoting is stable.  Each pivot updates only the
+    rows below it that have an entry in its column, few when Q's rows have
+    few nonzeros."""
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    n = len(b)
+    for k in range(n):
+        rows = k + 1 + np.flatnonzero(a[k + 1:, k])
+        if rows.size:
+            f = a[rows, k] / a[k, k]
+            a[rows, k:] -= f[:, None] * a[k, k:]
+            b[rows] -= f * b[k]
+    x = np.zeros(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - (a[k, k + 1:] * x[k + 1:]).sum()) / a[k, k]
+    return x
 
 
 def _absorption_times(walk, num_samples) -> np.ndarray:
@@ -395,11 +423,12 @@ class DescentChain:
                                side="right").astype(np.int64, copy=False)
 
     def exact_mean(self, start=0) -> float:
-        """Expected hitting time of the leaf level by a dense linear solve."""
+        """Expected hitting time of the leaf level: (I - Q) h = 1, solved
+        by numpy elimination (no LAPACK)."""
         e = self._transient_point_mass(start)
         if not e.any():
             return 0.0
-        h = np.linalg.solve(np.eye(len(e)) - self._q, np.ones(len(e)))
+        h = _solve_no_pivoting(np.eye(len(e)) - self._q, np.ones(len(e)))
         return float(e @ h)
 
     def survival(self, t_max, start=0) -> np.ndarray:

@@ -53,5 +53,10 @@ def cubic_h2():
 
 
 @pytest.fixture(scope="session")
+def cubic_h3():
+    return build(ConstructionParams(h=3, L=2, variant="cubic"))
+
+
+@pytest.fixture(scope="session")
 def no_cutoff_h2():
     return build(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))

@@ -33,6 +33,8 @@ from expander_cutoff.montecarlo import (
     walk_frontier,
 )
 
+from conftest import graph_from_edges
+
 
 # ---------------------------------------------------------------------------
 # closed forms
@@ -206,6 +208,22 @@ def test_chain_tracks_prediction_at_large_h():
         assert abs(ratio - 1.0) < 0.05, (h, L)
 
 
+@pytest.mark.parametrize("params", [ConstructionParams(h=16, L=4)] + [
+    ConstructionParams(h=h, L=L, variant="cubic")
+    for h in range(1, 7) for L in (2, 3)],
+    ids=["five_regular-16-4"] + [f"cubic-{h}-{L}" for h in range(1, 7)
+                                 for L in (2, 3)])
+def test_chain_exact_mean_matches_lapack(params):
+    chain = descent_chain(params)
+    for start in (0, 3):
+        e = chain._transient_point_mass(start)
+        lapack = e @ np.linalg.solve(np.eye(len(e)) - chain._q,
+                                     np.ones(len(e)))
+        assert chain.exact_mean(start) == pytest.approx(lapack, rel=1e-12)
+    if params.h == 16:
+        assert chain.exact_mean() == pytest.approx(1822.2777777, rel=1e-9)
+
+
 def test_chain_sampler_agrees_with_linear_solve():
     chain = descent_chain(ConstructionParams(h=4, L=2))
     samples = chain.sample(40000, seed=21)
@@ -275,6 +293,28 @@ def test_chain_step_cap_raises(monkeypatch):
     monkeypatch.setattr(montecarlo, "STEP_CAP", 5)
     with pytest.raises(GraphError, match="step cap 5 exceeded"):
         chain.sample(1000, seed=1)
+
+
+def test_walk_frontier_rejects_degree_zero_state():
+    # 0 -> 1, and 1 has no edge: it used to take 2's neighbour as its move
+    indptr = np.array([0, 1, 1, 2])
+    indices = np.array([1, 0])
+    absorbing = np.zeros(3, dtype=bool)
+    walk = walk_frontier(indptr, indices, absorbing, 0, 5, seed=1)
+    t, ids, states = next(walk)
+    assert (t, ids.tolist(), states.tolist()) == (1, list(range(5)), [1] * 5)
+    with pytest.raises(GraphError, match="state 1 has no edge to leave by"):
+        next(walk)
+    # an absorbing state of degree 0 stops the walk as before
+    absorbing[1] = True
+    assert [t for t, _, _ in walk_frontier(indptr, indices, absorbing, 0, 5,
+                                           seed=1)] == [1]
+
+
+def test_passage_oracle_rejects_isolated_port():
+    gadget = graph_from_edges(3, [(1, 2)])
+    with pytest.raises(GraphError, match="state 0 has no edge to leave by"):
+        cylinder_passage_oracle(gadget, 10, seed=1)
 
 
 def test_chain_survival_is_monotone():

@@ -24,7 +24,7 @@ from expander_cutoff.mixing import (
     tv_profile_until,
     tv_to_uniform,
 )
-from expander_cutoff.montecarlo import descent_chain
+from expander_cutoff.montecarlo import _solve_no_pivoting, descent_chain
 
 # cubic L=1 has no cross edge on an interior and is bipartite
 SMALL = [("cubic", 3, 2), ("cubic", 3, 3), ("five_regular", 2, 1),
@@ -216,11 +216,13 @@ def test_survival_no_cutoff_tags_are_close(no_cutoff_h2):
 
 def _counts_solves(chain, t_max):
     """Mean and survival from Q = counts / degree on the transient classes,
-    the entries the CSR the sampler walks must reproduce."""
+    the entries the CSR the sampler walks must reproduce; the mean by the
+    elimination exact_mean runs (test_chain_exact_mean_matches_lapack
+    checks it against LAPACK)."""
     classes = chain.classes
     keep = ~np.isin(np.arange(classes.state_count), classes.leaves)
     q = (classes.counts / classes.degree)[np.ix_(keep, keep)]
-    mean = np.linalg.solve(np.eye(len(q)) - q, np.ones(len(q)))[0]
+    mean = _solve_no_pivoting(np.eye(len(q)) - q, np.ones(len(q)))[0]
     dist = (np.arange(len(q)) == 0).astype(float)
     surv = np.empty(t_max + 1)
     for t in range(t_max + 1):
