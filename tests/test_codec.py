@@ -39,17 +39,17 @@ def small_graphs(draw, min_vertices=0):
     return b.finish()
 
 
-def _graph(n, edges, levels, roles):
+def _graph(edges, levels, roles):
     b = GraphBuilder(meta={"h": 1, "L": 2, "variant": "custom"})
     b.add_vertex_array(levels, roles)
     b.add_edge_array([u for u, _ in edges], [v for _, v in edges])
     return b.finish()
 
 
-# every role, level -1, an isolated vertex; then no edge at all
-@example(_graph(5, [(0, 1), (1, 3)], [0, -1, 7, -1, 2], [0, 1, 2, 3, 3]))
-@example(_graph(3, [], [-1, -1, 0], [3, 2, 1]))
-@example(_graph(0, [], [], []))
+# every role, level -1 and an isolated vertex (4); no edge; no vertex
+@example(_graph([(0, 1), (1, 3)], [0, -1, 7, -1, 2], [0, 1, 2, 3, 3]))
+@example(_graph([], [-1, -1, 0], [3, 2, 1]))
+@example(_graph([], [], []))
 @settings(max_examples=200, deadline=None, database=None)
 @given(small_graphs())
 def test_round_trip(g):
@@ -84,12 +84,12 @@ def mutate(text, m, n, mutation, draw):
     i = draw(st.sampled_from(vertex_lines if mutation == "unknown_role"
                              else data_lines))
     fields = lines[i].split(" ")
-    ints = [0, 1]  # the integer fields of an edge or a vertex line
+    integer_field = st.integers(0, 1)  # in an edge or a vertex line
     if mutation == "non_integer":
-        fields[draw(st.sampled_from(ints))] = draw(st.sampled_from(NON_INTEGERS))
+        fields[draw(integer_field)] = draw(st.sampled_from(NON_INTEGERS))
     elif mutation == "long_value":
         digits = draw(st.integers(19, 25))
-        fields[draw(st.sampled_from(ints))] = draw(st.sampled_from(
+        fields[draw(integer_field)] = draw(st.sampled_from(
             ["1" + "0" * (digits - 1), "0" * (digits - 1) + "1",
              "-" + "9" * digits]))
     elif mutation == "extra_field":
