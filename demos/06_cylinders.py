@@ -23,9 +23,7 @@ from expander_cutoff import (
 def complete_graph(n):
     b = GraphBuilder()
     b.add_vertices(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            b.add_edge(u, v)
+    b.add_edge_array(*np.triu_indices(n, 1))
     return b.finish()
 
 

@@ -41,7 +41,9 @@ def _header(command: str, params: dict) -> str:
 
 def write_artifact(path: Path, command: str, params: dict, body: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_header(command, params) + body)
+    with open(path, "w") as f:
+        f.write(_header(command, params))
+        f.write(body)
 
 
 def write_json(path: Path, command: str, params: dict, obj) -> None:

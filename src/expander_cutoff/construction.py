@@ -32,7 +32,7 @@ from .graphs import (
     LeveledGraph,
     _embed_line_graph_bulk,
     _graft_trees_onto,
-    _interconnect_onto,
+    _join_counterparts,
     _tree_template,
     assert_regular,
     is_bipartite,
@@ -99,13 +99,6 @@ def theoretical_tstar(h: int, L: int) -> float:
 # shared scaffolding
 
 
-def _block_leaves(blocks):
-    out = []
-    for blk in blocks:
-        out.extend((blk["base"] + blk["leaves"]).tolist())
-    return out
-
-
 def _finalize(b, degree, meta):
     g = b.finish(**meta)
     if not assert_regular(g, degree):
@@ -168,41 +161,40 @@ def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
                          f"pass override_L=True for desk-scale builds")
 
     b = GraphBuilder()
-    root = b.add_vertex(0, TREE_NODE)
-    top = []
-    for _ in range(fanout):
-        x = b.add_vertex(1, TREE_NODE)
-        b.add_edge(root, x)
-        for _ in range(branching):
-            top.append(b.add_vertex(2, TREE_NODE))
-            b.add_edge(x, top[-1])
-    band1 = _graft_trees_onto(b, top, branching, h,
-                              partial(_stretch, params, 1), [2] * len(top))
-    groups = np.arange(len(top)).reshape(-1, branching).tolist()
-    _interconnect_onto(b, band1, groups, "clique")
-    set_a = _block_leaves(band1)
-    band2 = _graft_trees_onto(b, set_a, branching, h,
-                              partial(_stretch, params, 2),
-                              [h + 2] * len(set_a))
+    # the tree top: the root, then each child followed by its children
+    levels = np.r_[0, np.tile([1] + [2] * branching, fanout)]
+    b.add_vertex_array(levels, np.full(len(levels), TREE_NODE))
+    kids = 1 + (branching + 1) * np.arange(fanout)
+    top = (kids[:, None] + 1 + np.arange(branching)).ravel()
+    b.add_edge_array(np.r_[np.zeros(fanout, np.int64),
+                           np.repeat(kids, branching)], np.r_[kids, top])
+    t1, t2, t3 = (_tree_template(branching, h, partial(_stretch, params, band),
+                                 LEAF if band == 3 else TREE_NODE)
+                  for band in (1, 2, 3))
+    bases1 = _graft_trees_onto(b, top, t1, 2)
+    # cliques on the counterparts of each group of `branching` trees
+    pairs = np.column_stack(np.triu_indices(branching, 1))
+    groups = np.arange(0, len(top), branching)
+    _join_counterparts(b, bases1, t1["interiors"],
+                       groups[:, None, None] + pairs)
+    set_a = (bases1[:, None] + t1["leaves"]).ravel()
+    bases2 = _graft_trees_onto(b, set_a, t2, h + 2)
     h1_edges = exp1.graph.edge_array()
     if cubic:
         # every band-2 interior x gets a pendant x'; per interior class the
         # x' are identified with the edges of H1 (tree i <-> edge i) and
         # joined through one auxiliary per H1 vertex
-        bases = np.asarray([blk["base"] for blk in band2], dtype=np.int64)
-        for offset in band2[0]["interiors"].tolist():
-            xs = bases + offset
-            lvl = b._level[int(xs[0])]
-            pendants = b.add_vertices(len(xs), lvl, AUXILIARY) + np.arange(len(xs))
-            b.add_edge_array(xs, pendants)
+        for offset in t2["interiors"].tolist():
+            lvl = h + 2 + int(t2["level_off"][offset])
+            pendants = b.add_vertices(len(bases2), lvl, AUXILIARY) \
+                + np.arange(len(bases2))
+            b.add_edge_array(bases2 + offset, pendants)
             _embed_line_graph_bulk(b, exp1.size, h1_edges, pendants, lvl)
     else:
-        _interconnect_onto(b, band2, h1_edges.tolist(), "matching")
-    set_b = _block_leaves(band2)
-    band3 = _graft_trees_onto(b, set_b, branching, h,
-                              partial(_stretch, params, 3),
-                              [2 * h + 2] * len(set_b), leaf_role=LEAF)
-    leaves = np.asarray(_block_leaves(band3), dtype=np.int64)
+        _join_counterparts(b, bases2, t2["interiors"], h1_edges)
+    set_b = (bases2[:, None] + t2["leaves"]).ravel()
+    bases3 = _graft_trees_onto(b, set_b, t3, 2 * h + 2)
+    leaves = (bases3[:, None] + t3["leaves"]).ravel()
     h2_edges = exp2.graph.edge_array()
     if cubic:
         _embed_line_graph_bulk(b, exp2.size, h2_edges, leaves, 3 * h + 2)
@@ -231,29 +223,28 @@ def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
 # cylinder family
 
 
-def _add_cylinder_gadget(b, left, right, k):
-    """Degree-3 ladder of length 4k + 1 between two host vertices: singles
-    at positions 0, 1 (mod 4) where the rails merge, doubled rail pairs
-    with a rung at positions 2, 3 (mod 4); 6k interiors, 9k + 1 edges."""
-    prev = [left]
-    for p in range(1, 4 * k + 1):
-        if p % 4 in (0, 1):
-            s = b.add_vertex(UNLEVELED, PATH_INTERIOR)
-            for q in prev:
-                b.add_edge(q, s)
-            prev = [s]
-        else:
-            x = b.add_vertex(UNLEVELED, PATH_INTERIOR)
-            y = b.add_vertex(UNLEVELED, PATH_INTERIOR)
-            b.add_edge(x, y)
-            if len(prev) == 1:
-                b.add_edge(prev[0], x)
-                b.add_edge(prev[0], y)
-            else:
-                b.add_edge(prev[0], x)
-                b.add_edge(prev[1], y)
-            prev = [x, y]
-    b.add_edge(prev[0], right)
+# one period of the ladder: offsets 0..5 are a single, two doubled rail
+# pairs with a rung each, and a single; -1 is the single before the period
+_LADDER_PERIOD = np.array([(-1, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 4),
+                           (3, 4), (3, 5), (4, 5)])
+
+
+def _add_ladders(b, ends, k):
+    """A degree-3 ladder of length 4k + 1 between the two ends of every row
+    of the (e, 2) array ends: singles at positions 0, 1 (mod 4) where the
+    rails merge, doubled rail pairs with a rung at positions 2, 3 (mod 4);
+    6k interiors and 9k + 1 edges each, laid out period by period."""
+    ends = np.asarray(ends, dtype=np.int64)
+    first = b.add_vertices(6 * k * len(ends), UNLEVELED, PATH_INTERIOR)
+    # row i: ladder i's interiors, then its right and left end, so that -1
+    # is the left end in the first period and -2 the right end
+    ids = np.column_stack([
+        (first + np.arange(6 * k * len(ends))).reshape(len(ends), 6 * k),
+        ends[:, ::-1]])
+    local = np.vstack([(6 * np.arange(k)[:, None, None]
+                        + _LADDER_PERIOD).reshape(-1, 2),
+                       [(6 * k - 1, -2)]])
+    b.add_edge_array(ids[:, local[:, 0]], ids[:, local[:, 1]])
 
 
 def build_cylinder(host, L: int) -> LeveledGraph:
@@ -275,8 +266,7 @@ def build_cylinder(host, L: int) -> LeveledGraph:
     k = (L - 1) // 4
     b = GraphBuilder()
     b.add_vertices(m, UNLEVELED, TREE_NODE)
-    for u, v in host_g.edge_array():
-        _add_cylinder_gadget(b, int(u), int(v), k)
+    _add_ladders(b, host_g.edge_array(), k)
     return _finalize(b, 3, meta)
 
 
@@ -292,7 +282,7 @@ def standalone_cylinder(L: int) -> LeveledGraph:
         raise GraphError("cylinder length must satisfy L = 1 (mod 4)")
     b = GraphBuilder()
     b.add_vertices(2, UNLEVELED, TREE_NODE)
-    _add_cylinder_gadget(b, 0, 1, (L - 1) // 4)
+    _add_ladders(b, [(0, 1)], (L - 1) // 4)
     return b.finish(variant="cylinder_gadget", L=L, h=0)
 
 

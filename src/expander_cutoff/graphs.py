@@ -1,14 +1,15 @@
 """Sparse undirected graphs with per-vertex level and role tags, the
 builder that freezes them, and the structural operations the constructions
-compose on a builder: stretched-tree grafting from one shared template,
-cross wiring of isomorphic path interiors, and line-graph auxiliary
-embedding.  stretch_edges replaces edges of a finished graph by paths.
+compose on a builder: stretched-tree grafting that copies one template
+below every root, wiring between counterpart vertices of those copies, and
+line-graph auxiliary embedding.  stretch_edges replaces edges of a finished
+graph by paths.
 
-Vertex ids are dense integers assigned in construction order.  Graphs are
-immutable after build; every operation returns a new graph.  A parallel
-edge or a self-loop is an error, never a silent no-op: that policy catches
-construction bugs early.  A self-loop added edge by edge is refused at once;
-duplicates are found when the builder freezes the graph.
+Vertex ids are dense integers assigned in construction order.  The builder
+takes vertices in runs and edges in arrays only.  Graphs are immutable
+after build; every operation returns a new graph.  A parallel edge or a
+self-loop is an error, never a silent no-op: finish() finds both, and
+unknown endpoints, in one pass over the whole edge set.
 """
 
 from __future__ import annotations
@@ -88,11 +89,6 @@ class LeveledGraph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, sorted lexicographically."""
@@ -176,28 +172,21 @@ class LeveledGraph:
 class GraphBuilder:
     """Mutable accumulator that freezes into a LeveledGraph.
 
-    add_edge refuses a self-loop or an unknown endpoint at once and
-    appends; add_edge_array appends whole arrays.  finish() checks the
-    whole edge set in one vectorized pass: a duplicate edge, a self-loop or
-    an unknown endpoint is a GraphError there, never dropped silently.
+    Vertices come in runs (add_vertices, add_vertex_array) and edges in
+    arrays (add_edge_array).  finish() checks the whole edge set in one
+    vectorized pass: a duplicate edge, a self-loop or an unknown endpoint
+    is a GraphError there, never dropped silently.
     """
 
     def __init__(self, meta=None):
         self._level = array("q")
         self._role = array("B")
-        self._src = []
-        self._dst = []
         self._chunks = []
         self.meta = dict(meta or {})
 
     @property
     def vertex_count(self) -> int:
         return len(self._level)
-
-    def add_vertex(self, level=UNLEVELED, role=TREE_NODE) -> int:
-        self._level.append(int(level))
-        self._role.append(int(role))
-        return len(self._level) - 1
 
     def add_vertices(self, count, level=UNLEVELED, role=TREE_NODE) -> int:
         """Add `count` vertices with shared tags; returns the first new id."""
@@ -212,34 +201,19 @@ class GraphBuilder:
         self._role.frombytes(np.asarray(roles, dtype=np.uint8).tobytes())
         return first
 
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        n = len(self._level)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) references unknown vertex")
-        self._src.append(u)
-        self._dst.append(v)
-
     def add_edge_array(self, us, vs) -> None:
-        """Bulk edge insertion; every check runs at finish()."""
+        """Edges us[i] - vs[i] for arrays of one shape; every check runs at
+        finish()."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         if us.shape != vs.shape:
-            raise GraphError("endpoint arrays differ in length")
-        self._chunks.append((us, vs))
-
-    def _all_edges(self):
-        parts_u = [np.asarray(self._src, dtype=np.int64)]
-        parts_v = [np.asarray(self._dst, dtype=np.int64)]
-        for us, vs in self._chunks:
-            parts_u.append(us)
-            parts_v.append(vs)
-        return np.concatenate(parts_u), np.concatenate(parts_v)
+            raise GraphError("endpoint arrays differ in shape")
+        self._chunks.append((us.ravel(), vs.ravel()))
 
     def finish(self, **meta_updates) -> LeveledGraph:
         n = len(self._level)
-        eu, ev = self._all_edges()
+        eu, ev = map(np.concatenate,
+                     zip((np.empty(0, np.int64),) * 2, *self._chunks))
         if len(eu):
             if eu.min() < 0 or ev.min() < 0 or max(eu.max(), ev.max()) >= n:
                 raise GraphError("edge references unknown vertex")
@@ -277,48 +251,53 @@ def stretch_edges(g: LeveledGraph, edges, L: int) -> LeveledGraph:
     """Replace each listed edge (u, v) by a path u - x1 - ... - x_{L-1} - v.
 
     New interior vertices carry role PATH_INTERIOR and the level of the
-    lower endpoint (min of the two endpoint levels).  L = 1 is the identity.
+    lower endpoint (min of the two endpoint levels); the paths come in
+    (min, max) order of their edges.  L = 1 is the identity.
     """
     if L < 1:
         raise GraphError("stretch length must be >= 1")
-    targets = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u > v:
-            u, v = v, u
-        if not g.has_edge(u, v):
-            raise GraphError(f"no such edge ({u}, {v})")
-        targets.add((u, v))
-    if L == 1 or not targets:
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    # one (lo << 32) | hi key per edge, as finish() keys them
+    all_edges = g.edge_array()
+    keys = all_edges[:, 0] << 32 | all_edges[:, 1]
+    wanted = lo << 32 | hi
+    missing = np.flatnonzero((lo < 0) | (hi >= g.vertex_count)
+                             | ~np.isin(wanted, keys))
+    if len(missing):
+        i = missing[0]
+        raise GraphError(f"no such edge ({lo[i]}, {hi[i]})")
+    if L == 1 or not len(pairs):
         return g
+    wanted, first = np.unique(wanted, return_index=True)
+    lo, hi = lo[first], hi[first]
     b = GraphBuilder(meta=g.meta)
     b.add_vertex_array(g.level, g.role)
-    for u, v in map(tuple, g.edge_array()):
-        if (u, v) not in targets:
-            b.add_edge(u, v)
-    for u, v in sorted(targets):
-        lvl = min(g.level[u], g.level[v])
-        prev = u
-        for _ in range(L - 1):
-            x = b.add_vertex(lvl, PATH_INTERIOR)
-            b.add_edge(prev, x)
-            prev = x
-        b.add_edge(prev, v)
+    kept = ~np.isin(keys, wanted)
+    b.add_edge_array(all_edges[kept, 0], all_edges[kept, 1])
+    x0 = b.add_vertex_array(
+        np.repeat(np.minimum(g.level[lo], g.level[hi]), L - 1),
+        np.full(len(lo) * (L - 1), PATH_INTERIOR))
+    paths = np.column_stack([
+        lo, (x0 + np.arange(len(lo) * (L - 1))).reshape(-1, L - 1), hi])
+    b.add_edge_array(paths[:, :-1], paths[:, 1:])
     return b.finish()
 
 
 # ---------------------------------------------------------------------------
-# stretched-tree grafting and cross wiring on a builder
+# stretched-tree grafting and counterpart wiring on a builder
 
 
 def _tree_template(branching, height, length_at, leaf_role):
     """Shared layout of one stretched tree: vertex offsets (interiors of an
     edge first, then its lower node, in BFS edge order), edge offset pairs
-    (-1 stands for the grafting root), level offsets, and roles."""
+    (-1 stands for the grafting root), level offsets, and roles.
+
+    length_at(depth, position) gives the stretch length of the edge ending
+    at the depth-`depth` node with left-to-right index `position`."""
     t_src, t_dst = [], []
     level_off, role_of = [], []
     interiors, leaves = [], []
-    sig = []
     off = 0
     prev_nodes = [-1]
     for depth in range(1, height + 1):
@@ -330,7 +309,6 @@ def _tree_template(branching, height, length_at, leaf_role):
                 ln = int(length_at(depth, pos))
                 if ln < 1:
                     raise GraphError("stretch length must be >= 1")
-                sig.append((depth, pos, ln))
                 prev = parent
                 for _ in range(ln - 1):
                     interiors.append(off)
@@ -358,59 +336,33 @@ def _tree_template(branching, height, length_at, leaf_role):
         "roles": np.asarray(role_of, dtype=np.int64),
         "interiors": np.asarray(interiors, dtype=np.int64),
         "leaves": np.asarray(leaves, dtype=np.int64),
-        "signature": tuple(sig),
     }
 
 
-def _graft_trees_onto(b, roots, branching, height, length_at, base_levels,
-                      leaf_role=TREE_NODE):
-    """Grow one identically-shaped stretched tree below each root, directly
-    on a builder.  Returns the new block records.
-
-    length_at(depth, position) gives the stretch length of the edge ending
-    at the depth-`depth` node with left-to-right index `position`; the same
-    shape is used for every root, so vertices at equal offsets from their
-    block base are isomorphic counterparts.
+def _graft_trees_onto(b, roots, tmpl, base_level):
+    """Copy the tree template `tmpl` below each root, directly on a
+    builder, with levels base_level + the template's level offsets, and
+    return the int64 array of copy bases: the vertex at offset k of the
+    copy below roots[i] is bases[i] + k.  Vertices at equal offsets from
+    their bases are isomorphic counterparts.
     """
-    tmpl = _tree_template(branching, height, length_at, leaf_role)
-    roots_a = np.asarray(roots, dtype=np.int64)
-    base_lvls = np.asarray(base_levels, dtype=np.int64)
-    n_trees = len(roots_a)
-    size = tmpl["size"]
-    levels = (base_lvls[:, None] + tmpl["level_off"][None, :]).ravel()
-    base0 = b.add_vertex_array(levels, np.tile(tmpl["roles"], n_trees))
-    bases = base0 + np.arange(n_trees, dtype=np.int64) * size
-    src = np.where(tmpl["src"][None, :] < 0, roots_a[:, None],
-                   bases[:, None] + tmpl["src"][None, :]).ravel()
-    dst = (bases[:, None] + tmpl["dst"][None, :]).ravel()
-    b.add_edge_array(src, dst)
-    return [{
-        "root": int(roots_a[i]),
-        "base": int(bases[i]),
-        "size": size,
-        "interiors": tmpl["interiors"],
-        "leaves": tmpl["leaves"],
-        "signature": tmpl["signature"],
-    } for i in range(n_trees)]
+    roots = np.asarray(roots, dtype=np.int64)
+    first = b.add_vertex_array(
+        np.tile(base_level + tmpl["level_off"], len(roots)),
+        np.tile(tmpl["roles"], len(roots)))
+    bases = first + np.arange(len(roots), dtype=np.int64) * tmpl["size"]
+    b.add_edge_array(np.where(tmpl["src"] < 0, roots[:, None],
+                              bases[:, None] + tmpl["src"]),
+                     bases[:, None] + tmpl["dst"])
+    return bases
 
 
-def _interconnect_onto(b, blocks, tree_groups, mode):
-    if mode not in ("clique", "matching"):
-        raise GraphError(f"unknown interconnect mode {mode!r}")
-    for group in tree_groups:
-        blks = [blocks[t] for t in group]
-        sig0 = blks[0]["signature"]
-        for blk in blks[1:]:
-            if blk["signature"] != sig0:
-                raise GraphError("group shape mismatch")
-        if mode == "matching" and len(blks) not in (1, 2):
-            raise GraphError("matching mode takes groups of 2")
-        if len(blks) < 2:
-            continue
-        ints = blks[0]["interiors"]
-        for i in range(len(blks)):
-            for j in range(i + 1, len(blks)):
-                b.add_edge_array(blks[i]["base"] + ints, blks[j]["base"] + ints)
+def _join_counterparts(b, bases, offsets, pairs):
+    """For every row (i, j) of the (p, 2) array pairs, join the vertex at
+    each offset k of copy i to its counterpart bases[j] + k of copy j."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    b.add_edge_array(bases[pairs[:, :1]] + offsets,
+                     bases[pairs[:, 1:]] + offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +476,12 @@ def to_text(g: LeveledGraph) -> str:
     h = int(meta.get("h", 0))
     L = int(meta.get("L", 0))
     variant = str(meta.get("variant", "custom"))
+    # from_text reads integer fields of at most 18 digits
+    for name, value in (("h", h), ("L", L),
+                        ("level", int(g.level.min(initial=0))),
+                        ("level", int(g.level.max(initial=0)))):
+        if abs(value) >= 10 ** 18:
+            raise GraphError(f"{name} {value} does not fit an 18-digit field")
     edges = g.edge_array()
     names = np.array(ROLE_NAMES, dtype=object)[g.role]
     return "".join([
@@ -555,7 +513,8 @@ def from_text(text: str) -> LeveledGraph:
     Lines end in LF or CRLF, and the last one may lack it.  Fields are
     separated by runs of spaces or tabs, which may also lead or trail a
     data line; integers are ASCII digits with an optional `-`, at most 18
-    of them.  After the last vertex line only blank lines may follow.
+    of them, in the header's four counts as in the data lines.  After the
+    last vertex line only blank lines may follow.
 
     Each section's shape is checked with one regular expression and its
     fields converted in bulk.  A missing line, wrong field count,
@@ -567,12 +526,12 @@ def from_text(text: str) -> LeveledGraph:
     header = text[:pos].removesuffix("\n").removesuffix("\r")
     if not header.startswith("ev "):
         raise GraphError("bad header")
-    try:
-        _, n_s, m_s, h_s, L_s, variant = header.split(maxsplit=5)
-        n, m = int(n_s), int(m_s)
-        meta = {"h": int(h_s), "L": int(L_s), "variant": variant}
-    except ValueError as exc:
-        raise GraphError(f"malformed graph text: {exc!r}") from exc
+    fields = header.split(maxsplit=5)
+    if len(fields) < 6 or not all(re.fullmatch(_INT, f) for f in fields[1:5]):
+        raise GraphError(f"malformed graph text: line 1: expected 'ev n m h "
+                         f"L variant', got {header[:80]!r}")
+    n, m, h, L = map(int, fields[1:5])
+    meta = {"h": h, "L": L, "variant": fields[5]}
     if n < 0 or m < 0:
         raise GraphError(f"malformed graph text: negative count in {header!r}")
 

@@ -7,8 +7,7 @@ from expander_cutoff.graphs import GraphBuilder
 def graph_from_edges(n, edges):
     b = GraphBuilder()
     b.add_vertices(n)
-    for u, v in edges:
-        b.add_edge(u, v)
+    b.add_edge_array([u for u, _ in edges], [v for _, v in edges])
     return b.finish()
 
 

@@ -131,3 +131,51 @@ def test_codec_memory_is_a_small_multiple_of_the_text(cubic_h3, tmp_path):
     assert _traced_peak(lambda: to_text(cubic_h3)) < 7 * len(text)
     assert _traced_peak(lambda: from_text(read_artifact(path))) < 9 * len(text)
 
+
+
+def test_write_artifact_holds_no_extra_copy_of_the_body(tmp_path):
+    """The header and the body go through one handle: the peak stays near
+    one encoded copy of the body, where header + body held two."""
+    body = "0 1\n" * 250_000
+    path = tmp_path / "graph.ev"
+    assert _traced_peak(
+        lambda: write_artifact(path, "build", {"h": 3}, body)) < 1.5 * len(body)
+    assert read_artifact(path) == body
+    assert path.read_text().startswith("# expander-cutoff ")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("level", 10 ** 18), ("level", -10 ** 18), ("level", -2 ** 63),
+    ("level", 2 ** 63 - 1), ("h", 10 ** 18), ("L", -10 ** 19)])
+def test_to_text_refuses_a_field_from_text_cannot_read(field, value):
+    meta = {"h": 1, "L": 2, "variant": "custom"}
+    levels = [0, value] if field == "level" else [0, 0]
+    if field != "level":
+        meta[field] = value
+    b = GraphBuilder(meta=meta)
+    b.add_vertex_array(levels, [0, 3])
+    with pytest.raises(GraphError, match="does not fit an 18-digit field"):
+        to_text(b.finish())
+
+
+def test_widest_fields_round_trip():
+    widest = 10 ** 18 - 1
+    b = GraphBuilder(meta={"h": widest, "L": -widest, "variant": "custom"})
+    b.add_vertex_array([widest, -widest], [0, 3])
+    b.add_edge_array([0], [1])
+    g = b.finish()
+    back = from_text(to_text(g))
+    assert back.same_structure(g)
+    assert (back.meta["h"], back.meta["L"]) == (widest, -widest)
+
+
+@pytest.mark.parametrize("header", [
+    "ev +1 0 0 0 c", "ev 1 +0 0 0 c", "ev 1 0 +0 0 c", "ev 1 0 0 +0 c",
+    "ev 1 0 1_0 0 c", "ev 1_0 0 0 0 c", "ev 1 0 0 1_0 c",
+    "ev ١ 0 0 0 c", "ev 1 0 ٣ 0 c", "ev 1 0 0 ３ c",
+    "ev 1 0 0 " + "1" * 19 + " c", "ev 1 0 0 0", "ev 1 0 0 c d"])
+def test_header_counts_follow_the_data_grammar(header):
+    text = header + "\nlevels\n0 0 Leaf\n"
+    with pytest.raises(GraphError, match="line 1: expected 'ev n m h L"):
+        from_text(text)
+    assert from_text("ev 1 0 0 0 c\nlevels\n0 0 Leaf\n").vertex_count == 1

@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expander_cutoff.construction import (
     ConstructionParams,
@@ -204,6 +205,27 @@ def test_standalone_cylinder_rejects_bad_length(L):
         standalone_cylinder(L)
 
 
+def _ladder_edges(k):
+    """The gadget's edges added position by position: ports 0 and 1, then
+    interiors numbered from 2 in order of position."""
+    edges, prev, nxt = [], [0], 2
+    for p in range(1, 4 * k + 1):
+        if p % 4 in (0, 1):
+            edges += [(q, nxt) for q in prev]
+            prev, nxt = [nxt], nxt + 1
+        else:
+            x, y = nxt, nxt + 1
+            edges += [(x, y), (prev[0], x), (prev[-1], y)]
+            prev, nxt = [x, y], nxt + 2
+    return edges + [(prev[0], 1)]
+
+
+@pytest.mark.parametrize("L", range(1, 42, 4))
+def test_standalone_gadget_matches_position_by_position_ladder(L):
+    edges = {tuple(sorted(e)) for e in _ladder_edges((L - 1) // 4)}
+    assert standalone_cylinder(L).edge_set() == edges
+
+
 def test_standalone_gadget_ports():
     gad = standalone_cylinder(5)
     assert gad.degree(0) == 1 and gad.degree(1) == 1
@@ -235,6 +257,38 @@ PINNED_BUILDS = [
     ("no_cutoff_h2", 116346,
      "c9487666c246beeb5dd87227d06dc96c86f1ae5c5fa50e4ef8547c441df3050a"),
 ]
+
+
+# sha256 of to_text for cylinders on K4 and for one standalone gadget
+PINNED_CYLINDERS = [
+    ("k4_L5", lambda: build_cylinder(complete_graph(4), 5), 40,
+     "78da0db880abdcfc55d8fe008d716af2ddec26cd35cf25dd93b0f5f8445c1491"),
+    ("k4_L9", lambda: build_cylinder(complete_graph(4), 9), 76,
+     "44523e98023fbd5fef2fad333f35d73a9a5f8357f7a46154a2121a75492922b8"),
+    ("k4_L13", lambda: build_cylinder(complete_graph(4), 13), 112,
+     "fde528acef7ecbaee6e519b3c9ed9e2c5106346a6497192cd911217e6115df6a"),
+    ("gadget_L9", lambda: standalone_cylinder(9), 14,
+     "81626f5c128d9a44f48509fd3ed8691f23372dbb863ffba4fabbf6a8ab087649"),
+]
+
+
+@pytest.mark.parametrize("make, n, digest", [c[1:] for c in PINNED_CYLINDERS],
+                         ids=[c[0] for c in PINNED_CYLINDERS])
+def test_cylinder_bytes_are_pinned(make, n, digest):
+    g = make()
+    assert g.vertex_count == n
+    assert hashlib.sha256(to_text(g).encode()).hexdigest() == digest
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=st.integers(2, 10).map(lambda k: 2 * k), seed=st.integers(1, 5),
+       L=st.integers(0, 5).map(lambda k: 4 * k + 1))
+def test_cylinder_on_small_hosts_is_cubic_and_connected(m, seed, L):
+    host = make_expander(ExpanderSpec(3, m, 0.01, seed))
+    g = build_cylinder(host, L)
+    assert assert_regular(g, 3)
+    assert is_connected(g)
+    assert g.vertex_count == cylinder_vertex_count(m, host.graph.edge_count, L)
 
 
 @pytest.mark.parametrize("fixture, n, digest", PINNED_BUILDS,

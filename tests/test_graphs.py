@@ -11,7 +11,8 @@ from expander_cutoff.graphs import (
     GraphError,
     _embed_line_graph_bulk,
     _graft_trees_onto,
-    _interconnect_onto,
+    _join_counterparts,
+    _tree_template,
     assert_regular,
     bfs_distances,
     from_text,
@@ -28,9 +29,9 @@ def _grafted_tree(branching, height):
     """A `branching`-ary tree of the given height grafted at stretch 1 below
     a level-0 root (vertex 0), its deepest level tagged LEAF."""
     b = GraphBuilder()
-    b.add_vertex(0, TREE_NODE)
-    _graft_trees_onto(b, [0], branching, height, lambda d, p: 1, [0],
-                      leaf_role=LEAF)
+    b.add_vertices(1, 0, TREE_NODE)
+    _graft_trees_onto(b, [0], _tree_template(branching, height,
+                                             lambda d, p: 1, LEAF), 0)
     return b.finish()
 
 
@@ -118,8 +119,18 @@ def test_stretch_count_arithmetic():
 
 def test_stretch_unknown_edge():
     g = cycle_graph(4)
-    with pytest.raises(GraphError, match="no such edge"):
-        stretch_edges(g, [(0, 2)], 2)
+    for edge in [(0, 2), (2, 0), (0, 9), (-1, 0)]:
+        lo, hi = sorted(edge)
+        with pytest.raises(GraphError, match=rf"no such edge \({lo}, {hi}\)"):
+            stretch_edges(g, [(0, 1), edge], 2)
+
+
+def test_stretch_takes_each_edge_once_in_either_orientation():
+    g = complete_graph(4)
+    s = stretch_edges(g, [(3, 2), (1, 0), (0, 1)], 3)
+    assert s.vertex_count == 4 + 2 * 2 and s.edge_count == 6 + 2 * 2
+    # the paths follow the (min, max) order of their edges
+    assert _chain_ends(s, 4) == [0, 1] and _chain_ends(s, 6) == [2, 3]
 
 
 def test_stretch_interior_levels_take_lower_endpoint():
@@ -157,7 +168,7 @@ def test_stretch_contract_roundtrip(make, L):
 
 
 # ---------------------------------------------------------------------------
-# graft + interconnect
+# graft + counterpart wiring
 
 
 def _four_roots():
@@ -166,47 +177,57 @@ def _four_roots():
     return b
 
 
-def _graft_edges(b, roots, stretch):
-    """One stretched edge (a height-1 unary tree) below each root."""
-    return _graft_trees_onto(b, roots, 1, 1, lambda d, p: stretch,
-                             [0] * len(roots))
+def _stretched_edge(stretch):
+    """The template of one stretched edge (a height-1 unary tree)."""
+    return _tree_template(1, 1, lambda d, p: stretch, TREE_NODE)
+
+
+def test_graft_returns_copy_bases():
+    b = _four_roots()
+    tmpl = _stretched_edge(3)
+    bases = _graft_trees_onto(b, [0, 1, 2, 3], tmpl, 5)
+    assert bases.dtype == np.int64
+    assert bases.tolist() == [4, 7, 10, 13]
+    g = b.finish()
+    # each copy: two interiors then the lower node, levels from base_level
+    for i, base in enumerate(bases.tolist()):
+        assert g.level[base:base + 3].tolist() == [5, 5, 6]
+        assert _chain_ends(g, base) == [i, base + 2]
 
 
 def test_interconnect_clique_on_stretched_edges():
     b = _four_roots()
-    blocks = _graft_edges(b, [0, 1, 2, 3], 3)
-    _interconnect_onto(b, blocks, [[0, 1, 2, 3]], "clique")
+    tmpl = _stretched_edge(3)
+    bases = _graft_trees_onto(b, [0, 1, 2, 3], tmpl, 0)
+    pairs = np.column_stack(np.triu_indices(4, 1))
+    _join_counterparts(b, bases, tmpl["interiors"], pairs)
     wired = b.finish()
     interiors = np.flatnonzero(wired.role == PATH_INTERIOR)
     assert len(interiors) == 8
     assert (wired.degrees()[interiors] == 5).all()
     # the three cross edges of each interior join its counterparts
-    bases = [blk["base"] for blk in blocks]
-    assert {(int(bi + k), int(bj + k)) for k in blocks[0]["interiors"]
+    assert {(int(bi + k), int(bj + k)) for k in tmpl["interiors"]
             for bi in bases for bj in bases if bi < bj} <= wired.edge_set()
 
 
 def test_interconnect_single_tree_group_no_edges():
     b = _four_roots()
-    blocks = _graft_edges(b, [0], 3)
+    tmpl = _stretched_edge(3)
+    bases = _graft_trees_onto(b, [0], tmpl, 0)
     grafted = b.finish().edge_count
-    _interconnect_onto(b, blocks, [[0]], "clique")
+    _join_counterparts(b, bases, tmpl["interiors"], np.empty((0, 2)))
     assert b.finish().edge_count == grafted
 
 
 def test_interconnect_matching_pair():
     b = _four_roots()
-    blocks = _graft_edges(b, [0, 1], 2)
+    tmpl = _stretched_edge(2)
+    bases = _graft_trees_onto(b, [0, 1], tmpl, 0)
     grafted = b.finish().edge_count
-    _interconnect_onto(b, blocks, [[0, 1]], "matching")
-    assert b.finish().edge_count == grafted + 1
-
-
-def test_interconnect_shape_mismatch():
-    b = _four_roots()
-    blocks = _graft_edges(b, [0], 2) + _graft_edges(b, [1], 3)
-    with pytest.raises(GraphError, match="group shape mismatch"):
-        _interconnect_onto(b, blocks, [[0, 1]], "matching")
+    _join_counterparts(b, bases, tmpl["interiors"], [(0, 1)])
+    g = b.finish()
+    assert g.edge_count == grafted + 1
+    assert (int(bases[0]), int(bases[1])) in g.edge_set()
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +286,7 @@ def test_assert_regular():
 def test_duplicate_edge_raises():
     b = GraphBuilder()
     b.add_vertices(3)
-    b.add_edge(0, 1)
-    b.add_edge(1, 0)
+    b.add_edge_array([0, 1], [1, 0])
     with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
         b.finish()
 
@@ -274,18 +294,35 @@ def test_duplicate_edge_raises():
 def test_bulk_duplicate_detected_at_finish():
     b = GraphBuilder()
     b.add_vertices(3)
-    b.add_edge(0, 1)
+    b.add_edge_array([0], [1])
     b.add_edge_array([1], [2])
     b.add_edge_array([2], [1])
-    with pytest.raises(GraphError, match="duplicate edge"):
+    with pytest.raises(GraphError, match=r"duplicate edge \(1, 2\)"):
         b.finish()
 
 
 def test_self_loop_raises():
     b = GraphBuilder()
     b.add_vertices(2)
-    with pytest.raises(GraphError, match="self-loop"):
-        b.add_edge(1, 1)
+    b.add_edge_array([0, 1], [1, 1])
+    with pytest.raises(GraphError, match="self-loop at vertex 1"):
+        b.finish()
+
+
+@pytest.mark.parametrize("u, v", [(0, 2), (-1, 0), (3, 1)])
+def test_unknown_endpoint_raises(u, v):
+    b = GraphBuilder()
+    b.add_vertices(2)
+    b.add_edge_array([u], [v])
+    with pytest.raises(GraphError, match="unknown vertex"):
+        b.finish()
+
+
+def test_edge_arrays_of_different_shapes_raise():
+    b = GraphBuilder()
+    b.add_vertices(3)
+    with pytest.raises(GraphError, match="differ in shape"):
+        b.add_edge_array([0, 1], [1])
 
 
 def test_bipartiteness():

@@ -146,7 +146,7 @@ def _neighbor_loop_hitting(g, start, targets):
 def test_stretched_edge_graph_mean():
     b = GraphBuilder()
     b.add_vertex_array([0, 1], [TREE_NODE, LEAF])
-    b.add_edge(0, 1)
+    b.add_edge_array([0], [1])
     p = stretch_edges(b.finish(), [(0, 1)], 2)
     exact = absorbing_mean_hitting(p, 0, np.flatnonzero(p.role == 3))
     assert exact == pytest.approx(4.0)

@@ -75,9 +75,9 @@ def test_chain_summary_equals_materialized(g, variant, L, h):
     assert s_chain.as_dict() == s_build.as_dict()
 
 
-def _refine(signatures):
-    """Canonical colours: signature rows ranked in lexicographic order."""
-    rows, colours = np.unique(signatures, axis=0, return_inverse=True)
+def _refine(keys):
+    """Canonical colours: key rows ranked in lexicographic order."""
+    rows, colours = np.unique(keys, axis=0, return_inverse=True)
     return rows, colours.ravel()
 
 
