@@ -237,7 +237,8 @@ def _add_ladders(b, ends, k):
     ends = np.asarray(ends, dtype=np.int64)
     first = b.add_vertices(6 * k * len(ends), UNLEVELED, PATH_INTERIOR)
     # row i: ladder i's interiors, then its right and left end, so that -1
-    # is the left end in the first period and -2 the right end
+    # is the left end in the first period and -2 the right end, which the
+    # last single (the left end when k = 0) joins
     ids = np.column_stack([
         (first + np.arange(6 * k * len(ends))).reshape(len(ends), 6 * k),
         ends[:, ::-1]])
