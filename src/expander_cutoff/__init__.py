@@ -63,7 +63,6 @@ from .montecarlo import (
 from .spectral import (
     NoCutoffCertificate,
     SpectralReport,
-    cheeger_bounds,
     cheeger_bruteforce,
     cheeger_sandwich,
     dirichlet_gap_upper,

@@ -16,7 +16,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .graphs import GraphError, LeveledGraph, assert_regular, is_connected
+from .graphs import (
+    GraphBuilder,
+    GraphError,
+    LeveledGraph,
+    assert_regular,
+    is_connected,
+)
 
 DENSE_LIMIT = 2000
 _EIG_TOL = 1e-8
@@ -64,35 +70,18 @@ class CertifiedExpander:
 
 
 def _pair_regular(degree: int, size: int, gen: np.random.Generator):
-    """One configuration-model pairing; None when it is not a simple graph."""
+    """One configuration-model pairing as endpoint arrays (lo, hi); None
+    when it is not a simple graph."""
     stubs = np.repeat(np.arange(size, dtype=np.int64), degree)
     gen.shuffle(stubs)
-    u = stubs[0::2].copy()
-    v = stubs[1::2].copy()
-    if np.any(u == v):
+    lo = np.minimum(stubs[0::2], stubs[1::2])
+    hi = np.maximum(stubs[0::2], stubs[1::2])
+    if np.any(lo == hi):
         return None
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    keys = lo * np.int64(size) + hi
-    keys.sort()
+    keys = np.sort(lo * np.int64(size) + hi)
     if np.any(np.diff(keys) == 0):
         return None
-    return np.column_stack([keys // size, keys % size])
-
-
-def _graph_from_pairing(edges: np.ndarray, size: int, meta) -> LeveledGraph:
-    # edges are already simple; build the CSR arrays directly
-    from .graphs import TREE_NODE, UNLEVELED
-
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    indices = dst[order]
-    counts = np.bincount(src, minlength=size)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    level = np.full(size, UNLEVELED, dtype=np.int64)
-    role = np.full(size, TREE_NODE, dtype=np.uint8)
-    return LeveledGraph(indptr, indices, level, role, meta)
+    return lo, hi
 
 
 def adjacency_extremes(g: LeveledGraph):
@@ -151,13 +140,14 @@ def make_expander(spec: ExpanderSpec, max_attempts: int = 200) -> CertifiedExpan
     spec.validate()
     for attempt in range(max_attempts):
         gen = rng.stream(spec.seed, attempt)
-        edges = _pair_regular(spec.degree, spec.size, gen)
-        if edges is None:
+        pairing = _pair_regular(spec.degree, spec.size, gen)
+        if pairing is None:
             continue
-        meta = {"variant": "expander", "degree": spec.degree,
-                "seed": spec.seed, "attempt": attempt,
-                "provider": "seeded-pairing"}
-        g = _graph_from_pairing(edges, spec.size, meta)
+        b = GraphBuilder()
+        b.add_vertices(spec.size)
+        b.add_edge_array(*pairing)
+        g = b.finish(variant="expander", degree=spec.degree, seed=spec.seed,
+                     attempt=attempt, provider="seeded-pairing")
         if not is_connected(g):
             continue
         lam2, lam_min = adjacency_extremes(g)

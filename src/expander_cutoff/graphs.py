@@ -190,15 +190,21 @@ class GraphBuilder:
 
     def add_vertices(self, count, level=UNLEVELED, role=TREE_NODE) -> int:
         """Add `count` vertices with shared tags; returns the first new id."""
-        first = len(self._level)
-        self._level.extend(array("q", [int(level)]) * count)
-        self._role.extend(array("B", [int(role)]) * count)
-        return first
+        return self.add_vertex_array(np.full(count, level),
+                                     np.full(count, role))
 
     def add_vertex_array(self, levels, roles) -> int:
+        """Add one vertex per entry of the equal-shape arrays levels and
+        roles (codes 0..3); returns the first new id."""
+        levels = np.asarray(levels, dtype=np.int64)
+        roles = np.asarray(roles, dtype=np.int64)
+        if levels.shape != roles.shape:
+            raise GraphError("level and role arrays differ in shape")
+        if roles.size and not 0 <= roles.min() <= roles.max() <= LEAF:
+            raise GraphError(f"role codes must lie in 0..{LEAF}")
         first = len(self._level)
-        self._level.frombytes(np.asarray(levels, dtype=np.int64).tobytes())
-        self._role.frombytes(np.asarray(roles, dtype=np.uint8).tobytes())
+        self._level.frombytes(levels.tobytes())
+        self._role.frombytes(roles.astype(np.uint8).tobytes())
         return first
 
     def add_edge_array(self, us, vs) -> None:
@@ -476,6 +482,10 @@ def to_text(g: LeveledGraph) -> str:
     h = int(meta.get("h", 0))
     L = int(meta.get("L", 0))
     variant = str(meta.get("variant", "custom"))
+    # from_text reads the variant as the rest of line 1, stripped
+    if (not variant or variant != variant.strip()
+            or "\r" in variant or "\n" in variant):
+        raise GraphError(f"variant {variant!r} does not fit the header line")
     # from_text reads integer fields of at most 18 digits
     for name, value in (("h", h), ("L", L),
                         ("level", int(g.level.min(initial=0))),

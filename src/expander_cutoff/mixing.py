@@ -193,10 +193,7 @@ def tv_profile_until(g, start, target, t_cap, stride=None,
 
 def mixing_time(profile: TVProfile, eps: float) -> int:
     """Smallest recorded t with tv < eps (stride granularity)."""
-    below = np.flatnonzero(profile.tv < eps)
-    if len(below) == 0:
-        raise GraphError(f"not mixed below {eps} by t_max")
-    return int(profile.times[below[0]])
+    return mixing_time_bracket(profile, eps)[1]
 
 
 def mixing_time_bracket(profile: TVProfile, eps: float):
@@ -248,8 +245,8 @@ def summarize_profile(profile: TVProfile, eps_grid=(0.25, 0.75),
     tmix = {}
     brackets = {}
     for eps in grid:
-        tmix[eps] = mixing_time(profile, eps)
         brackets[eps] = mixing_time_bracket(profile, eps)
+        tmix[eps] = brackets[eps][1]
     ratio = tmix[0.25] / tmix[0.75] if tmix[0.75] > 0 else float("inf")
     return MixingSummary(start=profile.start, tmix=tmix, brackets=brackets,
                          cutoff_ratio=ratio,

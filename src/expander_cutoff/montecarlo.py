@@ -239,8 +239,8 @@ def path_passage_exact(L):
     q = _transient_matrix(*_path_chain(L))
     m = np.eye(len(q)) - q
     center = L - 1                        # position 0 among the transients
-    times = np.linalg.solve(m, np.ones(len(q)))
-    visits = np.linalg.solve(m, (np.arange(len(q)) == center).astype(float))
+    times = _solve_no_pivoting(m, np.ones(len(q)))
+    visits = _solve_no_pivoting(m, (np.arange(len(q)) == center).astype(float))
     return float(times[center]), float(visits[center])
 
 
@@ -263,14 +263,21 @@ def stretched_edge_delay_mc(L, num_samples, seed):
 
 def absorbing_mean_hitting(g: LeveledGraph, start: int, targets) -> float:
     """Exact expected hitting time of `targets` from `start` by a dense
-    linear solve; intended for oracle-sized graphs."""
+    linear solve on the transient states of the start's component;
+    intended for oracle-sized graphs.  A start from which no target is
+    reachable is a GraphError."""
     target_mask = np.zeros(g.vertex_count, dtype=bool)
     target_mask[np.asarray(list(targets), dtype=np.int64)] = True
     if target_mask[start]:
         return 0.0
-    q = _transient_matrix(g.indptr, g.indices, target_mask)
-    h = np.linalg.solve(np.eye(len(q)) - q, np.ones(len(q)))
-    return float(h[np.count_nonzero(~target_mask[:start])])
+    reached = bfs_distances(g, start) >= 0
+    if not target_mask[reached].any():
+        raise GraphError(f"no target is reachable from start {start}")
+    # states outside the component are left out of Q like the targets
+    absorbing = target_mask | ~reached
+    q = _transient_matrix(g.indptr, g.indices, absorbing)
+    h = _solve_no_pivoting(np.eye(len(q)) - q, np.ones(len(q)))
+    return float(h[np.count_nonzero(~absorbing[:start])])
 
 
 def cylinder_passage_oracle(gadget: LeveledGraph, num_samples, seed) -> float:

@@ -8,12 +8,11 @@ that combines a distance test function with a diameter audit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expanders import DENSE_LIMIT, regular_extremes
+from .expanders import regular_extremes
 from .graphs import (
     GraphError,
     LeveledGraph,
@@ -54,16 +53,11 @@ def cheeger_bruteforce(g: LeveledGraph) -> float:
     return best
 
 
-def cheeger_bounds(g: LeveledGraph, d: int):
-    """((d - lam)/2, sqrt(2d(d - lam))) with lam the largest absolute
-    nontrivial adjacency eigenvalue.  On bipartite input lam = d and the
-    pair degenerates to (0, 0); a warning flags it."""
-    lam = regular_extremes(g, d)[2]
-    if lam >= d - 1e-9:
-        warnings.warn("largest absolute nontrivial eigenvalue equals the "
-                      "degree (bipartite input): bounds degenerate to (0, 0)")
-        return 0.0, 0.0
-    return (d - lam) / 2.0, float(np.sqrt(2 * d * (d - lam)))
+def _sandwich(d, lam2, lam_abs):
+    # the one copy of the box's formulas, for cheeger_sandwich and
+    # spectral_report (which has the eigenvalues already)
+    return (max(0.0, (d - lam_abs) / 2.0),
+            float(np.sqrt(2 * d * max(0.0, d - lam2))))
 
 
 def cheeger_sandwich(g: LeveledGraph, d: int):
@@ -72,9 +66,7 @@ def cheeger_sandwich(g: LeveledGraph, d: int):
     largest signed eigenvalue (the upper bound stays meaningful on
     bipartite graphs, where lam_abs = d)."""
     lam2, _, lam_abs = regular_extremes(g, d)
-    lo = max(0.0, (d - lam_abs) / 2.0)
-    hi = float(np.sqrt(2 * d * max(0.0, d - lam2)))
-    return lo, hi
+    return _sandwich(d, lam2, lam_abs)
 
 
 def distance_test_function(g: LeveledGraph, x: int) -> np.ndarray:
@@ -105,16 +97,10 @@ def dirichlet_gap_upper(g: LeveledGraph, f) -> float:
 
 
 def exact_walk_gap(g: LeveledGraph) -> float:
-    """1 - lam_2(P) with lam_2 the second largest signed eigenvalue of the
-    transition kernel; dense solve, for graphs up to DENSE_LIMIT."""
-    n = g.vertex_count
-    if n > DENSE_LIMIT:
-        raise GraphError(f"exact walk gap computed densely only up to {DENSE_LIMIT}")
-    a = g.adjacency_dense()
-    dinv_sqrt = 1.0 / np.sqrt(g.degrees().astype(np.float64))
-    sym = a * dinv_sqrt[:, None] * dinv_sqrt[None, :]
-    w = np.linalg.eigvalsh(sym)
-    return float(1.0 - w[-2])
+    """1 - lam_2/d: the walk's spectral gap on a connected d-regular graph,
+    with lam_2 the second largest signed adjacency eigenvalue."""
+    d = int(g.degrees().max(initial=0))
+    return 1.0 - regular_extremes(g, d)[0] / d
 
 
 def farthest_vertex_pair(g: LeveledGraph, exact_below: int = 500):
@@ -222,14 +208,9 @@ def spectral_report(g: LeveledGraph, degree=None, cheeger_exact=False,
         degree = int(g.degrees().max(initial=0))
     lam2, lam_min, lam_abs = regular_extremes(g, degree)
     gap = 1.0 - lam_abs / degree
+    lo, hi = _sandwich(degree, lam2, lam_abs)
     degenerate = lam_abs >= degree - 1e-9
-    if degenerate:
-        lo, hi = 0.0, 0.0
-        lazy = (1.0 - lam2 / degree) / 2.0
-    else:
-        lo = (degree - lam_abs) / 2.0
-        hi = float(np.sqrt(2 * degree * (degree - lam_abs)))
-        lazy = None
+    lazy = (1.0 - lam2 / degree) / 2.0 if degenerate else None
     exact = None
     if cheeger_exact and g.vertex_count <= BRUTE_FORCE_MAX:
         exact = cheeger_bruteforce(g)

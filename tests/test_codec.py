@@ -17,6 +17,12 @@ from expander_cutoff.graphs import (
 
 LEVELS = st.one_of(st.integers(-1, 40),
                    st.integers(-(10 ** 18 - 1), 10 ** 18 - 1))
+# nonempty, no whitespace at either end and no line break: the rest of the
+# header line, read back unchanged
+VARIANTS = st.one_of(
+    st.sampled_from(["custom", "cubic", "no_cutoff"]),
+    st.text(min_size=1).filter(
+        lambda v: v == v.strip() and not {"\r", "\n"} & set(v)))
 
 
 @st.composite
@@ -28,8 +34,7 @@ def small_graphs(draw, min_vertices=0):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     b = GraphBuilder(meta={"h": draw(st.integers(0, 99)),
                            "L": draw(st.integers(0, 99)),
-                           "variant": draw(st.sampled_from(
-                               ["custom", "cubic", "no_cutoff"]))})
+                           "variant": draw(VARIANTS)})
     b.add_vertex_array(draw(st.lists(LEVELS, min_size=n, max_size=n)),
                        draw(st.lists(st.integers(0, 3), min_size=n,
                                      max_size=n)))
@@ -155,6 +160,15 @@ def test_to_text_refuses_a_field_from_text_cannot_read(field, value):
     b = GraphBuilder(meta=meta)
     b.add_vertex_array(levels, [0, 3])
     with pytest.raises(GraphError, match="does not fit an 18-digit field"):
+        to_text(b.finish())
+
+
+@pytest.mark.parametrize("variant", [
+    "", " custom", "custom ", "\tcustom", "cus\rtom", "custom\n", "cus\ntom"])
+def test_to_text_refuses_a_variant_from_text_cannot_read(variant):
+    b = GraphBuilder(meta={"h": 1, "L": 2, "variant": variant})
+    b.add_vertices(2)
+    with pytest.raises(GraphError, match="does not fit the header line"):
         to_text(b.finish())
 
 

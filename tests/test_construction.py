@@ -8,7 +8,9 @@ from expander_cutoff.construction import (
     build,
     build_cylinder,
     choose_L,
+    class_chain,
     cylinder_vertex_count,
+    family_vertex_count,
     leaf_level,
     level_census,
     standalone_cylinder,
@@ -17,6 +19,7 @@ from expander_cutoff.construction import (
 from expander_cutoff.expanders import ExpanderSpec, make_expander
 from expander_cutoff.graphs import (
     LEAF,
+    UNLEVELED,
     GraphError,
     assert_regular,
     is_bipartite,
@@ -118,6 +121,42 @@ def test_cubic_regular_connected(h, L):
     census = level_census(g)
     assert census[2] == 6
     assert int((g.role == LEAF).sum()) == 6 * 2 ** (3 * h)
+
+
+# ---------------------------------------------------------------------------
+# tree families against their closed-form size and class chain
+
+
+def _chain_census(params):
+    """Vertices per level summed over the levelled classes of the chain."""
+    chain = class_chain(params)
+    census = {}
+    for size, level in zip(chain.sizes, chain.levels):
+        if level != UNLEVELED:
+            census[level] = census.get(level, 0) + size
+    return census
+
+
+TREE_FAMILIES = st.one_of(
+    st.builds(lambda h, L: ConstructionParams(h=h, L=L, variant="cubic"),
+              st.integers(1, 3), st.integers(1, 3)),
+    st.builds(lambda L: ConstructionParams(h=1, L=L), st.integers(1, 3)))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(params=TREE_FAMILIES)
+def test_tree_family_build_matches_size_and_chain(params):
+    g = build(params)
+    assert assert_regular(g, 3 if params.variant == "cubic" else 5)
+    assert is_connected(g)
+    assert g.vertex_count == family_vertex_count(params.variant, params.h,
+                                                 params.L)
+    assert level_census(g) == _chain_census(params)
+
+
+def test_no_cutoff_census_matches_chain(no_cutoff_h2):
+    params = ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff")
+    assert level_census(no_cutoff_h2) == _chain_census(params)
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,21 @@ def test_edge_arrays_of_different_shapes_raise():
         b.add_edge_array([0, 1], [1])
 
 
+@pytest.mark.parametrize("levels, roles, message", [
+    ([0, 0], [0], "differ in shape"),
+    ([0], [0, 3], "differ in shape"),
+    ([0, 0], [0, 4], r"role codes must lie in 0\.\.3"),
+    ([0], [-1], r"role codes must lie in 0\.\.3"),
+    ([0], [256], r"role codes must lie in 0\.\.3")])
+def test_vertex_arrays_with_bad_tags_raise(levels, roles, message):
+    b = GraphBuilder()
+    with pytest.raises(GraphError, match=message):
+        b.add_vertex_array(levels, roles)
+    with pytest.raises(GraphError, match=message):
+        b.add_vertex_array(np.array(levels), np.array(roles))
+    assert b.vertex_count == 0
+
+
 def test_bipartiteness():
     assert is_bipartite(cycle_graph(6))
     assert not is_bipartite(cycle_graph(5))

@@ -128,8 +128,10 @@ def test_leaf_start_hits_immediately(five_reg_h1):
     assert stats.samples.tolist() == [0] * 5
 
 
-def _neighbor_loop_hitting(g, start, targets):
-    """absorbing_mean_hitting with Q filled by a loop over neighbors."""
+def _neighbor_loop_hitting(g, start, targets,
+                           solve=montecarlo._solve_no_pivoting):
+    """absorbing_mean_hitting on a connected g with Q filled by a loop over
+    neighbors, solved by the same elimination unless `solve` is given."""
     target = np.isin(np.arange(g.vertex_count), targets)
     trans = np.flatnonzero(~target)
     pos = np.cumsum(~target) - 1
@@ -139,7 +141,7 @@ def _neighbor_loop_hitting(g, start, targets):
         for u in nbrs:
             if not target[u]:
                 q[i, pos[u]] += 1.0 / len(nbrs)
-    h = np.linalg.solve(np.eye(len(trans)) - q, np.ones(len(trans)))
+    h = solve(np.eye(len(trans)) - q, np.ones(len(trans)))
     return float(h[pos[start]])
 
 
@@ -154,8 +156,22 @@ def test_stretched_edge_graph_mean():
     stats = sample_hitting_times(p, 0, 4000, seed=2)
     assert abs(stats.mean - exact) < 4 * stats.stderr()
     gadget = standalone_cylinder(9)
-    assert (cylinder_passage_exact(gadget)
-            == _neighbor_loop_hitting(gadget, 0, [1]))
+    exact = cylinder_passage_exact(gadget)
+    assert exact == _neighbor_loop_hitting(gadget, 0, [1])
+    lapack = _neighbor_loop_hitting(gadget, 0, [1], solve=np.linalg.solve)
+    assert exact == pytest.approx(lapack, rel=1e-12)
+
+
+def test_absorbing_mean_hitting_solves_on_the_start_component():
+    # the path 0 - 1 - 2 and a separate edge 3 - 4, target 2
+    g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    assert absorbing_mean_hitting(g, 0, [2]) == 4.0
+
+
+def test_absorbing_mean_hitting_refuses_an_unreachable_target():
+    g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(GraphError, match="reachable from start 3"):
+        absorbing_mean_hitting(g, 3, [2])
 
 
 def test_trajectory_seed_determinism(five_reg_h1):

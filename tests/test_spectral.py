@@ -4,7 +4,6 @@ import pytest
 from expander_cutoff.expanders import ExpanderSpec, make_expander
 from expander_cutoff.graphs import GraphBuilder, GraphError
 from expander_cutoff.spectral import (
-    cheeger_bounds,
     cheeger_bruteforce,
     cheeger_sandwich,
     dirichlet_gap_upper,
@@ -78,21 +77,17 @@ def test_bruteforce_size_cap():
 
 
 def test_bounds_k4():
-    lo, hi = cheeger_bounds(complete_graph(4), 3)
+    # lam_2 = lam_min = -1
+    lo, hi = cheeger_sandwich(complete_graph(4), 3)
     assert lo == pytest.approx(1.0, abs=1e-9)
-    assert hi == pytest.approx(np.sqrt(12), abs=1e-9)
+    assert hi == pytest.approx(np.sqrt(24), abs=1e-9)
 
 
 def test_bounds_petersen():
-    lo, hi = cheeger_bounds(petersen_graph(), 3)
+    # lam_2 = 1, lam_min = -2
+    lo, hi = cheeger_sandwich(petersen_graph(), 3)
     assert lo == pytest.approx(0.5, abs=1e-9)
-    assert hi == pytest.approx(np.sqrt(6), abs=1e-9)
-
-
-def test_bounds_degenerate_on_bipartite():
-    with pytest.warns(UserWarning, match="degenerate"):
-        lo, hi = cheeger_bounds(cycle_graph(6), 2)
-    assert (lo, hi) == (0.0, 0.0)
+    assert hi == pytest.approx(np.sqrt(12), abs=1e-9)
 
 
 def test_sandwich_covers_brute_force_everywhere():
@@ -214,6 +209,33 @@ def test_report_fields():
     assert rep.dirichlet_upper is not None
     d = rep.as_dict()
     assert set(d) >= {"gap", "lambda_abs", "cheeger_lower", "cheeger_upper"}
+
+
+def _near_bipartite_cubic(half, seed):
+    """Three random perfect matchings between two halves of `half`
+    vertices, pairwise disjoint, then one switch (a1, b1), (a2, b2) ->
+    (a1, a2), (b1, b2): cubic, with one edge inside each half."""
+    gen = np.random.default_rng(seed)
+    while True:
+        p = np.array([gen.permutation(half) for _ in range(3)])
+        if ((p[0] != p[1]) & (p[0] != p[2]) & (p[1] != p[2])).all():
+            break
+    us = np.tile(np.arange(half), 3)
+    vs = half + p.ravel()
+    us[1], vs[0] = vs[0], us[1]
+    b = GraphBuilder()
+    b.add_vertices(2 * half)
+    b.add_edge_array(us, vs)
+    return b.finish()
+
+
+def test_report_cheeger_box_holds_on_near_bipartite_graph():
+    # lam_min is within 1e-3 of -3, so sqrt(2d(d - lam_abs)) would fall
+    # below the lower bound (3 - lam_2)/2 that every cubic graph obeys
+    rep = spectral_report(_near_bipartite_cubic(2000, 1))
+    assert rep.lambda_min < -2.999
+    assert rep.cheeger_upper >= (3 - rep.lambda2) / 2
+    assert rep.cheeger_lower <= rep.cheeger_upper
 
 
 def test_report_bipartite_carries_lazy_gap():
