@@ -72,4 +72,5 @@ print(f"round trip of the h=1 build is bit-exact ({len(text)} bytes)")
 print(f"gap-derived floor for the certified gaps "
       f"({g.meta['gap1']:.3f}, {g.meta['gap2']:.3f}): "
       f"L >= {choose_L(g.meta['gap1'], g.meta['gap2'])}; desk-scale runs "
-      f"override it (recorded as meets_L_floor={g.meta['meets_L_floor']})")
+      f"take L below it (recorded as "
+      f"meets_L_floor={g.meta['meets_L_floor']})")

@@ -14,14 +14,15 @@ from expander_cutoff import (
     cutoff_report,
     default_starts,
     root_chain,
-    tv_profile,
+    theoretical_tstar,
+    tv_profile_until,
 )
 
 print("TV profile from the root, 5-regular h=1 L=2")
 print("-" * 60)
 g = build(ConstructionParams(h=1, L=2))
 tstar = g.meta["tstar"]
-prof = tv_profile(g, 0, t_max=80, stride=1)
+prof = tv_profile_until(g, 0, None, 80)
 marks = {0, 5, 10, 15, 20, 25, 30, 40, 50, 60, 80}
 for t, tv in zip(prof.times.tolist(), prof.tv.tolist()):
     if t in marks:
@@ -34,13 +35,13 @@ print("mixing times from every representative start, 5-regular h=2 L=2")
 print("-" * 60)
 g2 = build(ConstructionParams(h=2, L=2))
 starts = default_starts(g2)
-summaries, worst = cutoff_report(g2, starts, stride=1)
+summaries, worst = cutoff_report(g2, starts)
 for s in summaries:
     lvl = int(g2.level[s.start])
     print(f"start level {lvl:2d}: tmix(1/4)={s.tmix[0.25]:4d} "
           f"tmix(3/4)={s.tmix[0.75]:4d} ratio={s.cutoff_ratio:.3f}")
 print(f"worst start sits at level {int(g2.level[worst.start])} "
-      f"(theory scale {worst.tstar_theory:.0f})")
+      f"(theory scale {theoretical_tstar(2, 2):.0f})")
 
 print()
 print("cutoff ratio tightening with h on the cubic family, L=3")
@@ -49,7 +50,7 @@ print(" dozen classes per height, so no graph is built)")
 print("-" * 60)
 for h in range(2, 13):
     chain = root_chain(ConstructionParams(h=h, L=3, variant="cubic"))
-    summaries, _ = cutoff_report(chain, [0], stride=1)
+    summaries, _ = cutoff_report(chain, [0])
     s = summaries[0]
     print(f"h={h:2d}: n={chain.vertex_count:14d} classes={chain.state_count:3d} "
           f"tmix(1/4)={s.tmix[0.25]:5d} ratio={s.cutoff_ratio:.3f}")

@@ -27,7 +27,7 @@ def histogram(samples, bins=24, width=46):
 print("exact cutoff ratio from the root, h=2 L=2 L'=4")
 print("-" * 60)
 g = build(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))
-summaries, _ = cutoff_report(g, [0], stride=1)
+summaries, _ = cutoff_report(g, [0])
 print(f"tmix(1/4)={summaries[0].tmix[0.25]} tmix(3/4)={summaries[0].tmix[0.75]} "
       f"ratio={summaries[0].cutoff_ratio:.3f}  (stays away from 1)")
 

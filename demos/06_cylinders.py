@@ -54,8 +54,7 @@ print("-" * 64)
 pts = []
 for L in (5, 9, 13):
     g = build_cylinder(host, L)
-    summaries, worst = cutoff_report(g, default_starts(g), stride=1,
-                                     t_max=100000)
+    summaries, worst = cutoff_report(g, default_starts(g), t_max=100000)
     pts.append((L, worst.tmix[0.25]))
     print(f"L={L:2d}: n={g.vertex_count:4d} tmix(1/4)={worst.tmix[0.25]}")
 slope = np.polyfit(np.log([p[0] for p in pts]),

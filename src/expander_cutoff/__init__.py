@@ -14,7 +14,7 @@ from .construction import (
     standalone_cylinder,
     theoretical_tstar,
 )
-from .expanders import CertifiedExpander, ExpanderSpec, certify_gap, make_expander
+from .expanders import CertifiedExpander, ExpanderSpec, make_expander
 from .graphs import (
     AUXILIARY,
     LEAF,
@@ -37,9 +37,7 @@ from .mixing import (
     cutoff_report,
     default_laziness,
     default_starts,
-    mixing_time,
     step,
-    tv_profile,
     tv_profile_until,
     tv_to_uniform,
 )
@@ -47,7 +45,6 @@ from .montecarlo import (
     DescentChain,
     HittingStats,
     bimodality_check,
-    chain_hitting_stats,
     cylinder_passage_exact,
     cylinder_passage_oracle,
     descent_chain,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import __version__, construction, mixing, montecarlo, spectral
 from .construction import ConstructionParams
-from .expanders import ExpanderSpec, make_expander
 from .graphs import GraphError, from_text, to_text
 
 
@@ -145,7 +145,8 @@ def build_parser():
                     "five_regular reports come from the exact root-class "
                     "chain: nothing is built, so --seed and --min-gap do "
                     "not change their output, and expanders are certified "
-                    "only by build.  no_cutoff and cylinder are built.")
+                    "only by build.  no_cutoff is built.  A cylinder has no "
+                    "height: cylinder-sweep is its study.")
     _add_build_params(p)
     p.add_argument("--hmin", type=int, required=True)
     p.add_argument("--hmax", type=int, required=True)
@@ -177,7 +178,7 @@ _CONFIG_TYPES = {"h": int, "L": int, "Lprime": int, "m": int, "seed": int,
                  # the repeatable --eps, as a comma-separated list
                  "eps": lambda val: [float(e) for e in val.split(",")]}
 _POST_CONFIG_DEFAULTS = {"variant": "five_regular", "Lprime": 0, "m": 0,
-                         "min_gap": 0.05}
+                         "min_gap": 0.05, "stride": 1}
 
 
 def _read_input(read, path, what) -> str:
@@ -307,8 +308,7 @@ def _cmd_spectral(args) -> int:
     rep = spectral.spectral_report(g, cheeger_exact=args.cheeger_exact,
                                    dirichlet=args.dirichlet)
     info = {"graph": args.graph}
-    write_json(Path(args.out) / "spectral.json", "spectral", info,
-               rep.as_dict())
+    write_json(Path(args.out) / "spectral.json", "spectral", info, asdict(rep))
     print(f"gap={rep.gap:.6f} lambda_abs={rep.lambda_abs:.6f}")
     return 0
 
@@ -347,11 +347,10 @@ def _cmd_hitting(args) -> int:
         chain = montecarlo.descent_chain(params)
         predicted = (montecarlo.predicted_tau(0, params.h, params.L)
                      if params.variant == "five_regular" else None)
-        stats = montecarlo.chain_hitting_stats(chain, args.samples, args.seed,
-                                               start_level=start,
-                                               predicted=predicted)
-        extra = {"exact_mean": chain.exact_mean(
-            montecarlo.chain_start(chain, start))}
+        state = montecarlo.chain_start(chain, start)
+        stats = montecarlo.hitting_stats(
+            chain.sample(args.samples, args.seed, start=state), predicted)
+        extra = {"exact_mean": chain.exact_mean(state)}
     else:
         if not args.graph:
             raise UsageError("hitting needs --graph or --chain")
@@ -362,7 +361,7 @@ def _cmd_hitting(args) -> int:
     bimodal = montecarlo.bimodality_check(stats) if len(stats.samples) >= 1000 else None
     body = stats.as_dict() | extra
     if bimodal is not None:
-        body["bimodality"] = bimodal.as_dict()
+        body["bimodality"] = asdict(bimodal)
         body["quantile_ratio"] = montecarlo.hitting_mixing_ratio(stats)
     write_json(out / "hitting.json", "hitting", info, body)
     if args.raw:
@@ -374,6 +373,9 @@ def _cmd_hitting(args) -> int:
 
 
 def _cmd_cutoff_report(args) -> int:
+    if args.variant == "cylinder":
+        raise UsageError("a cylinder has no height; cylinder-sweep is its "
+                         "study")
     if args.L is None:
         raise UsageError("--L is required")
     if args.hmin > args.hmax:
@@ -392,7 +394,7 @@ def _cmd_cutoff_report(args) -> int:
             g = construction.build(params)
         summaries, worst = mixing.cutoff_report(
             g, [0], eps_grid=eps, t_max=args.tmax, laziness=args.laziness,
-            stride=args.stride or 1)
+            stride=args.stride)
         s = summaries[0]
         rows.append(f"{h},{g.vertex_count},{s.tmix[0.25]},{s.tmix[0.75]},"
                     f"{s.cutoff_ratio:.6f},{s.window_estimate}")
@@ -412,15 +414,16 @@ def _cmd_cylinder_sweep(args) -> int:
     if len(set(lengths)) < 2:
         raise UsageError("--Ls needs at least two distinct lengths for the "
                          "log-log fit")
-    host = make_expander(ExpanderSpec(3, args.m, 0.01, args.seed))
     rows = ["L,n,tmix_quarter,tmix_threequarter"]
     pts = []
     for L in lengths:
-        g = construction.build_cylinder(host, L)
+        g = construction.build(ConstructionParams(
+            h=0, L=L, variant="cylinder", m=args.m,
+            expander_seeds=(args.seed, args.seed + 1)))
         summaries, worst = mixing.cutoff_report(
             g, mixing.default_starts(g),
             t_max=args.tmax or 400 * g.vertex_count,
-            laziness=args.laziness, stride=args.stride or 1)
+            laziness=args.laziness, stride=args.stride)
         rows.append(f"{L},{g.vertex_count},{worst.tmix[0.25]},{worst.tmix[0.75]}")
         pts.append((L, worst.tmix[0.25]))
         print(f"L={L}: n={g.vertex_count} tmix(1/4)={worst.tmix[0.25]}")
@@ -445,12 +448,12 @@ def _cmd_nocutoff_demo(args) -> int:
         h=args.h, L=args.L, variant="no_cutoff", L_prime=args.Lprime,
         expander_seeds=(args.seed, args.seed + 1), min_gap=args.min_gap)
     chain = montecarlo.descent_chain(params)
-    stats = montecarlo.chain_hitting_stats(chain, args.samples, args.seed)
+    stats = montecarlo.hitting_stats(chain.sample(args.samples, args.seed))
     bimodal = montecarlo.bimodality_check(stats)
     body = {
         "params": {"h": args.h, "L": args.L, "L_prime": args.Lprime},
         "hitting": stats.as_dict(),
-        "bimodality": bimodal.as_dict(),
+        "bimodality": asdict(bimodal),
         "hitting_quantile_ratio": montecarlo.hitting_mixing_ratio(stats),
     }
     # exact TV ratio where the build is desk-sized
@@ -458,7 +461,7 @@ def _cmd_nocutoff_demo(args) -> int:
         g = construction.build(params)
         summaries, _ = mixing.cutoff_report(
             g, [0], eps_grid=args.eps or [0.25, 0.75], t_max=args.tmax,
-            laziness=args.laziness, stride=args.stride or 1)
+            laziness=args.laziness, stride=args.stride)
         body["exact_cutoff"] = summaries[0].as_dict()
         print(f"exact cutoff ratio from root: {summaries[0].cutoff_ratio:.3f}")
     info = _param_summary(args, ("h", "L", "Lprime", "seed", "samples"))

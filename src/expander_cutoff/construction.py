@@ -46,9 +46,9 @@ VARIANTS = ("five_regular", "cubic", "no_cutoff", "cylinder")
 class ConstructionParams:
     """Parameters that fully determine a build.
 
-    override_L (default True) permits stretch lengths below the
-    gap-derived floor; desk-scale experiments need small L, and the build
-    records in its metadata whether the floor was met.
+    L may lie below the gap-derived floor (choose_L): desk-scale
+    experiments need small L, and a tree-family build records in its
+    metadata whether the floor was met.
     """
     h: int
     L: int
@@ -57,7 +57,6 @@ class ConstructionParams:
     m: int = 0
     expander_seeds: tuple = (1, 2)
     min_gap: float = 0.05
-    override_L: bool = True
 
     def validate(self):
         if self.variant not in VARIANTS:
@@ -156,9 +155,6 @@ def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
     exp2 = make_expander(ExpanderSpec(3 if cubic else 4, sizes[1],
                                       params.min_gap, seed2))
     floor = choose_L(exp1.gap, exp2.gap)
-    if L < floor and not params.override_L:
-        raise GraphError(f"L={L} is below the gap-derived floor {floor}; "
-                         f"pass override_L=True for desk-scale builds")
 
     b = GraphBuilder()
     # the tree top: the root, then each child followed by its children
@@ -209,7 +205,6 @@ def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
         "seeds": tuple(params.expander_seeds),
         "gap1": exp1.gap,
         "gap2": exp2.gap,
-        "leaf_level": 3 * h + 2,
         "L_floor": floor,
         "meets_L_floor": L >= floor,
     }
@@ -572,8 +567,8 @@ def level_census(g: LeveledGraph) -> dict:
 
 
 def leaf_level(g: LeveledGraph) -> int:
-    if "leaf_level" in g.meta:
-        return int(g.meta["leaf_level"])
+    """The deepest level of a LEAF vertex (3h + 2 on a tree-family
+    build), or the deepest level when there is no leaf."""
     leaf_mask = g.role == LEAF
     if leaf_mask.any():
         return int(g.level[leaf_mask].max())

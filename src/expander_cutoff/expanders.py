@@ -25,6 +25,7 @@ from .graphs import (
 )
 
 DENSE_LIMIT = 2000
+MAX_ATTEMPTS = 200
 _EIG_TOL = 1e-8
 
 
@@ -64,9 +65,6 @@ class CertifiedExpander:
     @property
     def size(self) -> int:
         return self.graph.vertex_count
-
-    def edge_list(self) -> list:
-        return [tuple(e) for e in self.graph.edge_array()]
 
 
 def _pair_regular(degree: int, size: int, gen: np.random.Generator):
@@ -122,23 +120,17 @@ def regular_extremes(g: LeveledGraph, degree: int):
     return lam2, lam_min, max(abs(lam2), abs(lam_min))
 
 
-def certify_gap(g: LeveledGraph, degree: int) -> float:
-    """1 - lam/degree with lam the largest absolute nontrivial adjacency
-    eigenvalue of a connected `degree`-regular graph."""
-    return 1.0 - regular_extremes(g, degree)[2] / degree
-
-
 @lru_cache(maxsize=32)
-def make_expander(spec: ExpanderSpec, max_attempts: int = 200) -> CertifiedExpander:
+def make_expander(spec: ExpanderSpec) -> CertifiedExpander:
     """Deterministic function of spec: seeded pairing, connectivity check,
     certification, retrying on a fixed seed-increment schedule.  Results
     are memoized per process (the graphs are immutable).
 
-    Raises after the bounded retry schedule with `no expander found`; the
+    Raises after MAX_ATTEMPTS attempts with `no expander found`; the
     caller lowers min_gap or changes the seed.
     """
     spec.validate()
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         gen = rng.stream(spec.seed, attempt)
         pairing = _pair_regular(spec.degree, spec.size, gen)
         if pairing is None:
@@ -158,4 +150,4 @@ def make_expander(spec: ExpanderSpec, max_attempts: int = 200) -> CertifiedExpan
             return CertifiedExpander(graph=g, degree=spec.degree, lam=lam,
                                      gap=gap, attempts=attempt + 1)
     raise GraphError(
-        f"no expander found for spec {spec} after {max_attempts} attempts")
+        f"no expander found for spec {spec} after {MAX_ATTEMPTS} attempts")

@@ -26,7 +26,6 @@ import numpy as np
 from .construction import RootChain, leaf_level
 from .graphs import GraphError, LeveledGraph, PATH_INTERIOR, UNLEVELED
 
-MASS_TOL = 1e-12
 RENORM_TOL = 1e-9
 
 
@@ -34,17 +33,6 @@ def point_mass(n: int, v: int) -> np.ndarray:
     p = np.zeros(n)
     p[v] = 1.0
     return p
-
-
-def uniform_dist(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
-
-
-def check_dist(p: np.ndarray) -> None:
-    if np.any(p < 0):
-        raise GraphError("distribution has a negative entry")
-    if abs(p.sum() - 1.0) > MASS_TOL:
-        raise GraphError(f"distribution mass {p.sum()} is not 1")
 
 
 def _walk_buffer(buf, n: int) -> np.ndarray:
@@ -127,23 +115,12 @@ class TVProfile:
     laziness: float
     stride: int
     renormalizations: int = 0
-    meta: dict = field(default_factory=dict)
 
     def as_rows(self):
         return list(zip(self.times.tolist(), self.tv.tolist()))
 
 
-def default_stride(t_max: int) -> int:
-    return max(1, t_max // 2000)
-
-
-def tv_profile(g, start, t_max, stride=None, laziness=0.0) -> TVProfile:
-    """Evolve the point mass at `start`, recording the TV distance to
-    uniform every `stride` steps and at t_max.  Deterministic."""
-    return tv_profile_until(g, start, None, t_max, stride, laziness)
-
-
-def tv_profile_until(g, start, target, t_cap, stride=None,
+def tv_profile_until(g, start, target, t_cap, stride=1,
                      laziness=0.0) -> TVProfile:
     """The evolution loop behind every profile: records the TV distance to
     uniform every `stride` steps and at t_cap, and stops at the first
@@ -155,7 +132,7 @@ def tv_profile_until(g, start, target, t_cap, stride=None,
     n = g.vertex_count
     if not 0 <= start < n:
         raise GraphError(f"start {start} is not a vertex (n={n})")
-    stride = default_stride(t_cap) if stride is None else int(stride)
+    stride = int(stride)
     if stride < 1:
         raise GraphError(f"stride must be >= 1, got {stride}")
     if isinstance(g, RootChain):
@@ -188,12 +165,7 @@ def tv_profile_until(g, start, target, t_cap, stride=None,
         raise GraphError(f"not mixed below {target} by t_max={t_cap}")
     return TVProfile(start=int(start), times=np.asarray(times, dtype=np.int64),
                      tv=np.asarray(tv), laziness=laziness, stride=stride,
-                     renormalizations=renorms, meta={"t_max": t_cap, "n": n})
-
-
-def mixing_time(profile: TVProfile, eps: float) -> int:
-    """Smallest recorded t with tv < eps (stride granularity)."""
-    return mixing_time_bracket(profile, eps)[1]
+                     renormalizations=renorms)
 
 
 def mixing_time_bracket(profile: TVProfile, eps: float):
@@ -214,7 +186,6 @@ class MixingSummary:
     brackets: dict
     cutoff_ratio: float
     window_estimate: int
-    tstar_theory: float | None = None
     profile: TVProfile | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
@@ -224,7 +195,6 @@ class MixingSummary:
             "brackets": {str(k): list(v) for k, v in self.brackets.items()},
             "cutoff_ratio": self.cutoff_ratio,
             "window_estimate": self.window_estimate,
-            "tstar_theory": self.tstar_theory,
         }
 
 
@@ -239,8 +209,8 @@ def _eps_grid(eps_grid) -> list:
     return grid
 
 
-def summarize_profile(profile: TVProfile, eps_grid=(0.25, 0.75),
-                      tstar=None) -> MixingSummary:
+def summarize_profile(profile: TVProfile,
+                      eps_grid=(0.25, 0.75)) -> MixingSummary:
     grid = _eps_grid(eps_grid)
     tmix = {}
     brackets = {}
@@ -251,7 +221,7 @@ def summarize_profile(profile: TVProfile, eps_grid=(0.25, 0.75),
     return MixingSummary(start=profile.start, tmix=tmix, brackets=brackets,
                          cutoff_ratio=ratio,
                          window_estimate=tmix[0.25] - tmix[0.75],
-                         tstar_theory=tstar, profile=profile)
+                         profile=profile)
 
 
 def default_starts(g: LeveledGraph) -> list:
@@ -281,13 +251,13 @@ def _usable_cpus() -> int:
 
 
 def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
-                  laziness=None, stride=None):
+                  laziness=None, stride=1):
     """Per-start mixing summaries (each carrying its profile) plus the
     worst start among them.
 
     t_max defaults to a generous multiple of the theoretical worst-case
-    time when the build provides one; stride defaults to default_stride
-    and laziness to default_laziness.  g may be a RootChain, with starts
+    time when the build provides one, and laziness to default_laziness;
+    every `stride`-th step is recorded.  g may be a RootChain, with starts
     [0].
 
     The starts evolve concurrently, one thread each up to the CPUs this
@@ -302,8 +272,8 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
         raise GraphError(f"starts must be distinct: {list(starts)}")
     if laziness is None:
         laziness = default_laziness(g)
-    tstar = g.meta.get("tstar")
     if t_max is None:
+        tstar = g.meta.get("tstar")
         if tstar:
             t_max = int(20 * tstar) + 200
         else:
@@ -317,7 +287,7 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     def summary(s):
         prof = tv_profile_until(g, s, target=min_eps * 0.98, t_cap=t_max,
                                 stride=stride, laziness=laziness)
-        return summarize_profile(prof, eps_grid, tstar=tstar)
+        return summarize_profile(prof, eps_grid)
 
     workers = min(len(starts), _usable_cpus())
     if workers == 1:

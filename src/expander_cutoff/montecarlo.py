@@ -47,7 +47,6 @@ class HittingStats:
     stddev: float
     quantiles: dict
     predicted: float | None = None
-    cluster_means: tuple | None = None
 
     def stderr(self) -> float:
         return self.stddev / np.sqrt(len(self.samples))
@@ -59,7 +58,6 @@ class HittingStats:
             "stddev": self.stddev,
             "quantiles": {str(q): v for q, v in self.quantiles.items()},
             "predicted": self.predicted,
-            "cluster_means": list(self.cluster_means) if self.cluster_means else None,
         }
 
 
@@ -85,8 +83,7 @@ def _csr(rows):
     return indptr, indices
 
 
-def walk_frontier(indptr, indices, absorbing, start, num_samples, seed,
-                  step_cap=STEP_CAP):
+def walk_frontier(indptr, indices, absorbing, start, num_samples, seed):
     """Simple random walks on the CSR multigraph (indptr, indices), one per
     trajectory id 0..num_samples-1, all from `start`, each stopped on its
     first arrival in an `absorbing` state.
@@ -95,7 +92,8 @@ def walk_frontier(indptr, indices, absorbing, start, num_samples, seed,
     rng.stream(seed, t).random(max alive id + 1) and gives uniform u[i] to
     trajectory i, which moves to indices[indptr[s] + floor(u[i] deg(s))];
     so the first k trajectories do not depend on num_samples.  A
-    trajectory that has to leave a state of degree 0 is a GraphError.
+    trajectory that has to leave a state of degree 0, or that is still
+    walking after STEP_CAP steps, is a GraphError.
     """
     n = len(indptr) - 1
     if not 0 <= start < n:
@@ -107,8 +105,8 @@ def walk_frontier(indptr, indices, absorbing, start, num_samples, seed,
     alive = np.arange(0 if absorbing[start] else num_samples)
     t = 0
     while alive.size:
-        if t == step_cap:
-            raise GraphError(f"step cap {step_cap} exceeded")
+        if t == STEP_CAP:
+            raise GraphError(f"step cap {STEP_CAP} exceeded")
         t += 1
         u = rng.stream(seed, t).random(int(alive[-1]) + 1)[alive]
         s = state[alive]
@@ -166,8 +164,7 @@ def _absorption_times(walk, num_samples) -> np.ndarray:
     return times
 
 
-def sample_hitting_times(g, start, num_samples, seed,
-                         predicted=None) -> HittingStats:
+def sample_hitting_times(g, start, num_samples, seed) -> HittingStats:
     """Steps of num_samples independent simple random walks from `start`
     until their first arrival at the leaf level; deterministic in (graph,
     start, seed) and independent of batching.  A start from which no leaf
@@ -177,8 +174,7 @@ def sample_hitting_times(g, start, num_samples, seed,
             and not leaf[bfs_distances(g, start) >= 0].any()):
         raise GraphError(f"no leaf vertex is reachable from start {start}")
     walk = walk_frontier(g.indptr, g.indices, leaf, start, num_samples, seed)
-    return hitting_stats(_absorption_times(walk, num_samples),
-                         predicted=predicted)
+    return hitting_stats(_absorption_times(walk, num_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +260,18 @@ def stretched_edge_delay_mc(L, num_samples, seed):
 def absorbing_mean_hitting(g: LeveledGraph, start: int, targets) -> float:
     """Exact expected hitting time of `targets` from `start` by a dense
     linear solve on the transient states of the start's component;
-    intended for oracle-sized graphs.  A start from which no target is
-    reachable is a GraphError."""
-    target_mask = np.zeros(g.vertex_count, dtype=bool)
-    target_mask[np.asarray(list(targets), dtype=np.int64)] = True
+    intended for oracle-sized graphs.  A start or target that is not a
+    vertex, and a start from which no target is reachable, is a
+    GraphError."""
+    n = g.vertex_count
+    targets = np.asarray(list(targets), dtype=np.int64)
+    if not 0 <= start < n:
+        raise GraphError(f"start {start} is not a vertex (n={n})")
+    bad = targets[(targets < 0) | (targets >= n)]
+    if bad.size:
+        raise GraphError(f"target {bad[0]} is not a vertex (n={n})")
+    target_mask = np.zeros(n, dtype=bool)
+    target_mask[targets] = True
     if target_mask[start]:
         return 0.0
     reached = bfs_distances(g, start) >= 0
@@ -304,11 +308,6 @@ class BimodalityReport:
     cluster_weights: tuple
     separation: float
     split_value: float
-
-    def as_dict(self):
-        return {"flag": self.flag, "cluster_means": list(self.cluster_means),
-                "cluster_weights": list(self.cluster_weights),
-                "separation": self.separation, "split_value": self.split_value}
 
 
 _SPLIT_GRID = 200
@@ -457,11 +456,3 @@ def chain_start(chain: DescentChain, start_level=0) -> int:
     if len(nodes) == 0:
         raise GraphError(f"no node state at level {start_level}")
     return int(nodes[0])
-
-
-def chain_hitting_stats(chain: DescentChain, num_samples, seed,
-                        start_level=0, predicted=None) -> HittingStats:
-    """Hitting-time samples from chain_start(chain, start_level)."""
-    samples = chain.sample(num_samples, seed,
-                           start=chain_start(chain, start_level))
-    return hitting_stats(samples, predicted=predicted)

@@ -103,11 +103,11 @@ def exact_walk_gap(g: LeveledGraph) -> float:
     return 1.0 - regular_extremes(g, d)[0] / d
 
 
-def farthest_vertex_pair(g: LeveledGraph, exact_below: int = 500):
-    """(x, y, dist): a pair at maximal distance, found exactly below
-    `exact_below` vertices and by a repeated double BFS sweep above."""
+def farthest_vertex_pair(g: LeveledGraph):
+    """(x, y, dist): a pair at maximal distance, found exactly up to 500
+    vertices and by a repeated double BFS sweep above."""
     n = g.vertex_count
-    if n <= exact_below:
+    if n <= 500:
         best = (0, 0, -1)
         for s in range(n):
             d = bfs_distances(g, s)
@@ -137,12 +137,6 @@ class NoCutoffCertificate:
     frac_far: float
     applicable: bool
     reason: str = ""
-
-    def as_dict(self):
-        return {"source": self.source, "diameter": self.diameter,
-                "gap_upper": self.gap_upper, "n2_product": self.n2_product,
-                "frac_near": self.frac_near, "frac_far": self.frac_far,
-                "applicable": self.applicable, "reason": self.reason}
 
 
 def no_cutoff_certificate(g: LeveledGraph) -> NoCutoffCertificate:
@@ -181,31 +175,15 @@ class SpectralReport:
     degenerate: bool = False
     lazy_gap: float | None = None
 
-    def as_dict(self):
-        return {
-            "degree": self.degree,
-            "lambda_abs": self.lambda_abs,
-            "lambda2": self.lambda2,
-            "lambda_min": self.lambda_min,
-            "gap": self.gap,
-            "cheeger_lower": self.cheeger_lower,
-            "cheeger_upper": self.cheeger_upper,
-            "cheeger_exact": self.cheeger_exact,
-            "dirichlet_upper": self.dirichlet_upper,
-            "degenerate": self.degenerate,
-            "lazy_gap": self.lazy_gap,
-        }
 
-
-def spectral_report(g: LeveledGraph, degree=None, cheeger_exact=False,
+def spectral_report(g: LeveledGraph, cheeger_exact=False,
                     dirichlet=False) -> SpectralReport:
     """Full report for a connected regular graph: extreme eigenvalues, the
     certified gap, Cheeger bounds (exact value on request for oracle-sized
     graphs), and the distance-function Dirichlet bound on request.  The
-    degree defaults to the largest vertex degree; a graph that is not
-    degree-regular raises."""
-    if degree is None:
-        degree = int(g.degrees().max(initial=0))
+    degree is the largest vertex degree; a graph that is not regular
+    raises."""
+    degree = int(g.degrees().max(initial=0))
     lam2, lam_min, lam_abs = regular_extremes(g, degree)
     gap = 1.0 - lam_abs / degree
     lo, hi = _sandwich(degree, lam2, lam_abs)

@@ -37,7 +37,6 @@ from expander_cutoff.graphs import assert_regular, is_connected, stretch_edges
 from expander_cutoff.mixing import cutoff_report, default_starts
 from expander_cutoff.montecarlo import (
     bimodality_check,
-    chain_hitting_stats,
     cylinder_passage_exact,
     cylinder_passage_oracle,
     descent_chain,
@@ -128,8 +127,8 @@ def test_c03_one_dimensional_oracles():
 
 def test_c04_hitting_formula_h4():
     chain = descent_chain(ConstructionParams(h=4, L=2))
-    stats = chain_hitting_stats(chain, 10000, seed=404,
-                                predicted=predicted_tau(0, 4, 2))
+    stats = hitting_stats(chain.sample(10000, seed=404),
+                          predicted=predicted_tau(0, 4, 2))
     rel = abs(stats.mean - 100.0) / 100.0
     cont = predicted_tau(2.0, 4, 2) == (5.0 / 3.0) * 4
     ok = rel < 0.15 and cont and stats.predicted == 100.0

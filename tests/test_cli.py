@@ -10,8 +10,8 @@ import expander_cutoff
 from expander_cutoff import construction
 from expander_cutoff.cli import main, read_artifact, read_json
 from expander_cutoff.construction import ConstructionParams
-from expander_cutoff.graphs import GraphError
-from expander_cutoff.mixing import cutoff_report
+from expander_cutoff.graphs import GraphError, to_text
+from expander_cutoff.mixing import cutoff_report, default_starts
 from expander_cutoff.montecarlo import chain_start, descent_chain
 
 
@@ -275,6 +275,39 @@ def test_cylinder_sweep(tmp_path):
     assert body["loglog_slope"] > 1.0
 
 
+def test_cylinder_sweep_host_is_the_build_host(tmp_path):
+    # at m=14 seed=4 a host certified at min_gap 0.01 is another pairing
+    # (attempt 2) than the one build certifies at 0.05 (attempt 7)
+    out = tmp_path / "cyl"
+    assert run("cylinder-sweep", "--m", "14", "--Ls", "5,9", "--seed", "4",
+               "--out", str(out)) == 0
+    g = construction.build(ConstructionParams(h=0, L=5, variant="cylinder",
+                                              m=14, expander_seeds=(4, 5)))
+    _, worst = cutoff_report(g, default_starts(g))
+    assert read_artifact(out / "cylinder_sweep.csv").splitlines()[1] == \
+        f"5,{g.vertex_count},{worst.tmix[0.25]},{worst.tmix[0.75]}"
+
+
+@pytest.mark.parametrize("fixture", ["five_reg_h1", "cubic_h2", "no_cutoff_h2",
+                                     "cylinder"])
+def test_profile_of_graph_file_equals_library_report(request, tmp_path,
+                                                     fixture):
+    # graph.ev keeps only h, L and variant of a build's meta, so nothing a
+    # profile reports may depend on the rest
+    if fixture == "cylinder":
+        g = construction.build(ConstructionParams(h=0, L=5, variant="cylinder",
+                                                  m=8))
+    else:
+        g = request.getfixturevalue(fixture)
+    (tmp_path / "graph.ev").write_text(to_text(g))
+    assert run("profile", "--graph", str(tmp_path / "graph.ev"),
+               "--out", str(tmp_path)) == 0
+    summaries, worst = cutoff_report(g, default_starts(g))
+    assert read_json(tmp_path / "profile_summary.json") == {
+        "starts": [s.as_dict() for s in summaries],
+        "worst_start": worst.as_dict()}
+
+
 def test_non_integer_values_exit_2(tmp_path, capsys):
     out = tmp_path / "run"
     run("build", "--variant", "five_regular", "--h", "1", "--L", "2",
@@ -310,6 +343,16 @@ def test_stride_below_one_exits_2(tmp_path, capsys):
                "--hmin", "2", "--hmax", "2", "--stride", "0", "--seed", "1",
                "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: --stride must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_cutoff_report_refuses_cylinder(tmp_path, capsys):
+    out = tmp_path / "cr"
+    assert run("cutoff-report", "--variant", "cylinder", "--m", "8", "--L",
+               "5", "--hmin", "1", "--hmax", "3", "--seed", "1",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == \
+        "error: a cylinder has no height; cylinder-sweep is its study\n"
     assert not out.exists()
 
 

@@ -54,12 +54,6 @@ def test_choose_L_rejects_bad_gaps():
         choose_L(0.5, -1.0)
 
 
-def test_L_floor_enforced_without_override():
-    p = ConstructionParams(h=1, L=2, override_L=False)
-    with pytest.raises(GraphError, match="below the gap-derived floor"):
-        build(p)
-
-
 def test_theoretical_tstar():
     assert theoretical_tstar(3, 1) == pytest.approx(15.0)
     assert theoretical_tstar(0, 5) == 0.0
@@ -337,7 +331,7 @@ def test_build_bytes_are_pinned(request, fixture, n, digest):
     assert g.vertex_count == n
     assert hashlib.sha256(to_text(g).encode()).hexdigest() == digest
     keys = {"variant", "h", "L", "degree", "seeds", "gap1", "gap2",
-            "leaf_level", "L_floor", "meets_L_floor", "bipartite"}
+            "L_floor", "meets_L_floor", "bipartite"}
     if g.meta["variant"] != "cubic":
         keys |= {"L_prime", "tstar"}
     assert set(g.meta) == keys

@@ -1,13 +1,16 @@
-"""Every name a demo imports from expander_cutoff exists.  The demos are
-parsed, never run, so removing a public name cannot break them silently."""
+"""Every name a demo or the README's Python quick start imports from
+expander_cutoff exists.  Both are parsed, never run, so removing a public
+name cannot break them silently."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _package_imports(tree):
@@ -35,14 +38,26 @@ def _exists(module, name) -> bool:
     return True
 
 
+def _missing(source, filename):
+    imports = list(_package_imports(ast.parse(source, filename=filename)))
+    assert imports
+    return [f"{m}.{n}" for m, n in imports if not _exists(m, n)]
+
+
 def test_demos_are_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_exist(path):
-    imports = list(_package_imports(ast.parse(path.read_text(),
-                                              filename=str(path))))
-    assert imports
-    missing = [f"{m}.{n}" for m, n in imports if not _exists(m, n)]
+    missing = _missing(path.read_text(), str(path))
     assert not missing, f"{path.name} imports missing names: {missing}"
+
+
+def test_readme_quick_start_imports_exist():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md")
+                        .read_text(), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        missing = _missing(block, "README.md")
+        assert not missing, f"README.md imports missing names: {missing}"

@@ -4,11 +4,10 @@ import pytest
 from expander_cutoff.expanders import (
     ExpanderSpec,
     adjacency_extremes,
-    certify_gap,
     make_expander,
 )
 from expander_cutoff.graphs import GraphError
-from expander_cutoff.spectral import cheeger_bruteforce
+from expander_cutoff.spectral import cheeger_bruteforce, spectral_report
 
 from conftest import complete_graph, cycle_graph, petersen_graph
 
@@ -16,14 +15,14 @@ from conftest import complete_graph, cycle_graph, petersen_graph
 def test_determinism():
     a = make_expander(ExpanderSpec(3, 64, 0.05, 7))
     b = make_expander(ExpanderSpec(3, 64, 0.05, 7))
-    assert a.edge_list() == b.edge_list()
+    assert a.graph.edge_array().tolist() == b.graph.edge_array().tolist()
     assert a.gap == b.gap
 
 
 def test_seed_changes_graph():
     a = make_expander(ExpanderSpec(3, 64, 0.05, 7))
     b = make_expander(ExpanderSpec(3, 64, 0.05, 8))
-    assert a.edge_list() != b.edge_list()
+    assert a.graph.edge_array().tolist() != b.graph.edge_array().tolist()
 
 
 def test_odd_degree_size_product_rejected():
@@ -47,23 +46,25 @@ def test_basic_request():
 
 def test_unreachable_gap_exhausts_retries():
     with pytest.raises(GraphError, match="no expander found"):
-        make_expander(ExpanderSpec(3, 8, 0.99, 1), max_attempts=5)
+        make_expander(ExpanderSpec(3, 8, 0.99, 1))
 
 
 # ---------------------------------------------------------------------------
-# certify_gap
+# the certified gap of spectral_report
 
 
 def test_certify_cycle_is_degenerate():
-    assert certify_gap(cycle_graph(4), 2) == pytest.approx(0.0, abs=1e-9)
+    assert spectral_report(cycle_graph(4)).gap == pytest.approx(0.0, abs=1e-9)
 
 
 def test_certify_k4():
-    assert certify_gap(complete_graph(4), 3) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert spectral_report(complete_graph(4)).gap == \
+        pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_certify_petersen():
-    assert certify_gap(petersen_graph(), 3) == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert spectral_report(petersen_graph()).gap == \
+        pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_certify_rejects_disconnected():
@@ -71,7 +72,7 @@ def test_certify_rejects_disconnected():
 
     g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(GraphError, match="disconnected"):
-        certify_gap(g, 2)
+        spectral_report(g)
 
 
 def test_dense_and_iterative_paths_agree():

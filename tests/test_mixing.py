@@ -8,19 +8,15 @@ from expander_cutoff import mixing
 from expander_cutoff.graphs import GraphError, from_text, to_text
 from expander_cutoff.mixing import (
     TVProfile,
-    check_dist,
     cutoff_report,
     default_laziness,
     default_starts,
-    mixing_time,
     mixing_time_bracket,
     point_mass,
     step,
     summarize_profile,
-    tv_profile,
     tv_profile_until,
     tv_to_uniform,
-    uniform_dist,
 )
 
 from conftest import complete_graph, cycle_graph, graph_from_edges
@@ -32,7 +28,7 @@ from conftest import complete_graph, cycle_graph, graph_from_edges
 
 def test_uniform_is_stationary():
     g = complete_graph(6)
-    p = uniform_dist(6)
+    p = np.full(6, 1.0 / 6)
     q = step(g, p)
     assert np.abs(q - p).max() < 1e-12
 
@@ -108,14 +104,6 @@ def test_step_rejects_mismatched_buffers():
             step(g, p, work=bad)
 
 
-def test_check_dist_contract():
-    check_dist(uniform_dist(9))
-    with pytest.raises(GraphError, match="negative"):
-        check_dist(np.array([1.5, -0.5]))
-    with pytest.raises(GraphError, match="mass"):
-        check_dist(np.array([0.3, 0.3]))
-
-
 # ---------------------------------------------------------------------------
 # tv distance
 
@@ -125,7 +113,7 @@ def test_tv_point_mass():
 
 
 def test_tv_uniform_zero():
-    assert tv_to_uniform(uniform_dist(7)) == 0.0
+    assert tv_to_uniform(np.full(7, 1.0 / 7)) == 0.0
 
 
 def test_tv_two_states():
@@ -138,14 +126,14 @@ def test_tv_two_states():
 
 def test_profile_tmax_zero():
     g = cycle_graph(5)
-    prof = tv_profile(g, 0, t_max=0)
+    prof = tv_profile_until(g, 0, None, 0)
     assert prof.times.tolist() == [0]
     assert prof.tv[0] == pytest.approx(1 - 1 / 5)
 
 
 def test_lazy_cycle_converges():
     g = cycle_graph(4)
-    prof = tv_profile(g, 0, t_max=200, stride=1, laziness=0.5)
+    prof = tv_profile_until(g, 0, None, 200, laziness=0.5)
     assert prof.tv[-1] < 1e-3
 
 
@@ -154,7 +142,7 @@ def test_profile_shape_five_regular(five_reg_h1):
     # by twice the predicted worst-case time (values frozen from the exact
     # evolution: tv(12) = 0.5382, tv(50) = 0.0191)
     tstar = five_reg_h1.meta["tstar"]
-    prof = tv_profile(five_reg_h1, 0, t_max=int(2 * tstar), stride=1)
+    prof = tv_profile_until(five_reg_h1, 0, None, int(2 * tstar))
     tv = dict(zip(prof.times.tolist(), prof.tv.tolist()))
     assert tv[2] > 0.9
     assert tv[int(0.5 * tstar)] == pytest.approx(0.5382, abs=2e-3)
@@ -178,7 +166,8 @@ def test_profile_until_respects_cap():
     c5 = cycle_graph(5)
     with pytest.raises(GraphError, match="not mixed"):
         tv_profile_until(c5, 0, target=0.1, t_cap=8, stride=5)
-    assert tv_profile(c5, 0, t_max=8, stride=5).times.tolist() == [0, 5, 8]
+    assert tv_profile_until(c5, 0, None, 8, stride=5).times.tolist() == \
+        [0, 5, 8]
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +180,13 @@ def _toy_profile():
 
 
 def test_mixing_time_first_crossing():
-    assert mixing_time(_toy_profile(), 0.25) == 2
-    assert mixing_time(_toy_profile(), 0.5) == 1
+    assert mixing_time_bracket(_toy_profile(), 0.25)[1] == 2
+    assert mixing_time_bracket(_toy_profile(), 0.5)[1] == 1
 
 
 def test_mixing_time_never_reached():
     with pytest.raises(GraphError, match="not mixed"):
-        mixing_time(_toy_profile(), 0.01)
+        mixing_time_bracket(_toy_profile(), 0.01)
 
 
 def test_mixing_time_bracket():
@@ -226,7 +215,7 @@ def test_sharp_profile_ratio_near_one():
 
 
 def test_submultiplicative_envelope(five_reg_h1):
-    prof = tv_profile(five_reg_h1, 0, t_max=120, stride=1)
+    prof = tv_profile_until(five_reg_h1, 0, None, 120)
     tv = dict(zip(prof.times.tolist(), prof.tv.tolist()))
     for t in (10, 20, 40):
         for s in (10, 30, 60):
@@ -251,11 +240,10 @@ def test_bottom_start_mixes_faster(five_reg_h2):
     levels = [int(five_reg_h2.level[s]) for s in starts]
     root = starts[levels.index(0)]
     bottom = starts[levels.index(2 * 2 + 2)]
-    summaries, worst = cutoff_report(five_reg_h2, [root, bottom], stride=1)
+    summaries, worst = cutoff_report(five_reg_h2, [root, bottom])
     by_start = {s.start: s for s in summaries}
     assert by_start[root].tmix[0.25] > by_start[bottom].tmix[0.25]
     assert worst.start == root
-    assert worst.tstar_theory == pytest.approx(five_reg_h2.meta["tstar"])
 
 
 def test_default_starts_cover_bands(five_reg_h2):
@@ -280,13 +268,13 @@ def test_cutoff_report_requires_starts(five_reg_h1):
 # concurrent starts
 
 
-def _serial_summaries(g, starts, t_max, stride=None):
+def _serial_summaries(g, starts, t_max):
     """cutoff_report's per-start evolution, one start after another."""
     out = []
     for s in starts:
         prof = tv_profile_until(g, s, target=0.25 * 0.98, t_cap=t_max,
-                                stride=stride, laziness=default_laziness(g))
-        out.append(summarize_profile(prof, tstar=g.meta.get("tstar")))
+                                laziness=default_laziness(g))
+        out.append(summarize_profile(prof))
     return out
 
 
@@ -308,16 +296,14 @@ def cpus(monkeypatch):
 
 def test_concurrent_starts_equal_serial_in_order(five_reg_h2, cpus):
     starts = list(reversed(default_starts(five_reg_h2)))
-    summaries, worst = cutoff_report(five_reg_h2, starts, t_max=2000,
-                                     stride=1)
-    _assert_same(summaries,
-                 _serial_summaries(five_reg_h2, starts, 2000, stride=1))
+    summaries, worst = cutoff_report(five_reg_h2, starts, t_max=2000)
+    _assert_same(summaries, _serial_summaries(five_reg_h2, starts, 2000))
     assert worst.tmix[0.25] == max(s.tmix[0.25] for s in summaries)
 
 
 def test_failing_start_raises_serial_error(five_reg_h2, cpus):
     starts = default_starts(five_reg_h2)
-    summaries, _ = cutoff_report(five_reg_h2, starts, stride=1)
+    summaries, _ = cutoff_report(five_reg_h2, starts)
     stop = {s.start: int(s.profile.times[-1]) for s in summaries}
     slow = max(starts, key=stop.get)
     fast = [s for s in starts if stop[s] < stop[slow]]
@@ -326,9 +312,9 @@ def test_failing_start_raises_serial_error(five_reg_h2, cpus):
     # after it fails at once on another worker
     for order in ([slow] + fast, fast + [slow], [slow, 10**9] + fast):
         with pytest.raises(GraphError, match=f"not mixed .* t_max={cap}$"):
-            cutoff_report(five_reg_h2, order, t_max=cap, stride=1)
+            cutoff_report(five_reg_h2, order, t_max=cap)
     with pytest.raises(GraphError, match="not a vertex"):
-        cutoff_report(five_reg_h2, fast + [10**9, slow], t_max=cap, stride=1)
+        cutoff_report(five_reg_h2, fast + [10**9, slow], t_max=cap)
 
 
 def test_concurrent_stress_on_fresh_graph(five_reg_h1, cpus):

@@ -18,7 +18,7 @@ from expander_cutoff.montecarlo import (
     DescentChain,
     absorbing_mean_hitting,
     bimodality_check,
-    chain_hitting_stats,
+    chain_start,
     cylinder_passage_exact,
     cylinder_passage_oracle,
     descent_chain,
@@ -174,6 +174,21 @@ def test_absorbing_mean_hitting_refuses_an_unreachable_target():
         absorbing_mean_hitting(g, 3, [2])
 
 
+@pytest.mark.parametrize("start, targets, message", [
+    (-3, [2], "start -3 is not a vertex"),
+    (-1, [2], "start -1 is not a vertex"),
+    (7, [2], "start 7 is not a vertex"),
+    (0, [9], "target 9 is not a vertex"),
+    (0, [2, -1], "target -1 is not a vertex"),
+])
+def test_absorbing_mean_hitting_refuses_vertices_out_of_range(start, targets,
+                                                              message):
+    # as numpy indices these would wrap around or raise IndexError
+    g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(GraphError, match=f"^{message} \\(n=5\\)$"):
+        absorbing_mean_hitting(g, start, targets)
+
+
 def test_trajectory_seed_determinism(five_reg_h1):
     a = sample_hitting_times(five_reg_h1, 0, 6, seed=3).samples
     b = sample_hitting_times(five_reg_h1, 0, 6, seed=3).samples
@@ -301,12 +316,12 @@ def test_chain_step_cap_raises(monkeypatch):
                                    degree=4, meta={}, levels=(0, 1),
                                    leaves=(1,)))
     assert chain.survival(3).tolist() == [1.0, 0.75, 0.5625, 0.421875]
-    with pytest.raises(GraphError, match="step cap 5 exceeded"):
-        list(walk_frontier(chain._indptr, chain._indices, chain._absorbing,
-                           0, 1000, seed=1, step_cap=5))
     monkeypatch.setattr(montecarlo, "STEP_CAP", 200)
     assert chain.sample(1000, seed=1).max() <= 200
     monkeypatch.setattr(montecarlo, "STEP_CAP", 5)
+    with pytest.raises(GraphError, match="step cap 5 exceeded"):
+        list(walk_frontier(chain._indptr, chain._indices, chain._absorbing,
+                           0, 1000, seed=1))
     with pytest.raises(GraphError, match="step cap 5 exceeded"):
         chain.sample(1000, seed=1)
 
@@ -343,10 +358,12 @@ def test_chain_survival_is_monotone():
 
 def test_chain_start_levels():
     chain = descent_chain(ConstructionParams(h=4, L=2))
-    stats_root = chain_hitting_stats(chain, 2000, seed=8, start_level=0)
-    stats_low = chain_hitting_stats(chain, 2000, seed=8, start_level=10)
-    assert stats_low.mean < stats_root.mean
-    assert chain_hitting_stats(chain, 10, seed=8, start_level=14).mean == 0.0
+    def mean_from(level, n):
+        return chain.sample(n, seed=8, start=chain_start(chain, level)).mean()
+
+    assert chain_start(chain, 0) == 0
+    assert mean_from(10, 2000) < mean_from(0, 2000)
+    assert mean_from(14, 10) == 0.0
 
 
 def test_chain_rejects_other_variants():
