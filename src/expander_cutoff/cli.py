@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -78,15 +79,15 @@ def _add_common(p, seed_required=False):
     p.set_defaults(_seed_required=seed_required)
 
 
-def _add_build_params(p):
-    # defaults are filled after the config merge so a config file can set
-    # them while explicit flags still win
-    p.add_argument("--variant", choices=construction.VARIANTS, default=None)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--Lprime", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--min-gap", type=float, default=None)
+def _add_build_params(p, flags="variant h L Lprime m min-gap",
+                      variants=construction.VARIANTS):
+    # only the build flags the command reads, so argparse refuses the
+    # others; defaults are filled after the config merge so a config file
+    # can set them while explicit flags still win
+    for flag in flags.split():
+        kind = {"variant": {"choices": variants},
+                "min-gap": {"type": float}}.get(flag, {"type": int})
+        p.add_argument(f"--{flag}", default=None, **kind)
 
 
 def _add_walk_params(p):
@@ -105,7 +106,11 @@ def build_parser():
         prog="expander-cutoff",
         description="Build leveled expander families and measure their "
                     "random-walk mixing behavior.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: a flag a command does not take is refused, not
+    # read as a longer one (--m as --min-gap)
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("build", help="build a graph and emit it with a census")
     _add_build_params(p)
@@ -131,7 +136,9 @@ def build_parser():
     p.add_argument("--chain", action="store_true",
                    help="sample the leaf-hitting chain instead of a built "
                         "graph, and report its exact mean")
-    _add_build_params(p)
+    # the chain reads no --m or --min-gap, and a cylinder has no chain
+    _add_build_params(p, "variant h L Lprime",
+                      [v for v in construction.VARIANTS if v != "cylinder"])
     p.add_argument("--start", type=str, default="0",
                    help="start vertex (graph mode) or start level (chain mode)")
     p.add_argument("--samples", type=int, default=10000)
@@ -147,7 +154,7 @@ def build_parser():
                     "not change their output, and expanders are certified "
                     "only by build.  no_cutoff is built.  A cylinder has no "
                     "height: cylinder-sweep is its study.")
-    _add_build_params(p)
+    _add_build_params(p, "variant L Lprime min-gap")
     p.add_argument("--hmin", type=int, required=True)
     p.add_argument("--hmax", type=int, required=True)
     _add_walk_params(p)
@@ -164,7 +171,7 @@ def build_parser():
 
     p = sub.add_parser("nocutoff-demo",
                        help="uneven-stretch build: bimodality plus cutoff ratio")
-    _add_build_params(p)
+    _add_build_params(p, "h L Lprime min-gap")
     p.add_argument("--samples", type=int, default=5000)
     _add_walk_params(p)
     _add_eps(p)
@@ -251,9 +258,10 @@ def _params_from_args(args) -> ConstructionParams:
         raise UsageError("--L is required")
     seed = args.seed if args.seed is not None else 1
     return ConstructionParams(
-        h=args.h or 0, L=args.L, variant=args.variant,
-        L_prime=args.Lprime, m=args.m,
-        expander_seeds=(seed, seed + 1), min_gap=args.min_gap)
+        h=args.h or 0, L=args.L, variant=args.variant, L_prime=args.Lprime,
+        expander_seeds=(seed, seed + 1),
+        # hitting takes no --m or --min-gap
+        **{k: getattr(args, k) for k in ("m", "min_gap") if hasattr(args, k)})
 
 
 def _load_graph(path):
@@ -386,8 +394,7 @@ def _cmd_cutoff_report(args) -> int:
     for h in range(args.hmin, args.hmax + 1):
         params = ConstructionParams(
             h=h, L=args.L, variant=args.variant, L_prime=args.Lprime,
-            m=args.m, expander_seeds=(args.seed, args.seed + 1),
-            min_gap=args.min_gap)
+            expander_seeds=(args.seed, args.seed + 1), min_gap=args.min_gap)
         if args.variant in construction.ROOT_CHAIN_VARIANTS:
             g = construction.root_chain(params)
         else:

@@ -323,27 +323,29 @@ class RootChain:
 
     State c stands for the sizes[c] vertices of one class, and counts[c, c']
     is the number of neighbours in class c' of every vertex of class c.
-    Started at the root the walk stays constant on each class, so the
-    per-vertex mass x_c evolves exactly as x' = (1 - l) B x / d + l x with
-    B = counts (Levin-Peres-Wilmer, section 2.3), and the TV distance to
-    uniform is 1/2 sum_c sizes[c] |x_c - 1/n|.  No expander enters: the
-    cross wiring only ever joins vertices of one class, or a class to its
-    own pendant and auxiliary classes.  levels[c] is the tree level of a
-    class of tree nodes or leaves (UNLEVELED for the others), and `leaves`
-    lists the leaf classes.  class_chain builds one for no_cutoff too, on
-    classes that are not equitable; only the descent chain reads it.
+    Started at the root the walk stays constant on each class, and as
+    sizes[c] counts[c, c'] = sizes[c'] counts[c', c], its class masses
+    evolve exactly as m' = (1 - l) counts^T m / d + l m (Levin-Peres-Wilmer,
+    section 2.3).  The TV distance to uniform is 1/2 sum_c |m_c - pi_c|,
+    pi = `stationary`, the shares sizes[c] / n each rounded once from the
+    exact integers, so no float holds n or a class size.  No expander
+    enters: the cross wiring only ever joins vertices of one class, or a
+    class to its own pendant and auxiliary classes.  levels[c] is the tree
+    level of a class of tree nodes or leaves (UNLEVELED for the others),
+    and `leaves` lists the leaf classes.  class_chain builds one for
+    no_cutoff too, on classes that are not equitable; only the descent
+    chain reads it.
 
     mixing.step walks the chain like a graph: vertex_count is n,
     float_degrees() the degree of every state, and matvec_kernel() gives
-    B x from the nonzeros of each row of counts (at most 3 for every
-    variant up to h=40), summed in numpy bit-identically to scipy's
-    csr_matvec, so a chain is walked without loading scipy.  `weights`
-    holds the class sizes as floats, the weights mixing.tv_to_uniform
-    gives x.  adjacency_csr() still builds B, for tracing and tests.
+    counts^T x from at most 3 nonzeros a row (every variant up to h=40),
+    summed in numpy bit-identically to scipy's csr_matvec on
+    adjacency_csr(), so neither the walk nor the descent chain, which
+    evolves its survival through the same kernel, loads scipy.
     """
 
     __slots__ = ("sizes", "counts", "degree", "meta", "levels", "leaves",
-                 "weights", "_n", "_csr", "_kernel", "_float_degrees")
+                 "stationary", "_n", "_csr", "_kernel", "_float_degrees")
 
     def __init__(self, sizes, counts, degree, meta, levels, leaves):
         self.sizes = tuple(int(s) for s in sizes)
@@ -354,10 +356,9 @@ class RootChain:
         self.meta = dict(meta)
         self.levels = tuple(int(v) for v in levels)
         self.leaves = tuple(int(c) for c in leaves)
-        self._csr = None
-        self._kernel = None
-        self.weights = np.asarray([float(s) for s in self.sizes])
-        self.weights.setflags(write=False)
+        self._csr = self._kernel = None
+        self.stationary = np.asarray([s / self._n for s in self.sizes])
+        self.stationary.setflags(write=False)
         self._float_degrees = np.full(len(self.sizes), float(degree))
         self._float_degrees.setflags(write=False)
 
@@ -373,27 +374,28 @@ class RootChain:
         return self._float_degrees
 
     def adjacency_csr(self):
-        """B as a cached scipy CSR matrix with float64 entries."""
+        """counts^T as a cached scipy CSR matrix with float64 entries."""
         if self._csr is None:
             import scipy.sparse as sp
 
-            self._csr = sp.csr_matrix(self.counts.astype(np.float64))
+            self._csr = sp.csr_matrix(self.counts.T.astype(np.float64))
         return self._csr
 
     def matvec_kernel(self):
-        """Cached kernel(x, out) writing B x into `out`, bit-identical to
-        csr_matvec on adjacency_csr(): each row's nonzeros are summed in
-        column order starting from 0.0.  columns[j, c] is the j-th nonzero
-        column of row c and values[j, c] its count; shorter rows are padded
-        with column 0 and count 0.0, which leaves a finite sum unchanged."""
+        """Cached kernel(x, out) writing counts^T x into `out`,
+        bit-identical to csr_matvec on adjacency_csr(): each row's nonzeros
+        are summed in column order starting from 0.0.  columns[j, c] is the
+        j-th nonzero column of row c and values[j, c] its count; shorter
+        rows are padded with column 0 and count 0.0, which leaves a finite
+        sum unchanged."""
         if self._kernel is None:
-            rows, cols = np.nonzero(self.counts)    # columns ascending per row
+            rows, cols = np.nonzero(self.counts.T)  # columns ascending per row
             rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
             shape = (int(rank.max()) + 1, self.state_count)
             columns = np.zeros(shape, dtype=np.int64)
             values = np.zeros(shape)
             columns[rank, rows] = cols
-            values[rank, rows] = self.counts[rows, cols]
+            values[rank, rows] = self.counts[cols, rows]
 
             def kernel(x, out):
                 terms = x[columns]
@@ -404,9 +406,6 @@ class RootChain:
 
             self._kernel = kernel
         return self._kernel
-
-    def mass(self, x: np.ndarray) -> float:
-        return float(self.weights @ x)
 
     def is_bipartite(self) -> bool:
         """True iff no edge joins two vertices at equal distance from the

@@ -4,22 +4,21 @@ Distributions are plain float64 vectors indexed by vertex.  One step of
 the (optionally lazy) simple random walk is a sparse matvec, so full
 profiles on builds with a few hundred thousand vertices take seconds.
 The same loop evolves a construction.RootChain, whose vector holds the
-per-vertex mass of each class, so root profiles of the cubic and
-five_regular families cost microseconds per step at any height.
+mass of each class and is compared with the chain's `stationary` shares,
+so root profiles of the cubic and five_regular families cost microseconds
+per step at any height.
 
 step takes the product from the object it walks (`matvec_kernel()`): a
 graph runs scipy's csr_matvec on its CSR adjacency, a chain a numpy
-row sum bit-identical to it.  Nothing here imports scipy, so a chain is
-evolved without loading it.
+row sum over counts^T bit-identical to csr_matvec on it.  Nothing here
+imports scipy, so a chain is evolved without loading it.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,29 +69,15 @@ def step(g: LeveledGraph, p: np.ndarray, laziness: float = 0.0,
     return out
 
 
-@lru_cache(maxsize=32)
-def _total_weight(weight_bytes: bytes) -> float:
-    """Sum of float64 weights, rounded once as float(int n) is.  A float64
-    sum rounds beyond 2^53 (cubic h >= 17), and fsum costs about 70 ns a
-    weight, so it runs once per weights: a profile passes the same ones
-    at every record."""
-    return math.fsum(np.frombuffer(weight_bytes))
-
-
 def tv_to_uniform(p: np.ndarray, work: np.ndarray | None = None,
-                  weights: np.ndarray | None = None) -> float:
-    """Half the L1 distance between p and the uniform distribution; `work`
-    (float64, p's length) is scratch, allocated when not given.
-
-    With `weights`, p holds the per-vertex mass of classes of weights[c]
-    vertices each (a RootChain's state vector, weights its `weights`), and
-    the distance is 1/2 sum_c weights[c] |p[c] - 1/n| with n the total
-    weight."""
-    n = len(p) if weights is None else _total_weight(weights.tobytes())
+                  pi: np.ndarray | None = None) -> float:
+    """Half the L1 distance between p and the stationary law `pi`, uniform
+    when not given; `work` (float64, p's length) is scratch, allocated when
+    not given.  A RootChain's class masses take its `stationary` as pi."""
     work = np.empty(len(p)) if work is None else work
-    np.subtract(p, 1.0 / n, out=work)
+    np.subtract(p, 1.0 / len(p) if pi is None else pi, out=work)
     np.abs(work, out=work)
-    return 0.5 * float(work.sum() if weights is None else weights @ work)
+    return 0.5 * float(work.sum())
 
 
 def default_laziness(g: LeveledGraph) -> float:
@@ -126,7 +111,7 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
     uniform every `stride` steps and at t_cap, and stops at the first
     record below `target` (errors if t_cap comes first).  target=None
     runs to t_cap.  g is a LeveledGraph, or a RootChain evolved from the
-    root (start 0) with the TV distance and mass summed over its classes."""
+    root (start 0) as class masses against its `stationary` law."""
     if t_cap < 0:
         raise GraphError("t_max must be >= 0")
     n = g.vertex_count
@@ -136,18 +121,16 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
     if stride < 1:
         raise GraphError(f"stride must be >= 1, got {stride}")
     if isinstance(g, RootChain):
-        # per-vertex mass on each class; vertex 0 is the root class
+        # the mass of each class; vertex 0 is the root class
         if start != 0:
             raise GraphError("a root chain evolves the walk from vertex 0 only")
-        p = point_mass(g.state_count, 0)
-        weights, mass_of = g.weights, g.mass
+        p, pi = point_mass(g.state_count, 0), g.stationary
     else:
-        p = point_mass(n, start)
-        weights, mass_of = None, np.sum
+        p, pi = point_mass(n, start), None
     q = np.empty_like(p)
     work = np.empty_like(p)
     times = [0]
-    tv = [tv_to_uniform(p, work, weights)]
+    tv = [tv_to_uniform(p, work, pi)]
     renorms = 0
     t = 0
     while t < t_cap and (target is None or tv[-1] >= target):
@@ -155,12 +138,12 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
             t += 1
             step(g, p, laziness, out=q, work=work)
             p, q = q, p
-        mass = mass_of(p)
+        mass = p.sum()
         if abs(mass - 1.0) > RENORM_TOL:
             p /= mass
             renorms += 1
         times.append(t)
-        tv.append(tv_to_uniform(p, work, weights))
+        tv.append(tv_to_uniform(p, work, pi))
     if target is not None and tv[-1] >= target:
         raise GraphError(f"not mixed below {target} by t_max={t_cap}")
     return TVProfile(start=int(start), times=np.asarray(times, dtype=np.int64),

@@ -8,7 +8,8 @@ times to the leaves drawn from it follow the same law as on the full
 graph, at any h, without materializing the graph.  The chain draws them
 by inverting that law rather than by walking: one uniform U in (0, 1] per
 sample, and T = min{t : S(t) < U} for the exact survival S, evolved only
-until it falls below the smallest U; this costs O(T_tail * states^2 +
+until it falls below the smallest U, through the class chain's row-sum
+kernel (at most 3 nonzeros per state); this costs O(T_tail * nnz +
 samples * log T_tail) against O(samples * mean T) for walking.
 walk_frontier stays the one trajectory sampler, for graphs and the
 one-dimensional oracles.
@@ -23,6 +24,7 @@ no_cutoff h=2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -370,9 +372,10 @@ class DescentChain:
 
     State c moves to c' with probability counts[c, c'] / degree, so the
     counts are a CSR multigraph with `degree` entries per state, the chain
-    walk_frontier would walk; exact_mean and survival solve on it, and
-    sample inverts survival.  The law is exact for cubic and five_regular;
-    no_cutoff's regime tags are an approximation.
+    walk_frontier would walk.  survival steps its class masses through the
+    class chain's matvec_kernel (counts^T), sample inverts it, and only
+    exact_mean builds the dense transient Q.  The law is exact for cubic
+    and five_regular; no_cutoff's regime tags are an approximation.
     """
 
     def __init__(self, classes):
@@ -383,26 +386,33 @@ class DescentChain:
         self._indices = np.repeat(cols, classes.counts[rows, cols])
         self._absorbing = np.zeros(k, dtype=bool)
         self._absorbing[list(classes.leaves)] = True
-        self._q = _transient_matrix(self._indptr, self._indices,
-                                    self._absorbing)
+
+    @cached_property
+    def _q(self) -> np.ndarray:
+        return _transient_matrix(self._indptr, self._indices, self._absorbing)
 
     @property
     def size(self):
         return self.classes.state_count
 
-    def _transient_point_mass(self, start) -> np.ndarray:
+    def _point_mass(self, start) -> np.ndarray:
         if not 0 <= start < self.size:
             raise GraphError(f"start {start} is not a state (n={self.size})")
-        return (np.arange(self.size) == start)[~self._absorbing].astype(float)
+        return (np.arange(self.size) == start).astype(float)
 
     def _survivals(self, start):
-        """S(0), S(1), ...: the mass of the walk from `start` not yet
-        absorbed, evolved one step of Q at a time; the one loop behind
-        survival and sample."""
-        dist = self._transient_point_mass(start)
+        """S(0), S(1), ...: the class mass of the walk from `start` not yet
+        absorbed, evolved by the class chain's row-sum kernel with the leaf
+        classes zeroed before each reading; the one loop behind survival
+        and sample."""
+        mass = self._point_mass(start)
+        kernel = self.classes.matvec_kernel()
+        work = np.empty(self.size)
         while True:
-            yield dist.sum()
-            dist = dist @ self._q
+            mass[self._absorbing] = 0.0
+            yield mass.sum()
+            np.divide(mass, self.classes.degree, out=work)
+            kernel(work, mass)
 
     def sample(self, num_samples, seed, start=0) -> np.ndarray:
         """Hitting times of the leaf level for num_samples trajectories,
@@ -412,7 +422,7 @@ class DescentChain:
         T_i = min{t : S(t) < U_i}, with S the survival from `start` as a
         running minimum; then P(T_i > t) = S(t).  S is evolved only until
         it falls below min U, at T_tail, so the cost is
-        O(T_tail * states^2 + num_samples * log T_tail), and the first k
+        O(T_tail * nnz + num_samples * log T_tail), and the first k
         samples do not depend on num_samples.  Raises GraphError when a
         sample needs more than STEP_CAP steps."""
         u = 1.0 - rng.stream(seed, 0).random(num_samples)
@@ -431,7 +441,7 @@ class DescentChain:
     def exact_mean(self, start=0) -> float:
         """Expected hitting time of the leaf level: (I - Q) h = 1, solved
         by numpy elimination (no LAPACK)."""
-        e = self._transient_point_mass(start)
+        e = self._point_mass(start)[~self._absorbing]
         if not e.any():
             return 0.0
         h = _solve_no_pivoting(np.eye(len(e)) - self._q, np.ones(len(e)))

@@ -205,7 +205,7 @@ def test_config_eps_is_a_checked_list(tmp_path, capsys):
     capsys.readouterr()
     for text, err in (("eps=0.5,2\n", "--eps must lie in (0, 1), got 2.0"),
                       ("eps=0.x\n", "bad value for config key eps: '0.x'"),
-                      ("h=two\n", "bad value for config key h: 'two'")):
+                      ("tmax=two\n", "bad value for config key tmax: 'two'")):
         cfg.write_text(text)
         assert run(*argv, "--out", str(tmp_path / "bad")) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
@@ -348,12 +348,64 @@ def test_stride_below_one_exits_2(tmp_path, capsys):
 
 def test_cutoff_report_refuses_cylinder(tmp_path, capsys):
     out = tmp_path / "cr"
-    assert run("cutoff-report", "--variant", "cylinder", "--m", "8", "--L",
-               "5", "--hmin", "1", "--hmax", "3", "--seed", "1",
+    assert run("cutoff-report", "--variant", "cylinder", "--L", "5",
+               "--hmin", "1", "--hmax", "3", "--seed", "1",
                "--out", str(out)) == 2
     assert capsys.readouterr().err == \
         "error: a cylinder has no height; cylinder-sweep is its study\n"
     assert not out.exists()
+
+
+_CUTOFF = ("cutoff-report", "--variant", "cubic", "--L", "3", "--hmin", "2",
+           "--hmax", "2")
+_CHAIN = ("hitting", "--chain", "--h", "2", "--L", "2")
+_DEMO = ("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_CUTOFF, "--m", "8"), (_CUTOFF, "--h", "2"), (_CHAIN, "--m", "8"),
+    (_CHAIN, "--min-gap", "0.1"), (_DEMO, "--m", "8"),
+    (_DEMO, "--variant", "cubic"),
+], ids=["cutoff-report--m", "cutoff-report--h", "hitting--m",
+        "hitting--min-gap", "nocutoff-demo--m", "nocutoff-demo--variant"])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv, flag,
+                                               value):
+    out = tmp_path / "run"
+    # refused, not taken as a prefix of a flag the command has
+    # (--m of --min-gap, --h of --hmin)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, flag, value, "--seed", "1", "--out", str(out))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert run(*argv, "--config", str(cfg), "--seed", "1",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
+    assert not out.exists()
+
+
+def test_hitting_refuses_cylinder(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*_CHAIN, "--variant", "cylinder", "--seed", "1",
+            "--out", str(tmp_path / "run"))
+    assert exc.value.code == 2
+    assert "invalid choice: 'cylinder'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cutoff_report_past_the_float_range(tmp_path):
+    # n > 2^1024: the per-vertex form raised OverflowError converting a
+    # class size to float
+    out = tmp_path / "cr"
+    assert run("cutoff-report", "--variant", "five_regular", "--L", "2",
+               "--hmin", "170", "--hmax", "170", "--seed", "1",
+               "--out", str(out)) == 0
+    (row,) = read_json(out / "cutoff_vs_h.json")["rows"]
+    assert row["n"] == construction.family_vertex_count("five_regular", 170, 2)
+    assert row["n"].bit_length() > 1024
+    assert row["tmix"]["0.25"] > row["tmix"]["0.75"] > 0
 
 
 def test_empty_height_range_exits_2(tmp_path):

@@ -247,7 +247,7 @@ def test_chain_tracks_prediction_at_large_h():
 def test_chain_exact_mean_matches_lapack(params):
     chain = descent_chain(params)
     for start in (0, 3):
-        e = chain._transient_point_mass(start)
+        e = chain._point_mass(start)[~chain._absorbing]
         lapack = e @ np.linalg.solve(np.eye(len(e)) - chain._q,
                                      np.ones(len(e)))
         assert chain.exact_mean(start) == pytest.approx(lapack, rel=1e-12)

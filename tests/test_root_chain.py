@@ -3,6 +3,8 @@ equal summaries, an equitable partition, its invariants at any h, and its
 absorbing form's leaf-hitting law."""
 
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from expander_cutoff.graphs import LEAF, GraphError
 from expander_cutoff.mixing import (
     cutoff_report,
     default_laziness,
+    point_mass,
     summarize_profile,
     tv_profile_until,
     tv_to_uniform,
@@ -49,7 +52,7 @@ def chain(variant, L, h):
     return root_chain(ConstructionParams(h=h, L=L, variant=variant))
 
 
-@pytest.mark.parametrize("laziness", [0.0, 0.25])
+@pytest.mark.parametrize("laziness", [0.0, 0.25, 0.5])
 @pytest.mark.parametrize("variant, L, h", SMALL)
 def test_chain_tv_equals_materialized(g, variant, L, h, laziness):
     c = chain(variant, L, h)
@@ -140,7 +143,8 @@ def test_chain_rejects_other_variants_and_starts():
        scale=st.sampled_from([1.0, 1e-200, 1e100]))
 def test_chain_kernel_equals_csr_matvec(variant, h, L, seed, scale):
     """The chain's numpy row sum is bit-identical to scipy's csr_matvec on
-    adjacency_csr(), and its weighted TV to the formula with the exact n."""
+    adjacency_csr() (counts^T), and its TV to the formula with the
+    chain's stationary class masses."""
     if variant == "no_cutoff":
         h += h % 2
     c = class_chain(ConstructionParams(h=h, L=L, variant=variant,
@@ -150,24 +154,43 @@ def test_chain_kernel_equals_csr_matvec(variant, h, L, seed, scale):
     out, ref = np.full(k, np.nan), np.zeros(k)
     c.matvec_kernel()(x, out)
     a = c.adjacency_csr()
+    assert np.array_equal(a.toarray(), c.counts.T)
     csr_matvec(k, k, a.indptr, a.indices, a.data, x, ref)
     assert np.array_equal(out, ref)
-    assert (np.count_nonzero(c.counts, axis=1) <= 3).all()
+    assert (np.count_nonzero(c.counts, axis=0) <= 3).all()
     work = np.empty(k)
-    exact = 0.5 * float(c.weights @ np.abs(x - 1.0 / c.vertex_count))
-    assert tv_to_uniform(x, work, c.weights) == exact
+    exact = 0.5 * float(np.abs(x - c.stationary).sum())
+    assert tv_to_uniform(x, work, c.stationary) == exact
 
 
-def test_weighted_tv_uses_the_exact_vertex_count():
+def test_stationary_is_the_exact_class_share():
     # the float64 sum of these chains' class sizes rounds n differently
-    # from float(n); with it the root's point mass would read TV above 1
-    # (1.0000000000000002) at cubic h=31
+    # from float(n), and with it the root's point mass read TV above 1
+    # (1.0000000000000002) at cubic h=31; each stationary[c] is
+    # sizes[c] / n rounded once from the exact integers
     for variant, L, h in (("cubic", 1, 31), ("five_regular", 4, 13)):
         c = chain(variant, L, h)
-        x = np.zeros(c.state_count)
-        x[0] = 1.0
-        exact = 0.5 * float(c.weights @ np.abs(x - 1.0 / c.vertex_count))
-        assert tv_to_uniform(x, None, c.weights) == exact
+        for size, share in zip(c.sizes, c.stationary.tolist()):
+            error = abs(Fraction(share) - Fraction(size, c.vertex_count))
+            assert error <= Fraction(math.ulp(share)) / 2
+        assert tv_to_uniform(point_mass(c.state_count, 0), None,
+                             c.stationary) <= 1.0
+
+
+def test_chain_holds_past_the_float_range():
+    # n > 2^1024 from cubic L=3 h=341: no float holds n or a class size.
+    # The root's point mass is at TV 1 - 1/n from stationarity, which
+    # rounds to 1.0; after 200 steps the walk's classes hold a share
+    # below 2^-950 of n, and the TV still reads 1 up to the mass's rounding
+    c = chain("cubic", 3, 341)
+    assert c.vertex_count == family_vertex_count("cubic", 341, 3)
+    assert c.vertex_count.bit_length() > 1024
+    assert abs(c.stationary.sum() - 1.0) < 1e-12
+    assert tv_to_uniform(point_mass(c.state_count, 0), None,
+                         c.stationary) <= 1.0
+    prof = tv_profile_until(c, 0, None, 200)
+    assert prof.renormalizations == 0
+    assert np.abs(prof.tv - 1.0).max() < 1e-12
 
 
 def test_profile_rejects_bad_stride_and_eps():
@@ -214,19 +237,26 @@ def test_survival_no_cutoff_tags_are_close(no_cutoff_h2):
 
 
 def _counts_solves(chain, t_max):
-    """Mean and survival from Q = counts / degree on the transient classes,
-    the entries the CSR the sampler walks must reproduce; the mean by the
-    elimination exact_mean runs (test_chain_exact_mean_matches_lapack
-    checks it against LAPACK)."""
+    """Mean from Q = counts / degree on the transient classes, the entries
+    the CSR the sampler walks must reproduce, by the elimination
+    exact_mean runs (test_chain_exact_mean_matches_lapack checks it
+    against LAPACK); survival from class masses stepped by
+    counts^T (m / degree), each entry summed over its nonzero terms in
+    class order from 0.0, the order the row-sum kernel sums in."""
     classes = chain.classes
-    keep = ~np.isin(np.arange(classes.state_count), classes.leaves)
-    q = (classes.counts / classes.degree)[np.ix_(keep, keep)]
+    counts, k = classes.counts, classes.state_count
+    leaf = np.isin(np.arange(k), classes.leaves)
+    q = (counts / classes.degree)[np.ix_(~leaf, ~leaf)]
     mean = _solve_no_pivoting(np.eye(len(q)) - q, np.ones(len(q)))[0]
-    dist = (np.arange(len(q)) == 0).astype(float)
+    terms = [np.flatnonzero(counts[:, d]) for d in range(k)]
+    mass = point_mass(k, 0)
     surv = np.empty(t_max + 1)
     for t in range(t_max + 1):
-        surv[t] = dist.sum()
-        dist = dist @ q
+        mass[leaf] = 0.0
+        surv[t] = mass.sum()
+        x = mass / classes.degree
+        mass = np.array([sum((counts[c, d] * x[c] for c in terms[d]), 0.0)
+                         for d in range(k)])
     return float(mean), surv
 
 
@@ -242,3 +272,26 @@ def test_exact_means_at_reference_sizes():
         mean, surv = _counts_solves(c, 300)
         assert c.exact_mean() == mean
         assert np.array_equal(c.survival(300), surv)
+
+
+def _dense_survival(chain, t_max):
+    """The survival as a row vector over the transient classes times the
+    dense Q, one step at a time: how the descent chain evolved it before
+    it shared the row-sum kernel."""
+    dist = chain._point_mass(0)[~chain._absorbing]
+    out = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        out[t] = dist.sum()
+        dist = dist @ chain._q
+    return out
+
+
+@pytest.mark.parametrize("params", [
+    ConstructionParams(h=40, L=3, variant="cubic"),
+    ConstructionParams(h=24, L=2, L_prime=4, variant="no_cutoff"),
+], ids=["cubic-40-3", "no_cutoff-24-2-4"])
+def test_survival_equals_dense_evolution_at_large_h(params):
+    chain = descent_chain(params)
+    t_max = 10 ** 4
+    assert np.abs(chain.survival(t_max)
+                  - _dense_survival(chain, t_max)).max() < 1e-12

@@ -1,14 +1,20 @@
-"""The benchmark tracer (perfbench/layers.py) still finds every layer it
-hooks: a change that deletes or renames a traced function shows up here,
-not as a silently empty metric."""
+"""The benchmark's tooling against the package: the tracer
+(perfbench/layers.py) still finds every layer it hooks, and the CLI still
+parses every command of every workload (perfbench/workloads.py).  A change
+that deletes or renames a traced function or a flag shows up here, not as
+a silently empty metric or a failed benchmark run."""
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import expander_cutoff
+from expander_cutoff.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +47,20 @@ def test_tracer_finds_every_hooked_layer(tmp_path):
     assert {"cli.write", "construction.build", "expanders.make_expander",
             "graphs.finish", "graphs.to_text",
             "graphs.is_bipartite"} <= set(report["spans"])
+
+
+# the file's globals; it imports only the standard library
+WORKLOADS = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS["WORKLOADS"]))
+def test_every_workload_command_parses(name):
+    workload = WORKLOADS["WORKLOADS"][name]
+    inputs = WORKLOADS["Inputs"](seed=1, input_seed=1)
+    commands = (workload.setup(inputs)
+                + workload.study(inputs, Path("setup")))
+    assert commands
+    for command in commands:
+        # argparse exits 2 on a flag or choice the command does not take
+        args = build_parser().parse_args(command.argv)
+        assert args.command == command.argv[0]
