@@ -76,7 +76,7 @@ def _add_common(p, seed_required=False):
                    help="key=value file; explicit flags override it")
     p.add_argument("--seed", type=int, default=None, required=False)
     p.add_argument("--out", type=str, default="out")
-    p.set_defaults(_seed_required=seed_required)
+    p.set_defaults(_seed_required=seed_required, _parser=p)
 
 
 def _add_build_params(p, flags="variant h L Lprime m min-gap",
@@ -179,11 +179,8 @@ def build_parser():
     return ap
 
 
-_CONFIG_TYPES = {"h": int, "L": int, "Lprime": int, "m": int, "seed": int,
-                 "tmax": int, "stride": int, "samples": int,
-                 "laziness": float, "min_gap": float,
-                 # the repeatable --eps, as a comma-separated list
-                 "eps": lambda val: [float(e) for e in val.split(",")]}
+# a comma-separated list for the repeatable --eps; others use the flag type
+_CONFIG_TYPES = {"eps": lambda val: [float(e) for e in val.split(",")]}
 _POST_CONFIG_DEFAULTS = {"variant": "five_regular", "Lprime": 0, "m": 0,
                          "min_gap": 0.05, "stride": 1}
 
@@ -201,7 +198,10 @@ def _read_input(read, path, what) -> str:
 
 
 def _apply_config(args):
+    """Fill the flags left unset from --config, by each flag's type and
+    choices (args._parser is the command's subparser)."""
     if args.config:
+        actions = {a.dest: a for a in args._parser._actions}
         for line in _read_input(Path.read_text, args.config,
                                 "config file").splitlines():
             line = line.strip()
@@ -215,11 +215,17 @@ def _apply_config(args):
             if not hasattr(args, key):
                 raise UsageError(f"unknown config key: {key}")
             if getattr(args, key) is None:
+                action = actions[key]
                 try:
-                    setattr(args, key, _CONFIG_TYPES.get(key, str)(val))
+                    value = _CONFIG_TYPES.get(key, action.type or str)(val)
                 except ValueError:
                     raise UsageError(f"bad value for config key {key}: "
                                      f"{val!r}") from None
+                if action.choices is not None and value not in action.choices:
+                    raise UsageError(
+                        f"invalid choice for config key {key}: {val!r} "
+                        f"(choose from {', '.join(action.choices)})")
+                setattr(args, key, value)
     for key, default in _POST_CONFIG_DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, default)

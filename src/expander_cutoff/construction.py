@@ -321,20 +321,22 @@ class RootChain:
     """The walk from the root (vertex 0) of a cubic or five_regular build,
     lumped onto the classes of an equitable partition containing {root}.
 
-    State c stands for the sizes[c] vertices of one class, and counts[c, c']
-    is the number of neighbours in class c' of every vertex of class c.
-    Started at the root the walk stays constant on each class, and as
-    sizes[c] counts[c, c'] = sizes[c'] counts[c', c], its class masses
-    evolve exactly as m' = (1 - l) counts^T m / d + l m (Levin-Peres-Wilmer,
-    section 2.3).  The TV distance to uniform is 1/2 sum_c |m_c - pi_c|,
-    pi = `stationary`, the shares sizes[c] / n each rounded once from the
-    exact integers, so no float holds n or a class size.  No expander
-    enters: the cross wiring only ever joins vertices of one class, or a
-    class to its own pendant and auxiliary classes.  levels[c] is the tree
-    level of a class of tree nodes or leaves (UNLEVELED for the others),
-    and `leaves` lists the leaf classes.  class_chain builds one for
-    no_cutoff too, on classes that are not equitable; only the descent
-    chain reads it.
+    State c stands for the sizes[c] vertices of one class.  Stored like a
+    LeveledGraph, the chain is a read-only CSR multigraph: row c of
+    (indptr, indices) lists in ascending order the class of each of the d
+    neighbours of a vertex of class c, so c' appears counts[c, c'] times,
+    and memory is O(k d), with no k x k array.  Started at the root the
+    walk stays constant on each class, and as sizes[c] counts[c, c'] =
+    sizes[c'] counts[c', c], its class masses evolve exactly as
+    m' = (1 - l) counts^T m / d + l m (Levin-Peres-Wilmer, section 2.3).
+    The TV distance to uniform is 1/2 sum_c |m_c - pi_c|, pi = `stationary`,
+    the shares sizes[c] / n each rounded once from the exact integers, so
+    no float holds n or a class size.  No expander enters: the cross wiring
+    only ever joins vertices of one class, or a class to its own pendant
+    and auxiliary classes.  levels[c] is the tree level of a class of tree
+    nodes or leaves (UNLEVELED for the others), and `leaves` lists the leaf
+    classes.  class_chain builds one for no_cutoff too, on classes that are
+    not equitable; only the descent chain reads it.
 
     mixing.step walks the chain like a graph: vertex_count is n,
     float_degrees() the degree of every state, and matvec_kernel() gives
@@ -344,23 +346,25 @@ class RootChain:
     evolves its survival through the same kernel, loads scipy.
     """
 
-    __slots__ = ("sizes", "counts", "degree", "meta", "levels", "leaves",
-                 "stationary", "_n", "_csr", "_kernel", "_float_degrees")
+    __slots__ = ("sizes", "indptr", "indices", "degree", "meta", "levels",
+                 "leaves", "stationary", "_n", "_csr", "_kernel",
+                 "_float_degrees")
 
-    def __init__(self, sizes, counts, degree, meta, levels, leaves):
+    def __init__(self, sizes, indices, degree, meta, levels, leaves):
         self.sizes = tuple(int(s) for s in sizes)
         self._n = sum(self.sizes)
-        self.counts = np.asarray(counts, dtype=np.int64)
-        self.counts.setflags(write=False)
         self.degree = int(degree)
+        self.indptr = self.degree * np.arange(len(self.sizes) + 1)
+        self.indices = np.asarray(indices, dtype=np.int64)
         self.meta = dict(meta)
         self.levels = tuple(int(v) for v in levels)
         self.leaves = tuple(int(c) for c in leaves)
         self._csr = self._kernel = None
         self.stationary = np.asarray([s / self._n for s in self.sizes])
-        self.stationary.setflags(write=False)
         self._float_degrees = np.full(len(self.sizes), float(degree))
-        self._float_degrees.setflags(write=False)
+        for arr in (self.indptr, self.indices, self.stationary,
+                    self._float_degrees):
+            arr.setflags(write=False)
 
     @property
     def vertex_count(self) -> int:
@@ -374,28 +378,37 @@ class RootChain:
         return self._float_degrees
 
     def adjacency_csr(self):
-        """counts^T as a cached scipy CSR matrix with float64 entries."""
+        """counts^T as a cached scipy CSR matrix with float64 entries, one
+        unit per arc at (destination, source), summed."""
         if self._csr is None:
             import scipy.sparse as sp
 
-            self._csr = sp.csr_matrix(self.counts.T.astype(np.float64))
+            k = self.state_count
+            src = np.repeat(np.arange(k), self.degree)
+            self._csr = sp.csr_matrix((np.ones(len(src)), (self.indices, src)),
+                                      shape=(k, k))
         return self._csr
 
     def matvec_kernel(self):
         """Cached kernel(x, out) writing counts^T x into `out`,
         bit-identical to csr_matvec on adjacency_csr(): each row's nonzeros
         are summed in column order starting from 0.0.  columns[j, c] is the
-        j-th nonzero column of row c and values[j, c] its count; shorter
-        rows are padded with column 0 and count 0.0, which leaves a finite
-        sum unchanged."""
+        j-th source class of the arcs into c and values[j, c] their count;
+        shorter rows are padded with column 0 and count 0.0, which leaves a
+        finite sum unchanged."""
         if self._kernel is None:
-            rows, cols = np.nonzero(self.counts.T)  # columns ascending per row
+            k = self.state_count
+            # (destination, source) pairs, sorted by row, then column
+            pairs, counts = np.unique(
+                self.indices * k + np.repeat(np.arange(k), self.degree),
+                return_counts=True)
+            rows, cols = np.divmod(pairs, k)
             rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-            shape = (int(rank.max()) + 1, self.state_count)
+            shape = (int(rank.max()) + 1, k)
             columns = np.zeros(shape, dtype=np.int64)
             values = np.zeros(shape)
             columns[rank, rows] = cols
-            values[rank, rows] = self.counts[cols, rows]
+            values[rank, rows] = counts
 
             def kernel(x, out):
                 terms = x[columns]
@@ -407,34 +420,20 @@ class RootChain:
             self._kernel = kernel
         return self._kernel
 
-    def is_bipartite(self) -> bool:
-        """True iff no edge joins two vertices at equal distance from the
-        root, the odd-cycle rule is_bipartite decides on a build.  All
-        vertices of a class share their distance, since the partition is
-        equitable, so a breadth-first search over classes finds it."""
-        dist = np.full(self.state_count, -1, dtype=np.int64)
-        dist[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = np.flatnonzero(self.counts[frontier].any(axis=0) & (dist < 0))
-            dist[nxt] = dist[frontier[0]] + 1
-            frontier = nxt.tolist()
-        rows, cols = np.nonzero(self.counts)
-        return bool((dist[rows] != dist[cols]).all())
-
 
 class _ChainBuilder:
-    """Class sizes, neighbour counts and tree levels, added the way a
-    build adds vertices and edges."""
+    """Class sizes, tree levels and rows[c], the class of each neighbour of
+    a vertex of class c, added the way a build adds vertices and edges."""
 
     def __init__(self):
         self.sizes = []
         self.levels = []
-        self.counts = {}
+        self.rows = []
 
     def add(self, size, level=UNLEVELED) -> int:
         self.sizes.append(size)
         self.levels.append(level)
+        self.rows.append([])
         return len(self.sizes) - 1
 
     def join(self, a, b, per_a, per_b) -> None:
@@ -443,9 +442,9 @@ class _ChainBuilder:
         if self.sizes[a] * per_a != self.sizes[b] * per_b:
             raise GraphError(f"classes {a} and {b} cannot be joined "
                              f"{per_a}:{per_b}")
-        self.counts[a, b] = self.counts.get((a, b), 0) + per_a
+        self.rows[a] += [b] * per_a
         if a != b:
-            self.counts[b, a] = self.counts.get((b, a), 0) + per_b
+            self.rows[b] += [a] * per_b
 
     def below(self, parent, branching, level=UNLEVELED) -> int:
         """A class of `branching` children per vertex of `parent`."""
@@ -487,15 +486,12 @@ class _ChainBuilder:
         return [c for c, _ in columns], interiors
 
     def chain(self, degree, meta, leaves) -> RootChain:
-        k = len(self.sizes)
-        counts = np.zeros((k, k), dtype=np.int64)
-        for (a, b), c in self.counts.items():
-            counts[a, b] = c
-        bad = np.flatnonzero(counts.sum(axis=1) != degree)
-        if len(bad):
-            raise GraphError(f"chain bug: class {bad[0]} has degree "
-                             f"{counts[bad[0]].sum()}, expected {degree}")
-        return RootChain(self.sizes, counts, degree, meta, self.levels, leaves)
+        for c, row in enumerate(self.rows):
+            if len(row) != degree:
+                raise GraphError(f"chain bug: class {c} has degree "
+                                 f"{len(row)}, expected {degree}")
+        indices = [t for row in self.rows for t in sorted(row)]
+        return RootChain(self.sizes, indices, degree, meta, self.levels, leaves)
 
 
 ROOT_CHAIN_VARIANTS = ("cubic", "five_regular")
@@ -544,7 +540,7 @@ def class_chain(params: ConstructionParams) -> RootChain:
     if not cubic:
         meta["tstar"] = theoretical_tstar(h, L)
     chain = c.chain(degree, meta, leaves)
-    chain.meta["bipartite"] = chain.is_bipartite()
+    chain.meta["bipartite"] = is_bipartite(chain)
     return chain
 
 

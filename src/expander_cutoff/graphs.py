@@ -399,7 +399,7 @@ def assert_regular(g: LeveledGraph, d: int) -> bool:
 
 def bfs_distances(g: LeveledGraph, source: int) -> np.ndarray:
     """BFS distance from source to every vertex (-1 for unreachable)."""
-    n = g.vertex_count
+    n = len(g.indptr) - 1
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
@@ -413,12 +413,13 @@ def bfs_distances(g: LeveledGraph, source: int) -> np.ndarray:
         take = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts) \
             + np.repeat(starts, counts)
         nbrs = g.indices[take]
-        fresh = np.unique(nbrs[dist[nbrs] < 0])
+        # not np.unique: it imports numpy.ma on first use and hashes slower
+        fresh = np.sort(nbrs[dist[nbrs] < 0])
         if fresh.size == 0:
             break
         d += 1
-        dist[fresh] = d
-        frontier = fresh
+        frontier = fresh[np.diff(fresh, prepend=-1) != 0]
+        dist[frontier] = d
     return dist
 
 
@@ -429,8 +430,10 @@ def is_connected(g: LeveledGraph) -> bool:
 
 
 def is_bipartite(g: LeveledGraph) -> bool:
-    """True iff g has no odd cycle (checked per connected component)."""
-    n = g.vertex_count
+    """True iff g has no odd cycle (checked per connected component).  g is
+    a LeveledGraph or any CSR multigraph (a construction.RootChain), so
+    every arc is checked: a self-loop is an odd cycle."""
+    n = len(g.indptr) - 1
     color = np.full(n, -1, dtype=np.int64)
     for s in range(n):
         if color[s] >= 0:
@@ -438,10 +441,8 @@ def is_bipartite(g: LeveledGraph) -> bool:
         dist = bfs_distances(g, s)
         comp = dist >= 0
         color[comp] = dist[comp] % 2
-    edges = g.edge_array()
-    if len(edges) == 0:
-        return True
-    return bool((color[edges[:, 0]] != color[edges[:, 1]]).all())
+    tail_color = np.repeat(color, np.diff(g.indptr))
+    return bool((tail_color != color[g.indices]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ per step at any height.
 
 step takes the product from the object it walks (`matvec_kernel()`): a
 graph runs scipy's csr_matvec on its CSR adjacency, a chain a numpy
-row sum over counts^T bit-identical to csr_matvec on it.  Nothing here
-imports scipy, so a chain is evolved without loading it.
+row sum over the arcs of its CSR multigraph, bit-identical to csr_matvec.
+Nothing here imports scipy, so a chain is evolved without loading it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import RootChain, leaf_level
-from .graphs import GraphError, LeveledGraph, PATH_INTERIOR, UNLEVELED
+from .graphs import (GraphError, LeveledGraph, PATH_INTERIOR, UNLEVELED,
+                     bfs_distances, is_bipartite)
 
 RENORM_TOL = 1e-9
 
@@ -73,11 +74,12 @@ def tv_to_uniform(p: np.ndarray, work: np.ndarray | None = None,
                   pi: np.ndarray | None = None) -> float:
     """Half the L1 distance between p and the stationary law `pi`, uniform
     when not given; `work` (float64, p's length) is scratch, allocated when
-    not given.  A RootChain's class masses take its `stationary` as pi."""
+    not given.  A RootChain's class masses take its `stationary` as pi.
+    Clamped at 1, which rounding in the sum could exceed."""
     work = np.empty(len(p)) if work is None else work
     np.subtract(p, 1.0 / len(p) if pi is None else pi, out=work)
     np.abs(work, out=work)
-    return 0.5 * float(work.sum())
+    return min(1.0, 0.5 * float(work.sum()))
 
 
 def default_laziness(g: LeveledGraph) -> float:
@@ -85,8 +87,6 @@ def default_laziness(g: LeveledGraph) -> float:
     time; deserialized graphs are re-checked), else 1/2."""
     bipartite = g.meta.get("bipartite")
     if bipartite is None:
-        from .graphs import is_bipartite
-
         bipartite = is_bipartite(g)
     return 0.5 if bipartite else 0.0
 
@@ -221,8 +221,6 @@ def default_starts(g: LeveledGraph) -> list:
             if len(hits):
                 out.append(int(hits[0]))
         return sorted(set(out))
-    from .graphs import bfs_distances
-
     far = int(np.argmax(bfs_distances(g, 0)))
     return sorted({0, far})
 

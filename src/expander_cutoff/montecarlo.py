@@ -370,26 +370,24 @@ class DescentChain:
     lumped onto classes (construction.class_chain), with the leaf classes
     absorbing: its hitting time of the leaf level.
 
-    State c moves to c' with probability counts[c, c'] / degree, so the
-    counts are a CSR multigraph with `degree` entries per state, the chain
-    walk_frontier would walk.  survival steps its class masses through the
-    class chain's matvec_kernel (counts^T), sample inverts it, and only
-    exact_mean builds the dense transient Q.  The law is exact for cubic
-    and five_regular; no_cutoff's regime tags are an approximation.
+    State c moves to c' with probability counts[c, c'] / degree, the share
+    of c' in row c of the class chain's CSR multigraph (classes.indptr,
+    classes.indices), which walk_frontier walks as it is.  survival steps
+    its class masses through the class chain's matvec_kernel (counts^T),
+    sample inverts it, and only exact_mean builds the dense transient Q,
+    the one k x k array of either chain.  The law is exact for cubic and
+    five_regular; no_cutoff's regime tags are an approximation.
     """
 
     def __init__(self, classes):
         self.classes = classes
-        k = classes.state_count
-        rows, cols = np.nonzero(classes.counts)
-        self._indptr = classes.degree * np.arange(k + 1, dtype=np.int64)
-        self._indices = np.repeat(cols, classes.counts[rows, cols])
-        self._absorbing = np.zeros(k, dtype=bool)
+        self._absorbing = np.zeros(classes.state_count, dtype=bool)
         self._absorbing[list(classes.leaves)] = True
 
     @cached_property
     def _q(self) -> np.ndarray:
-        return _transient_matrix(self._indptr, self._indices, self._absorbing)
+        return _transient_matrix(self.classes.indptr, self.classes.indices,
+                                 self._absorbing)
 
     @property
     def size(self):

@@ -212,6 +212,28 @@ def test_config_eps_is_a_checked_list(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("hitting", "--chain", "--h", "2", "--L", "2"), "cylinder"),
+    (("build", "--h", "1", "--L", "2"), "bogus"),
+], ids=["hitting-cylinder", "build-bogus"])
+def test_config_values_take_the_flags_choices(tmp_path, capsys, argv, value):
+    # the flag form is refused by argparse; the config form used to reach
+    # the build and exit 1 there
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--variant", value, "--seed", "1", "--out", str(out))
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"variant={value}\n")
+    assert run(*argv, "--config", str(cfg), "--seed", "1",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid choice for config key variant: "
+                          f"'{value}'")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["graph_dir", "graph_bytes", "config_bytes",
                                   "out_file", "out_below_file"])
 def test_bad_paths_exit_2(tmp_path, capsys, case):

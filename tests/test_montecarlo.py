@@ -267,7 +267,8 @@ def _walk_chain(chain, num_samples, seed):
     """Hitting times from walking the chain's own CSR trajectory by
     trajectory with walk_frontier, the sampler of graphs and oracles."""
     times = np.zeros(num_samples, dtype=np.int64)
-    for t, ids, _ in walk_frontier(chain._indptr, chain._indices,
+    classes = chain.classes
+    for t, ids, _ in walk_frontier(classes.indptr, classes.indices,
                                    chain._absorbing, 0, num_samples, seed):
         times[ids] = t
     return times
@@ -312,7 +313,8 @@ def test_chain_sample_prefixes_and_edges():
 
 def test_chain_step_cap_raises(monkeypatch):
     # one transient state that stays with probability 3/4: S(t) = 0.75^t
-    chain = DescentChain(RootChain(sizes=(1, 1), counts=[[3, 1], [1, 3]],
+    chain = DescentChain(RootChain(sizes=(1, 1),
+                                   indices=[0, 0, 0, 1, 0, 1, 1, 1],
                                    degree=4, meta={}, levels=(0, 1),
                                    leaves=(1,)))
     assert chain.survival(3).tolist() == [1.0, 0.75, 0.5625, 0.421875]
@@ -320,8 +322,8 @@ def test_chain_step_cap_raises(monkeypatch):
     assert chain.sample(1000, seed=1).max() <= 200
     monkeypatch.setattr(montecarlo, "STEP_CAP", 5)
     with pytest.raises(GraphError, match="step cap 5 exceeded"):
-        list(walk_frontier(chain._indptr, chain._indices, chain._absorbing,
-                           0, 1000, seed=1))
+        list(walk_frontier(chain.classes.indptr, chain.classes.indices,
+                           chain._absorbing, 0, 1000, seed=1))
     with pytest.raises(GraphError, match="step cap 5 exceeded"):
         chain.sample(1000, seed=1)
 

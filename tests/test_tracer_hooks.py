@@ -18,15 +18,22 @@ from expander_cutoff.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# install monkeypatches the package, so it runs in a fresh process
+# install monkeypatches the package, so it runs in a fresh process; the
+# chain commands walk a RootChain through the traced mixing.step, whose
+# byte count reads the chain's adjacency_csr()
 _INSTALL_SCRIPT = """
 import json, sys
 import layers
 from expander_cutoff import cli
 rec = layers.Recorder()
 layers.install(rec)
-assert cli.main(["build", "--h", "1", "--L", "2", "--seed", "1",
-                 "--out", sys.argv[1]]) == 0
+out = sys.argv[1]
+for argv in (["build", "--h", "1", "--L", "2"],
+             ["cutoff-report", "--variant", "cubic", "--L", "3",
+              "--hmin", "2", "--hmax", "2"],
+             ["hitting", "--chain", "--variant", "five_regular", "--h", "2",
+              "--L", "2", "--samples", "100"]):
+    assert cli.main(argv + ["--seed", "1", "--out", out + "/" + argv[0]]) == 0
 print(json.dumps({"missing": rec.missing,
                   "spans": sorted({s[0] for s in rec.spans})}))
 """
@@ -43,10 +50,12 @@ def test_tracer_finds_every_hooked_layer(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["missing"] == []
-    # a build passes through the layers the build metrics read
+    # a build passes through the layers the build metrics read, and the
+    # chain commands through the walk and chain layers
     assert {"cli.write", "construction.build", "expanders.make_expander",
-            "graphs.finish", "graphs.to_text",
-            "graphs.is_bipartite"} <= set(report["spans"])
+            "graphs.finish", "graphs.to_text", "graphs.is_bipartite",
+            "mixing.step", "montecarlo.chain_sample",
+            "montecarlo.chain_solve"} <= set(report["spans"])
 
 
 # the file's globals; it imports only the standard library
