@@ -1,5 +1,14 @@
 """Leveled expander constructions with exact random-walk mixing diagnostics."""
 
+import os
+
+# numpy's OpenBLAS runs only small dense work, so one thread (scipy's keeps its
+# default); a numpy imported before this package keeps its threads, as before.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy  # noqa: F401
+    del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .construction import (
     ConstructionParams,
     RootChain,

@@ -75,7 +75,7 @@ def _add_common(p, seed_required=False):
     p.add_argument("--config", type=str, default=None,
                    help="key=value file; explicit flags override it")
     p.add_argument("--seed", type=int, default=None, required=False)
-    p.add_argument("--out", type=str, default="out")
+    p.add_argument("--out", type=str, default=None)
     p.set_defaults(_seed_required=seed_required, _parser=p)
 
 
@@ -118,8 +118,8 @@ def build_parser():
 
     p = sub.add_parser("spectral", help="spectral report for a built graph")
     p.add_argument("--graph", type=str, required=True)
-    p.add_argument("--cheeger-exact", action="store_true")
-    p.add_argument("--dirichlet", action="store_true")
+    p.add_argument("--cheeger-exact", action="store_true", default=None)
+    p.add_argument("--dirichlet", action="store_true", default=None)
     _add_common(p)
 
     p = sub.add_parser("profile", help="exact TV profiles from chosen starts")
@@ -133,16 +133,16 @@ def build_parser():
 
     p = sub.add_parser("hitting", help="hitting-time samples to the leaf level")
     p.add_argument("--graph", type=str, default=None)
-    p.add_argument("--chain", action="store_true",
+    p.add_argument("--chain", action="store_true", default=None,
                    help="sample the leaf-hitting chain instead of a built "
                         "graph, and report its exact mean")
     # the chain reads no --m or --min-gap, and a cylinder has no chain
     _add_build_params(p, "variant h L Lprime",
                       [v for v in construction.VARIANTS if v != "cylinder"])
-    p.add_argument("--start", type=str, default="0",
+    p.add_argument("--start", type=str, default=None,
                    help="start vertex (graph mode) or start level (chain mode)")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--raw", action="store_true",
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--raw", action="store_true", default=None,
                    help="also write one sample per line")
     _add_common(p, seed_required=True)
 
@@ -163,8 +163,8 @@ def build_parser():
 
     p = sub.add_parser("cylinder-sweep",
                        help="mixing time versus cylinder length at fixed host")
-    p.add_argument("--Ls", type=str, default="5,9,13")
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--Ls", type=str, default=None)
+    p.add_argument("--m", type=int, default=None)
     # no --eps: its CSV and JSON report only the 1/4 and 3/4 times
     _add_walk_params(p)
     _add_common(p, seed_required=True)
@@ -172,7 +172,7 @@ def build_parser():
     p = sub.add_parser("nocutoff-demo",
                        help="uneven-stretch build: bimodality plus cutoff ratio")
     _add_build_params(p, "h L Lprime min-gap")
-    p.add_argument("--samples", type=int, default=5000)
+    p.add_argument("--samples", type=int, default=None)
     _add_walk_params(p)
     _add_eps(p)
     _add_common(p, seed_required=True)
@@ -181,8 +181,16 @@ def build_parser():
 
 # a comma-separated list for the repeatable --eps; others use the flag type
 _CONFIG_TYPES = {"eps": lambda val: [float(e) for e in val.split(",")]}
-_POST_CONFIG_DEFAULTS = {"variant": "five_regular", "Lprime": 0, "m": 0,
-                         "min_gap": 0.05, "stride": 1}
+# every flag defaults to None, so a config key can set it while an explicit
+# flag still wins; these values are filled after the merge, a
+# (command, flag) entry before a flag's own
+_POST_CONFIG_DEFAULTS = {
+    "variant": "five_regular", "Lprime": 0, "m": 0, "min_gap": 0.05,
+    "stride": 1, "out": "out", "start": "0", "samples": 10000,
+    "raw": False, "chain": False, "cheeger_exact": False, "dirichlet": False,
+    "Ls": "5,9,13", ("cylinder-sweep", "m"): 4,
+    ("nocutoff-demo", "samples"): 5000}
+_CONFIG_FLAG_VALUES = {"1": True, "true": True, "0": False, "false": False}
 
 
 def _read_input(read, path, what) -> str:
@@ -217,8 +225,11 @@ def _apply_config(args):
             if getattr(args, key) is None:
                 action = actions[key]
                 try:
-                    value = _CONFIG_TYPES.get(key, action.type or str)(val)
-                except ValueError:
+                    if action.nargs == 0:   # a store_true flag
+                        value = _CONFIG_FLAG_VALUES[val.lower()]
+                    else:
+                        value = _CONFIG_TYPES.get(key, action.type or str)(val)
+                except (KeyError, ValueError):
                     raise UsageError(f"bad value for config key {key}: "
                                      f"{val!r}") from None
                 if action.choices is not None and value not in action.choices:
@@ -226,8 +237,10 @@ def _apply_config(args):
                         f"invalid choice for config key {key}: {val!r} "
                         f"(choose from {', '.join(action.choices)})")
                 setattr(args, key, value)
-    for key, default in _POST_CONFIG_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
+    for key, value in vars(args).items():
+        if value is None:
+            default = _POST_CONFIG_DEFAULTS.get(
+                (args.command, key), _POST_CONFIG_DEFAULTS.get(key))
             setattr(args, key, default)
 
 

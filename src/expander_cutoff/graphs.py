@@ -435,10 +435,8 @@ def is_bipartite(g: LeveledGraph) -> bool:
     every arc is checked: a self-loop is an odd cycle."""
     n = len(g.indptr) - 1
     color = np.full(n, -1, dtype=np.int64)
-    for s in range(n):
-        if color[s] >= 0:
-            continue
-        dist = bfs_distances(g, s)
+    while (uncoloured := np.flatnonzero(color < 0)).size:
+        dist = bfs_distances(g, int(uncoloured[0]))
         comp = dist >= 0
         color[comp] = dist[comp] % 2
     tail_color = np.repeat(color, np.diff(g.indptr))

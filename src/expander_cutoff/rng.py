@@ -5,6 +5,8 @@ All randomized code in this package draws from Philox generators keyed by
 handed to parallel trajectories without coordination.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 

@@ -8,7 +8,8 @@ import pytest
 
 import expander_cutoff
 from expander_cutoff import construction
-from expander_cutoff.cli import main, read_artifact, read_json
+from expander_cutoff.cli import (_apply_config, build_parser, main,
+                                 read_artifact, read_json)
 from expander_cutoff.construction import ConstructionParams
 from expander_cutoff.graphs import GraphError, to_text
 from expander_cutoff.mixing import cutoff_report, default_starts
@@ -262,6 +263,52 @@ def test_flags_override_config(tmp_path):
     assert rc == 0
     census = read_json(out / "census.json")
     assert census["levels"]["3"] == 80  # h = 1 from the flag
+
+
+def test_config_sets_flags_that_have_defaults(tmp_path, capsys):
+    # these keys used to be dropped because their flags were not None
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "cfg_out"
+    cfg.write_text(f"samples=100\nraw=1\nstart=1\nout={out}\n")
+    argv = ("hitting", "--chain", "--h", "2", "--L", "2", "--seed", "1",
+            "--config", str(cfg))
+    assert run(*argv) == 0
+    assert read_json(out / "hitting.json")["count"] == 100
+    assert len(read_artifact(out / "hitting_samples.txt").split()) == 100
+    header = (out / "hitting.json").read_text().splitlines()[2]
+    assert " samples=100 " in header and " start=1 " in header
+    # an explicit flag still wins over the file
+    flag_out = tmp_path / "flag_out"
+    assert run(*argv, "--samples", "30", "--out", str(flag_out)) == 0
+    assert read_json(flag_out / "hitting.json")["count"] == 30
+    cfg.write_text("raw=maybe\n")
+    assert run(*argv, "--out", str(tmp_path / "bad")) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: bad value for config key raw: 'maybe'\n")
+
+
+@pytest.mark.parametrize("argv, text, expected", [
+    (("spectral", "--graph", "g.ev"), "",
+     {"cheeger_exact": False, "dirichlet": False, "out": "out"}),
+    (("spectral", "--graph", "g.ev"), "cheeger-exact=1\ndirichlet=true\n",
+     {"cheeger_exact": True, "dirichlet": True}),
+    (("spectral", "--graph", "g.ev", "--dirichlet"), "dirichlet=0\n",
+     {"dirichlet": True}),
+    (("hitting",), "",
+     {"chain": False, "raw": False, "start": "0", "samples": 10000}),
+    (("hitting",), "chain=True\nraw=false\n", {"chain": True, "raw": False}),
+    (("cylinder-sweep",), "", {"m": 4, "Ls": "5,9,13"}),
+    (("cylinder-sweep",), "m=6\nLs=5,7\n", {"m": 6, "Ls": "5,7"}),
+    (("cylinder-sweep", "--m", "8"), "m=6\n", {"m": 8}),
+    (("nocutoff-demo",), "", {"samples": 5000}),
+    (("build",), "", {"m": 0, "variant": "five_regular"}),
+])
+def test_config_resolution(tmp_path, argv, text, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    args = build_parser().parse_args([*argv, "--config", str(cfg)])
+    _apply_config(args)
+    assert {k: getattr(args, k) for k in expected} == expected
 
 
 def test_nocutoff_demo(tmp_path):
@@ -530,6 +577,24 @@ def test_eps_outside_unit_interval_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _fresh_python(script, *args, **env):
+    """Last stdout line of script run in a new interpreter on this
+    checkout's package; an env value of None removes the variable."""
+    src = str(Path(expander_cutoff.__file__).resolve().parents[1])
+    full = dict(os.environ)
+    full["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, full.get("PYTHONPATH")) if p)
+    for key, value in env.items():
+        if value is None:
+            full.pop(key, None)
+        else:
+            full[key] = value
+    done = subprocess.run([sys.executable, "-c", script, *args], env=full,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 _NO_SCIPY_SCRIPT = """
 import json, sys
 import expander_cutoff
@@ -539,29 +604,46 @@ out = sys.argv[1]
 assert cli.main(["cutoff-report", "--variant", "cubic", "--L", "3",
                  "--hmin", "2", "--hmax", "3", "--seed", "1",
                  "--out", out + "/cr"]) == 0
+report_random = "numpy.random" in sys.modules
 assert cli.main(["hitting", "--chain", "--h", "2", "--L", "2",
                  "--samples", "200", "--seed", "1", "--out", out + "/hc"]) == 0
 chain_scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 # cubic h=3 certifies a 2048-vertex expander, above the dense limit
 assert cli.main(["build", "--variant", "cubic", "--h", "3", "--L", "1",
                  "--seed", "1", "--out", out + "/b"]) == 0
-print(json.dumps({"chain_scipy": chain_scipy,
+print(json.dumps({"chain_scipy": chain_scipy, "report_random": report_random,
                   "build_scipy": "scipy.sparse.linalg" in sys.modules}))
 """
 
 
 def test_chain_commands_start_without_scipy(tmp_path):
     """cutoff-report on a chain variant and hitting --chain import no scipy
-    in a fresh process; build still certifies with ARPACK afterwards."""
-    src = str(Path(expander_cutoff.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
-                           str(tmp_path)], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.splitlines()[-1])
-    assert report == {"chain_scipy": [], "build_scipy": True}
+    in a fresh process, and the report, which samples nothing, no
+    numpy.random; build still certifies with ARPACK afterwards."""
+    report = json.loads(_fresh_python(_NO_SCIPY_SCRIPT, str(tmp_path)))
+    assert report == {"chain_scipy": [], "report_random": False,
+                      "build_scipy": True}
     census = read_json(tmp_path / "b" / "census.json")
     assert census["vertices"] > 2048 and census["meta"]["gap2"] > 0
+
+
+_THREADS_SCRIPT = """
+import json, os
+import expander_cutoff
+print(json.dumps([len(os.listdir("/proc/self/task")),
+                  "OPENBLAS_NUM_THREADS" in os.environ]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("blas_threads, expected", [
+    (None, [1, False]),   # the package pins numpy's BLAS, then unsets it
+    ("2", [2, True]),     # the caller's setting is kept
+])
+def test_numpy_blas_threads_after_import(blas_threads, expected):
+    if blas_threads and len(os.sched_getaffinity(0)) < int(blas_threads):
+        pytest.skip("OpenBLAS starts no more threads than usable CPUs")
+    line = _fresh_python(_THREADS_SCRIPT, OPENBLAS_NUM_THREADS=blas_threads,
+                         OMP_NUM_THREADS=None)
+    assert json.loads(line) == expected

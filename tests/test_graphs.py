@@ -346,6 +346,19 @@ def test_bipartiteness():
     assert is_bipartite(_grafted_tree(2, 3))
 
 
+@pytest.mark.parametrize("last, bipartite", [
+    ([(7, 8), (8, 9), (9, 7)], False),   # a triangle
+    ([(7, 8), (8, 9)], True),            # a path
+])
+def test_bipartiteness_reaches_every_component(last, bipartite):
+    # a 4-cycle, isolated vertex 4, an edge 5-6, then the last component:
+    # only a search that reaches it can see its odd cycle
+    square = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    g = graph_from_edges(10, square + [(5, 6)] + last)
+    assert g.degrees()[4] == 0
+    assert is_bipartite(g) is bipartite
+
+
 def test_serialization_roundtrip(five_reg_h1):
     text = to_text(five_reg_h1)
     g2 = from_text(text)
