@@ -21,7 +21,7 @@ from expander_cutoff import (
 print("TV profile from the root, 5-regular h=1 L=2")
 print("-" * 60)
 g = build(ConstructionParams(h=1, L=2))
-tstar = g.meta["tstar"]
+tstar = theoretical_tstar(1, 2)
 prof = tv_profile_until(g, 0, None, 80)
 marks = {0, 5, 10, 15, 20, 25, 30, 40, 50, 60, 80}
 for t, tv in zip(prof.times.tolist(), prof.tv.tolist()):

@@ -148,13 +148,13 @@ def build_parser():
 
     p = sub.add_parser(
         "cutoff-report", help="cutoff ratio versus h for a build family",
-        description="Cutoff ratio versus h from the root.  cubic and "
-                    "five_regular reports come from the exact root-class "
-                    "chain: nothing is built, so --seed and --min-gap do "
-                    "not change their output, and expanders are certified "
-                    "only by build.  no_cutoff is built.  A cylinder has no "
-                    "height: cylinder-sweep is its study.")
-    _add_build_params(p, "variant L Lprime min-gap")
+        description="Cutoff ratio versus h from the root, from the exact "
+                    "root-class chain of the cubic or five_regular build: "
+                    "nothing is built, so --seed does not change the "
+                    "output, and expanders are certified only by build.  "
+                    "no_cutoff's exact ratio is nocutoff-demo's "
+                    "exact_cutoff; cylinder-sweep studies cylinders.")
+    _add_build_params(p, "variant L", construction.ROOT_CHAIN_VARIANTS)
     p.add_argument("--hmin", type=int, required=True)
     p.add_argument("--hmax", type=int, required=True)
     _add_walk_params(p)
@@ -207,7 +207,8 @@ def _read_input(read, path, what) -> str:
 
 def _apply_config(args):
     """Fill the flags left unset from --config, by each flag's type and
-    choices (args._parser is the command's subparser)."""
+    choices (args._parser is the command's subparser), then from the
+    defaults."""
     if args.config:
         actions = {a.dest: a for a in args._parser._actions}
         for line in _read_input(Path.read_text, args.config,
@@ -237,6 +238,7 @@ def _apply_config(args):
                         f"invalid choice for config key {key}: {val!r} "
                         f"(choose from {', '.join(action.choices)})")
                 setattr(args, key, value)
+    _require_one_mode(args)
     for key, value in vars(args).items():
         if value is None:
             default = _POST_CONFIG_DEFAULTS.get(
@@ -260,11 +262,29 @@ def _require_out_dir(args):
             return
 
 
+def _require_one_mode(args):
+    """hitting samples a graph file or a chain, never both; checked before
+    the defaults fill the chain's flags, so a flag set by config counts."""
+    if args.command == "hitting" and args.graph is not None:
+        mixed = ["--chain"] if args.chain else []
+        mixed += [f"--{key}" for key in ("variant", "h", "L", "Lprime")
+                  if getattr(args, key) is not None]
+        if mixed:
+            raise UsageError(f"--graph cannot be combined with "
+                             f"{', '.join(mixed)}")
+
+
 def _require_in_range(args):
     for key in ("samples", "stride"):
         value = getattr(args, key, None)
         if value is not None and value < 1:
             raise UsageError(f"--{key} must be >= 1, got {value}")
+    laziness = getattr(args, "laziness", None)
+    if laziness is not None and not 0.0 <= laziness <= 0.5:
+        raise UsageError(f"--laziness must lie in [0, 1/2], got {laziness}")
+    tmax = getattr(args, "tmax", None)
+    if tmax is not None and tmax < 0:
+        raise UsageError(f"--tmax must be >= 0, got {tmax}")
     for eps in getattr(args, "eps", None) or ():
         if not 0.0 < eps < 1.0:
             raise UsageError(f"--eps must lie in (0, 1), got {eps}")
@@ -275,10 +295,9 @@ def _params_from_args(args) -> ConstructionParams:
         raise UsageError("--h is required for this variant")
     if args.L is None:
         raise UsageError("--L is required")
-    seed = args.seed if args.seed is not None else 1
     return ConstructionParams(
         h=args.h or 0, L=args.L, variant=args.variant, L_prime=args.Lprime,
-        expander_seeds=(seed, seed + 1),
+        expander_seeds=(args.seed, args.seed + 1),
         # hitting takes no --m or --min-gap
         **{k: getattr(args, k) for k in ("m", "min_gap") if hasattr(args, k)})
 
@@ -367,9 +386,9 @@ def _cmd_profile(args) -> int:
 def _cmd_hitting(args) -> int:
     start = _int_option(args.start, "--start")
     out = Path(args.out)
-    info = _param_summary(args, ("variant", "h", "L", "Lprime", "seed",
-                                 "samples", "start", "chain"))
     if args.chain:
+        info = _param_summary(args, ("variant", "h", "L", "Lprime", "seed",
+                                     "samples", "start", "chain"))
         params = _params_from_args(args)
         chain = montecarlo.descent_chain(params)
         predicted = (montecarlo.predicted_tau(0, params.h, params.L)
@@ -381,6 +400,7 @@ def _cmd_hitting(args) -> int:
     else:
         if not args.graph:
             raise UsageError("hitting needs --graph or --chain")
+        info = _param_summary(args, ("graph", "seed", "samples", "start"))
         g = _load_graph(args.graph)
         stats = montecarlo.sample_hitting_times(g, start,
                                                 args.samples, args.seed)
@@ -400,9 +420,6 @@ def _cmd_hitting(args) -> int:
 
 
 def _cmd_cutoff_report(args) -> int:
-    if args.variant == "cylinder":
-        raise UsageError("a cylinder has no height; cylinder-sweep is its "
-                         "study")
     if args.L is None:
         raise UsageError("--L is required")
     if args.hmin > args.hmax:
@@ -411,13 +428,8 @@ def _cmd_cutoff_report(args) -> int:
     rows = ["h,n,tmix_quarter,tmix_threequarter,cutoff_ratio,window"]
     details = []
     for h in range(args.hmin, args.hmax + 1):
-        params = ConstructionParams(
-            h=h, L=args.L, variant=args.variant, L_prime=args.Lprime,
-            expander_seeds=(args.seed, args.seed + 1), min_gap=args.min_gap)
-        if args.variant in construction.ROOT_CHAIN_VARIANTS:
-            g = construction.root_chain(params)
-        else:
-            g = construction.build(params)
+        g = construction.root_chain(
+            ConstructionParams(h=h, L=args.L, variant=args.variant))
         summaries, worst = mixing.cutoff_report(
             g, [0], eps_grid=eps, t_max=args.tmax, laziness=args.laziness,
             stride=args.stride)

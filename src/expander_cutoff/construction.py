@@ -210,7 +210,6 @@ def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
     }
     if not cubic:
         meta["L_prime"] = params.L_prime if params.variant == "no_cutoff" else 0
-        meta["tstar"] = theoretical_tstar(h, L)
     return _finalize(b, degree, meta)
 
 
@@ -536,12 +535,7 @@ def class_chain(params: ConstructionParams) -> RootChain:
             c.join(leaf, aux, 2, 3)    # H2's line graph
         else:
             c.join(leaf, leaf, 4, 4)   # the 4-regular H2
-    meta = {"variant": params.variant, "h": h, "L": L}
-    if not cubic:
-        meta["tstar"] = theoretical_tstar(h, L)
-    chain = c.chain(degree, meta, leaves)
-    chain.meta["bipartite"] = is_bipartite(chain)
-    return chain
+    return c.chain(degree, {"variant": params.variant, "h": h, "L": L}, leaves)
 
 
 def root_chain(params: ConstructionParams) -> RootChain:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import RootChain, leaf_level
+from .construction import RootChain, leaf_level, theoretical_tstar
 from .graphs import (GraphError, LeveledGraph, PATH_INTERIOR, UNLEVELED,
                      bfs_distances, is_bipartite)
 
@@ -83,12 +83,8 @@ def tv_to_uniform(p: np.ndarray, work: np.ndarray | None = None,
 
 
 def default_laziness(g: LeveledGraph) -> float:
-    """0 when the graph has an odd cycle (the builds certify this at build
-    time; deserialized graphs are re-checked), else 1/2."""
-    bipartite = g.meta.get("bipartite")
-    if bipartite is None:
-        bipartite = is_bipartite(g)
-    return 0.5 if bipartite else 0.0
+    """0 when the graph or chain has an odd cycle, else 1/2."""
+    return 0.5 if is_bipartite(g) else 0.0
 
 
 @dataclass
@@ -236,16 +232,19 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     """Per-start mixing summaries (each carrying its profile) plus the
     worst start among them.
 
-    t_max defaults to a generous multiple of the theoretical worst-case
-    time when the build provides one, and laziness to default_laziness;
-    every `stride`-th step is recorded.  g may be a RootChain, with starts
-    [0].
+    t_max defaults to a generous multiple of theoretical_tstar(h, L) for
+    the five_regular and no_cutoff families, to 100 (bit length of n)^2
+    otherwise, and laziness to default_laziness: both read only the
+    variant, h, L and arcs that a build, its parsed graph.ev and a chain
+    all carry.  Every `stride`-th step is recorded.  g may be a RootChain,
+    with starts [0].
 
     The starts evolve concurrently, one thread each up to the CPUs this
     process may use (the kernel's numpy and sparse calls release the GIL).
     Results and the first error raised are those of a serial loop over
-    `starts` in order; a failing start cancels the starts not yet begun,
-    and an interrupt waits for the running ones to finish.
+    `starts` in order; once that first error is raised the starts not yet
+    begun are cancelled, and an interrupt waits for the running ones to
+    finish.
     """
     if not starts:
         raise GraphError("starts must be nonempty")
@@ -254,9 +253,8 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     if laziness is None:
         laziness = default_laziness(g)
     if t_max is None:
-        tstar = g.meta.get("tstar")
-        if tstar:
-            t_max = int(20 * tstar) + 200
+        if g.meta.get("variant") in ("five_regular", "no_cutoff"):
+            t_max = int(20 * theoretical_tstar(g.meta["h"], g.meta["L"])) + 200
         else:
             t_max = 100 * g.vertex_count.bit_length() ** 2
     min_eps = _eps_grid(eps_grid)[0]
@@ -274,20 +272,11 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     if workers == 1:
         summaries = [summary(s) for s in starts]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
             futures = [pool.submit(summary, s) for s in starts]
-
-            def cancel_pending(done):
-                if not done.cancelled() and done.exception() is not None:
-                    for f in futures:
-                        f.cancel()
-
-            for f in futures:
-                f.add_done_callback(cancel_pending)
-            try:
-                summaries = [f.result() for f in futures]
-            finally:
-                for f in futures:
-                    f.cancel()
+            summaries = [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
     worst = max(summaries, key=lambda sm: sm.tmix[0.25])
     return summaries, worst

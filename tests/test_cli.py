@@ -11,7 +11,7 @@ from expander_cutoff import construction
 from expander_cutoff.cli import (_apply_config, build_parser, main,
                                  read_artifact, read_json)
 from expander_cutoff.construction import ConstructionParams
-from expander_cutoff.graphs import GraphError, to_text
+from expander_cutoff.graphs import to_text
 from expander_cutoff.mixing import cutoff_report, default_starts
 from expander_cutoff.montecarlo import chain_start, descent_chain
 
@@ -162,12 +162,37 @@ def test_hitting_graph_mode(tmp_path):
     out = tmp_path / "hit2"
     run("build", "--variant", "five_regular", "--h", "1", "--L", "2",
         "--seed", "1", "--out", str(out))
-    rc = run("hitting", "--graph", str(out / "graph.ev"), "--start", "0",
+    graph = out / "graph.ev"
+    rc = run("hitting", "--graph", str(graph), "--start", "0",
              "--samples", "300", "--seed", "5", "--raw", "--out", str(out))
     assert rc == 0
     raw = read_artifact(out / "hitting_samples.txt").split()
     assert len(raw) == 300
     assert "exact_mean" not in read_json(out / "hitting.json")
+    # the header names what was read, and no chain parameter
+    header = (out / "hitting.json").read_text().splitlines()[2]
+    assert header == (f"# command: hitting graph={graph} samples=300 seed=5 "
+                      "start=0")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--chain", None), ("--variant", "cubic"), ("--h", "9"), ("--L", "7"),
+    ("--Lprime", "0"),
+])
+def test_hitting_refuses_graph_with_chain_flags(tmp_path, capsys, flag,
+                                                value):
+    # refused before the file is read
+    out = tmp_path / "run"
+    argv = ("hitting", "--graph", str(tmp_path / "g.ev"), "--samples", "10",
+            "--seed", "1", "--out", str(out))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}={value or 1}\n")
+    for given in ((flag,) if value is None else (flag, value),
+                  ("--config", str(cfg))):
+        assert run(*argv, *given) == 2
+        assert capsys.readouterr().err == \
+            f"error: --graph cannot be combined with {flag}\n"
+    assert not out.exists()
 
 
 def test_determinism_modulo_timestamp(tmp_path):
@@ -406,6 +431,31 @@ def test_samples_below_one_exit_2(tmp_path, capsys):
         assert err == "error: --samples must be >= 1, got -1\n"
 
 
+_WALKS = (("profile", "--graph", "graph.ev"),
+          ("cutoff-report", "--variant", "cubic", "--L", "3", "--hmin", "2",
+           "--hmax", "2"),
+          ("cylinder-sweep",),
+          ("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4"))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("laziness", "0.7", "--laziness must lie in [0, 1/2], got 0.7"),
+    ("laziness", "-0.1", "--laziness must lie in [0, 1/2], got -0.1"),
+    ("tmax", "-1", "--tmax must be >= 0, got -1"),
+], ids=["laziness-above", "laziness-below", "tmax-negative"])
+def test_walk_flags_out_of_range_exit_2(tmp_path, capsys, key, value,
+                                        message):
+    # refused before any chain, build or certification
+    out = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    for argv in _WALKS:
+        for given in ((f"--{key}", value), ("--config", str(cfg))):
+            assert run(*argv, *given, "--seed", "1", "--out", str(out)) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_stride_below_one_exits_2(tmp_path, capsys):
     out = tmp_path / "cr"
     assert run("cutoff-report", "--variant", "cubic", "--L", "3",
@@ -415,14 +465,31 @@ def test_stride_below_one_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cutoff_report_refuses_cylinder(tmp_path, capsys):
+def _assert_cutoff_report_refuses(tmp_path, capsys, variant):
+    # only the exact root chains: a cylinder has no height, and no_cutoff's
+    # exact ratio is nocutoff-demo's exact_cutoff
     out = tmp_path / "cr"
-    assert run("cutoff-report", "--variant", "cylinder", "--L", "5",
-               "--hmin", "1", "--hmax", "3", "--seed", "1",
-               "--out", str(out)) == 2
-    assert capsys.readouterr().err == \
-        "error: a cylinder has no height; cylinder-sweep is its study\n"
+    argv = ("cutoff-report", "--L", "5", "--hmin", "1", "--hmax", "3",
+            "--seed", "1", "--out", str(out))
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--variant", variant)
+    assert exc.value.code == 2
+    assert f"invalid choice: '{variant}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"variant={variant}\n")
+    assert run(*argv, "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid choice for config key variant: '{variant}' "
+        "(choose from cubic, five_regular)\n")
     assert not out.exists()
+
+
+def test_cutoff_report_refuses_cylinder(tmp_path, capsys):
+    _assert_cutoff_report_refuses(tmp_path, capsys, "cylinder")
+
+
+def test_cutoff_report_refuses_no_cutoff(tmp_path, capsys):
+    _assert_cutoff_report_refuses(tmp_path, capsys, "no_cutoff")
 
 
 _CUTOFF = ("cutoff-report", "--variant", "cubic", "--L", "3", "--hmin", "2",
@@ -432,11 +499,13 @@ _DEMO = ("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4")
 
 
 @pytest.mark.parametrize("argv, flag, value", [
-    (_CUTOFF, "--m", "8"), (_CUTOFF, "--h", "2"), (_CHAIN, "--m", "8"),
+    (_CUTOFF, "--m", "8"), (_CUTOFF, "--h", "2"), (_CUTOFF, "--Lprime", "4"),
+    (_CUTOFF, "--min-gap", "0.1"), (_CHAIN, "--m", "8"),
     (_CHAIN, "--min-gap", "0.1"), (_DEMO, "--m", "8"),
     (_DEMO, "--variant", "cubic"),
-], ids=["cutoff-report--m", "cutoff-report--h", "hitting--m",
-        "hitting--min-gap", "nocutoff-demo--m", "nocutoff-demo--variant"])
+], ids=["cutoff-report--m", "cutoff-report--h", "cutoff-report--Lprime",
+        "cutoff-report--min-gap", "hitting--m", "hitting--min-gap",
+        "nocutoff-demo--m", "nocutoff-demo--variant"])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv, flag,
                                                value):
     out = tmp_path / "run"
@@ -518,26 +587,6 @@ def test_cutoff_report_rows_equal_materialized(tmp_path, monkeypatch):
                "--out", str(out)) == 0
     assert read_artifact(out / "cutoff_vs_h.csv") == "\n".join(csv) + "\n"
     assert read_json(out / "cutoff_vs_h.json") == {"rows": rows}
-
-
-def test_cutoff_report_no_cutoff_still_builds(tmp_path, monkeypatch, capsys):
-    built = []
-
-    def record(params):
-        built.append(params)
-        raise GraphError("recorded")
-
-    def no_chain(params):
-        raise AssertionError("no_cutoff has no exact root chain")
-
-    monkeypatch.setattr(construction, "build", record)
-    monkeypatch.setattr(construction, "root_chain", no_chain)
-    assert run("cutoff-report", "--variant", "no_cutoff", "--L", "2",
-               "--Lprime", "4", "--hmin", "2", "--hmax", "2", "--seed", "3",
-               "--out", str(tmp_path)) == 1
-    assert capsys.readouterr().err == "error: recorded\n"
-    assert built == [ConstructionParams(h=2, L=2, variant="no_cutoff",
-                                        L_prime=4, expander_seeds=(3, 4))]
 
 
 def test_cylinder_sweep_needs_two_lengths(tmp_path):

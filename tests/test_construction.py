@@ -333,7 +333,7 @@ def test_build_bytes_are_pinned(request, fixture, n, digest):
     keys = {"variant", "h", "L", "degree", "seeds", "gap1", "gap2",
             "L_floor", "meets_L_floor", "bipartite"}
     if g.meta["variant"] != "cubic":
-        keys |= {"L_prime", "tstar"}
+        keys |= {"L_prime"}
     assert set(g.meta) == keys
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from expander_cutoff import mixing
+from expander_cutoff.construction import build_cylinder, theoretical_tstar
+from expander_cutoff.expanders import ExpanderSpec, make_expander
 from expander_cutoff.graphs import GraphError, from_text, to_text
 from expander_cutoff.mixing import (
     TVProfile,
@@ -141,7 +143,7 @@ def test_profile_shape_five_regular(five_reg_h1):
     # fall past the theoretical time scale: high at the start, below 0.1
     # by twice the predicted worst-case time (values frozen from the exact
     # evolution: tv(12) = 0.5382, tv(50) = 0.0191)
-    tstar = five_reg_h1.meta["tstar"]
+    tstar = theoretical_tstar(five_reg_h1.meta["h"], five_reg_h1.meta["L"])
     prof = tv_profile_until(five_reg_h1, 0, None, int(2 * tstar))
     tv = dict(zip(prof.times.tolist(), prof.tv.tolist()))
     assert tv[2] > 0.9
@@ -254,7 +256,32 @@ def test_default_starts_cover_bands(five_reg_h2):
 
 def test_default_laziness(five_reg_h1):
     assert default_laziness(five_reg_h1) == 0.0
-    assert default_laziness(cycle_graph(4).with_meta(bipartite=True)) == 0.5
+    assert default_laziness(cycle_graph(4)) == 0.5
+    # read from the arcs, not from a stored flag
+    assert default_laziness(cycle_graph(5).with_meta(bipartite=True)) == 0.0
+
+
+@pytest.mark.parametrize("fixture", ["five_reg_h1", "no_cutoff_h2", "cubic_h2",
+                                     "cylinder"])
+def test_walk_defaults_survive_the_codec(request, monkeypatch, fixture):
+    # a graph read back from graph.ev walks with the laziness and step cap
+    # of the graph that wrote it
+    g = (build_cylinder(make_expander(ExpanderSpec(3, 8, 0.01, 1)), 5)
+         if fixture == "cylinder" else request.getfixturevalue(fixture))
+    seen = []
+
+    def record(g, start, target, t_cap, stride, laziness):
+        seen.append((laziness, t_cap))
+        raise GraphError("recorded")
+
+    monkeypatch.setattr(mixing, "tv_profile_until", record)
+    for graph in (g, from_text(to_text(g))):
+        with pytest.raises(GraphError, match="recorded"):
+            cutoff_report(graph, [0])
+    assert seen[0] == seen[1]
+    if g.meta["variant"] in ("five_regular", "no_cutoff"):
+        tstar = theoretical_tstar(g.meta["h"], g.meta["L"])
+        assert seen[0][1] == int(20 * tstar) + 200
 
 
 def test_cutoff_report_requires_starts(five_reg_h1):

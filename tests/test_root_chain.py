@@ -19,7 +19,7 @@ from expander_cutoff.construction import (
     family_vertex_count,
     root_chain,
 )
-from expander_cutoff.graphs import LEAF, GraphError
+from expander_cutoff.graphs import LEAF, GraphError, is_bipartite
 from expander_cutoff.mixing import (
     cutoff_report,
     default_laziness,
@@ -79,9 +79,9 @@ def test_chain_summary_equals_materialized(g, variant, L, h):
     c = chain(variant, L, h)
     assert sum(c.sizes) == c.vertex_count == g.vertex_count
     assert c.vertex_count == family_vertex_count(variant, h, L)
-    assert c.meta["bipartite"] == g.meta["bipartite"]
+    assert is_bipartite(c) == g.meta["bipartite"]
     assert default_laziness(c) == default_laziness(g)
-    assert c.meta.get("tstar") == g.meta.get("tstar")
+    assert c.meta == {k: g.meta[k] for k in ("variant", "h", "L")}
     (s_chain,), _ = cutoff_report(c, [0], stride=1)
     (s_build,), _ = cutoff_report(g, [0], stride=1)
     assert s_chain.tmix == s_build.tmix
@@ -138,7 +138,7 @@ def test_chain_invariants_at_any_height(variant, h, L):
     for a, b in zip(*np.nonzero(counts)):
         assert sizes[a] * int(counts[a, b]) == sizes[b] * int(counts[b, a])
     assert sum(sizes) == family_vertex_count(variant, h, L)
-    assert c.meta["bipartite"] == (variant == "cubic" and L == 1)
+    assert is_bipartite(c) == (variant == "cubic" and L == 1)
 
 
 def test_chain_rejects_other_variants_and_starts():
