@@ -136,9 +136,9 @@ def build_parser():
     p.add_argument("--chain", action="store_true", default=None,
                    help="sample the leaf-hitting chain instead of a built "
                         "graph, and report its exact mean")
-    # the chain reads no --m or --min-gap, and a cylinder has no chain
-    _add_build_params(p, "variant h L Lprime",
-                      [v for v in construction.VARIANTS if v != "cylinder"])
+    # the chain reads no --m or --min-gap, and only a tree family has one
+    _add_build_params(p, "variant h L Lprime", [
+        v for v, fam in construction.FAMILIES.items() if fam.branching])
     p.add_argument("--start", type=str, default=None,
                    help="start vertex (graph mode) or start level (chain mode)")
     p.add_argument("--samples", type=int, default=None)
@@ -291,10 +291,13 @@ def _require_in_range(args):
 
 
 def _params_from_args(args) -> ConstructionParams:
-    if args.h is None and args.variant != "cylinder":
+    fam = construction.FAMILIES[args.variant]
+    if args.h is None and fam.branching:
         raise UsageError("--h is required for this variant")
     if args.L is None:
         raise UsageError("--L is required")
+    if args.Lprime and not fam.uneven:
+        raise UsageError(f"variant {args.variant} takes no --Lprime")
     return ConstructionParams(
         h=args.h or 0, L=args.L, variant=args.variant, L_prime=args.Lprime,
         expander_seeds=(args.seed, args.seed + 1),
@@ -391,8 +394,8 @@ def _cmd_hitting(args) -> int:
                                      "samples", "start", "chain"))
         params = _params_from_args(args)
         chain = montecarlo.descent_chain(params)
-        predicted = (montecarlo.predicted_tau(0, params.h, params.L)
-                     if params.variant == "five_regular" else None)
+        predicted = construction.FAMILIES[params.variant].predicted(
+            params.h, params.L)
         state = montecarlo.chain_start(chain, start)
         stats = montecarlo.hitting_stats(
             chain.sample(args.samples, args.seed, start=state), predicted)
@@ -459,8 +462,7 @@ def _cmd_cylinder_sweep(args) -> int:
             h=0, L=L, variant="cylinder", m=args.m,
             expander_seeds=(args.seed, args.seed + 1)))
         summaries, worst = mixing.cutoff_report(
-            g, mixing.default_starts(g),
-            t_max=args.tmax or 400 * g.vertex_count,
+            g, mixing.default_starts(g), t_max=args.tmax,
             laziness=args.laziness, stride=args.stride)
         rows.append(f"{L},{g.vertex_count},{worst.tmix[0.25]},{worst.tmix[0.75]}")
         pts.append((L, worst.tmix[0.25]))

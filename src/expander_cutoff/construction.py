@@ -1,15 +1,17 @@
 """Assembly of the four leveled graph families.
 
-Every build is a deterministic function of its parameters, made by
-build().  The tree families (five_regular, its uneven-stretch variant
-no_cutoff, and cubic) share one build: a tree top, bands of stretched
-trees grafted level by level, cross wiring between isomorphic path
-interiors (cliques, matchings, or expander adjacency), and an expander
-identified with the leaf level.  cubic embeds its expanders through line
-graphs with auxiliary vertices so the degree stays at 3.  class_chain
-lumps the walk from the root of a tree-family build onto classes, reading
-the same shapes and taking the same branches as the build.  The cylinder
-family replaces each edge of a cubic host by a degree-3 ladder gadget.
+Every per-variant fact lives in the variant's FAMILIES record, which the
+build, class_chain, the walk defaults and the CLI read.  Every build is a
+deterministic function of its parameters, made by build().  The tree
+families (five_regular, its uneven-stretch variant no_cutoff, and cubic)
+share one build: a tree top, bands of stretched trees grafted level by
+level, cross wiring between isomorphic path interiors (cliques, matchings,
+or expander adjacency), and an expander identified with the leaf level.
+cubic embeds its expanders through line graphs with auxiliary vertices so
+the degree stays at 3.  class_chain lumps the walk from the root of a
+tree-family build onto classes, taking the same branches as the build.
+The cylinder family replaces each edge of a cubic host by a degree-3
+ladder gadget.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -39,8 +42,6 @@ from .graphs import (
     is_connected,
 )
 
-VARIANTS = ("five_regular", "cubic", "no_cutoff", "cylinder")
-
 
 @dataclass(frozen=True)
 class ConstructionParams:
@@ -59,11 +60,12 @@ class ConstructionParams:
     min_gap: float = 0.05
 
     def validate(self):
-        if self.variant not in VARIANTS:
+        fam = FAMILIES.get(self.variant)
+        if fam is None:
             raise GraphError(f"unknown variant {self.variant!r}")
         if self.L < 1:
             raise GraphError("L must be >= 1")
-        if self.variant == "cylinder":
+        if not fam.branching:
             if self.m < 4:
                 raise GraphError("cylinder host size m must be >= 4")
             if self.L % 4 != 1:
@@ -71,11 +73,11 @@ class ConstructionParams:
             return
         if self.h < 1:
             raise GraphError("h must be >= 1")
-        if self.variant == "no_cutoff":
+        if fam.uneven:
             if self.L_prime <= self.L:
-                raise GraphError("no_cutoff requires L_prime > L")
+                raise GraphError(f"{self.variant} requires L_prime > L")
             if self.h % 2 != 0:
-                raise GraphError("no_cutoff requires even h")
+                raise GraphError(f"{self.variant} requires even h")
 
 
 def choose_L(gap1: float, gap2: float) -> int:
@@ -92,6 +94,45 @@ def theoretical_tstar(h: int, L: int) -> float:
     """Leading-order worst-case mixing time of the 5-regular family:
     (5/3) * (5L^2 - 3L + 1) * h."""
     return (5.0 / 3.0) * (5 * L * L - 3 * L + 1) * h
+
+
+def log_cap(h: int, L: int, n: int) -> int:
+    """Step cap 100 (bit length of n)^2, for no closed-form mixing time."""
+    return 100 * n.bit_length() ** 2
+
+
+def _tstar_cap(h: int, L: int, n: int) -> int:
+    return int(20 * theoretical_tstar(h, L)) + 200
+
+
+@dataclass(frozen=True)
+class Family:
+    """One variant: degree, default walk step cap t_cap(h, L, n), tree shape
+    (`fanout` root children, `branching` below; 0 off the trees), H1 and H2
+    met through `line_graphs`, band 1's `uneven` L_prime stretch (inexact
+    class chain), and predicted(h, L), the root's hitting time or None."""
+    degree: int
+    t_cap: Callable
+    fanout: int = 0
+    branching: int = 0
+    line_graphs: bool = False
+    uneven: bool = False
+    predicted: Callable = lambda h, L: None
+
+    def expander_degree(self, tree_edges: int) -> int:
+        """The degree of H where its targets have `tree_edges` tree edges."""
+        return self.degree if self.line_graphs else self.degree - tree_edges
+
+
+FAMILIES = {
+    "five_regular": Family(5, _tstar_cap, 5, 4, predicted=theoretical_tstar),
+    "cubic": Family(3, log_cap, 3, 2, line_graphs=True),
+    "no_cutoff": Family(5, _tstar_cap, 5, 4, uneven=True),
+    "cylinder": Family(3, lambda h, L, n: 400 * n),
+}
+VARIANTS = tuple(FAMILIES)
+ROOT_CHAIN_VARIANTS = tuple(sorted(v for v, fam in FAMILIES.items()
+                                   if fam.branching and not fam.uneven))
 
 
 # ---------------------------------------------------------------------------
@@ -113,47 +154,48 @@ def _finalize(b, degree, meta):
 # ---------------------------------------------------------------------------
 # the tree families: five_regular, no_cutoff and cubic
 
-# (fanout, branching, degree): the root's children, every lower tree node's
-# children, and the degree of every vertex
-_TREE_SHAPES = {"five_regular": (5, 4, 5), "no_cutoff": (5, 4, 5),
-                "cubic": (3, 2, 3)}
-
 
 def _stretch(params, band, depth, pos):
     """Stretch length of the band-`band` edge ending at the depth-`depth`
     node with left-to-right index `pos` in its tree, for the build and
     class_chain alike: 1 in band 3, L in bands 1 and 2, except L_prime
-    below the odd-indexed depth-h/2 vertices of a no_cutoff build's band 1.
+    below the odd-indexed depth-h/2 vertices of an uneven family's band 1.
     The trees stay pairwise isomorphic, so the cross cliques still match,
     and the hitting time to the leaves takes one of two routes."""
     if band == 3:
         return 1
-    half = params.h // 2
-    if (band == 1 and params.variant == "no_cutoff" and depth > half
-            and (pos // 4 ** (depth - half)) % 2 == 1):
+    fam, half = FAMILIES[params.variant], params.h // 2
+    if (band == 1 and fam.uneven and depth > half
+            and (pos // fam.branching ** (depth - half)) % 2 == 1):
         return params.L_prime
     return params.L
 
 
+def _wire(b, fam, exp, targets, level):
+    """Join targets[i] and targets[j] along each edge (i, j) of exp, or join
+    targets[i] as edge i of exp to an auxiliary (at `level`) per end."""
+    edges = exp.graph.edge_array()
+    if fam.line_graphs:
+        _embed_line_graph_bulk(b, exp.size, edges, targets, level)
+    else:
+        b.add_edge_array(targets[edges[:, 0]], targets[edges[:, 1]])
+
+
 def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
-    """A five_regular, no_cutoff or cubic build, branch for branch as
-    class_chain lumps it: a tree top, band 1 cross-wired by cliques on
-    groups of `branching` trees, band 2 wired along H1, and band 3 whose
-    leaves carry H2.  five_regular matches band-2 interiors along the
-    3-regular H1 and joins the leaves along the 4-regular H2; cubic
-    identifies band-2 trees and leaves with the edges of 3-regular H1 and
-    H2 and wires them through line graphs with auxiliary vertices."""
-    h, L = params.h, params.L
-    cubic = params.variant == "cubic"
-    fanout, branching, degree = _TREE_SHAPES[params.variant]
+    """A tree-family build, branch for branch as class_chain lumps it: a
+    tree top, band 1 cross-wired by cliques on groups of `branching` trees,
+    band 2 whose interiors (or, with line graphs, their pendants) are wired
+    along H1, and band 3 whose leaves are wired along H2 (_wire)."""
+    fam = FAMILIES[params.variant]
+    h, L, fanout, branching = params.h, params.L, fam.fanout, fam.branching
     leaves1 = fanout * branching ** (h + 1)
-    sizes = [leaves1, leaves1 * branching ** (2 * h)]
-    if cubic:
-        sizes = [2 * n // 3 for n in sizes]   # one H edge per leaf
-    seed1, seed2 = params.expander_seeds
-    exp1 = make_expander(ExpanderSpec(3, sizes[0], params.min_gap, seed1))
-    exp2 = make_expander(ExpanderSpec(3 if cubic else 4, sizes[1],
-                                      params.min_gap, seed2))
+    # H1 meets one vertex per band-2 tree, H2 one per leaf: each a vertex
+    # of H, or with line graphs an edge of H
+    degrees = fam.expander_degree(2), fam.expander_degree(1)
+    counts = leaves1, leaves1 * branching ** (2 * h)
+    exp1, exp2 = (make_expander(ExpanderSpec(
+        d, 2 * n // d if fam.line_graphs else n, params.min_gap, seed))
+        for d, n, seed in zip(degrees, counts, params.expander_seeds))
     floor = choose_L(exp1.gap, exp2.gap)
 
     b = GraphBuilder()
@@ -175,42 +217,26 @@ def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
                        groups[:, None, None] + pairs)
     set_a = (bases1[:, None] + t1["leaves"]).ravel()
     bases2 = _graft_trees_onto(b, set_a, t2, h + 2)
-    h1_edges = exp1.graph.edge_array()
-    if cubic:
-        # every band-2 interior x gets a pendant x'; per interior class the
-        # x' are identified with the edges of H1 (tree i <-> edge i) and
-        # joined through one auxiliary per H1 vertex
-        for offset in t2["interiors"].tolist():
-            lvl = h + 2 + int(t2["level_off"][offset])
+    for offset in t2["interiors"].tolist():
+        lvl = h + 2 + int(t2["level_off"][offset])
+        targets = bases2 + offset
+        if fam.line_graphs:
+            # tree i's interior gets a pendant, which is H1's edge i
             pendants = b.add_vertices(len(bases2), lvl, AUXILIARY) \
                 + np.arange(len(bases2))
-            b.add_edge_array(bases2 + offset, pendants)
-            _embed_line_graph_bulk(b, exp1.size, h1_edges, pendants, lvl)
-    else:
-        _join_counterparts(b, bases2, t2["interiors"], h1_edges)
+            b.add_edge_array(targets, pendants)
+            targets = pendants
+        _wire(b, fam, exp1, targets, lvl)
     set_b = (bases2[:, None] + t2["leaves"]).ravel()
     bases3 = _graft_trees_onto(b, set_b, t3, 2 * h + 2)
-    leaves = (bases3[:, None] + t3["leaves"]).ravel()
-    h2_edges = exp2.graph.edge_array()
-    if cubic:
-        _embed_line_graph_bulk(b, exp2.size, h2_edges, leaves, 3 * h + 2)
-    else:
-        b.add_edge_array(leaves[h2_edges[:, 0]], leaves[h2_edges[:, 1]])
+    _wire(b, fam, exp2, (bases3[:, None] + t3["leaves"]).ravel(), 3 * h + 2)
 
-    meta = {
-        "variant": params.variant,
-        "h": h,
-        "L": L,
-        "degree": degree,
-        "seeds": tuple(params.expander_seeds),
-        "gap1": exp1.gap,
-        "gap2": exp2.gap,
-        "L_floor": floor,
-        "meets_L_floor": L >= floor,
-    }
-    if not cubic:
-        meta["L_prime"] = params.L_prime if params.variant == "no_cutoff" else 0
-    return _finalize(b, degree, meta)
+    meta = {"variant": params.variant, "h": h, "L": L, "degree": fam.degree,
+            "seeds": tuple(params.expander_seeds), "gap1": exp1.gap,
+            "gap2": exp2.gap, "L_floor": floor, "meets_L_floor": L >= floor}
+    if not fam.line_graphs:
+        meta["L_prime"] = params.L_prime if fam.uneven else 0
+    return _finalize(b, fam.degree, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +315,7 @@ def build(params: ConstructionParams) -> LeveledGraph:
     """The graph of any variant: a tree family, or a cylinder on a
     certified 3-regular host of m vertices."""
     params.validate()
-    if params.variant != "cylinder":
+    if FAMILIES[params.variant].branching:
         return _build_tree_family(params)
     host = make_expander(ExpanderSpec(3, params.m, params.min_gap,
                                       params.expander_seeds[0]))
@@ -456,8 +482,8 @@ class _ChainBuilder:
         """The classes of one band, a stretched tree below every vertex of
         each class in `roots`, with the edge lengths length_at(depth, pos)
         the builds graft.  Each root class starts a column of classes, one
-        per distance from its root, and every depth repeats one edge of the
-        template: its interiors, then its lower node.  At depth `split`
+        per distance from its root, and every depth adds the classes of one
+        edge: its interiors, then its lower node.  At depth `split`
         every column splits by node index parity, branching/2 children per
         parent each, the even column first.  Returns the columns' leaf
         classes and all interior classes."""
@@ -469,20 +495,23 @@ class _ChainBuilder:
                 first = pos * branching
                 kids = ([(first, branching // 2), (first + 1, branching // 2)]
                         if depth == split else [(first, branching)])
-                for child, per_parent in kids:
-                    length = length_at(depth, child)
-                    edge = _tree_template(1, 1, lambda d, p: length, TREE_NODE)
+                for child, per in kids:
                     prev = parent
-                    for k, role in enumerate(edge["roles"].tolist()):
-                        interior = role == PATH_INTERIOR
-                        level = UNLEVELED if interior else base_level + depth
-                        prev = self.below(prev, per_parent if k == 0 else 1,
-                                          level)
-                        if interior:
-                            interiors.append(prev)
-                    grown.append((prev, child))
+                    for _ in range(length_at(depth, child) - 1):
+                        prev = self.below(prev, per)
+                        interiors.append(prev)
+                        per = 1
+                    grown.append((self.below(prev, per, base_level + depth),
+                                  child))
             columns = grown
         return [c for c, _ in columns], interiors
+
+    def wire(self, fam, cls, degree) -> None:
+        """_wire's degree-`degree` expander on class cls."""
+        if fam.line_graphs:
+            self.join(cls, self.add(self.sizes[cls] * 2 // degree), 2, degree)
+        else:
+            self.join(cls, cls, degree, degree)
 
     def chain(self, degree, meta, leaves) -> RootChain:
         for c, row in enumerate(self.rows):
@@ -493,25 +522,21 @@ class _ChainBuilder:
         return RootChain(self.sizes, indices, degree, meta, self.levels, leaves)
 
 
-ROOT_CHAIN_VARIANTS = ("cubic", "five_regular")
-
-
 def class_chain(params: ConstructionParams) -> RootChain:
-    """The walk from the root of a cubic, five_regular or no_cutoff build,
-    lumped onto classes derived from the tree template without building;
-    the expander seeds and min_gap do not enter it.  no_cutoff's classes
-    carry the stretch regime below band 1's depth h/2 down through bands 2
-    and 3, but H1's matching of band-2 interiors joins the two regimes, so
-    that partition is not equitable and its chain is not exact."""
+    """The walk from the root of a tree-family build, lumped onto classes
+    derived from the tree template without building; the expander seeds
+    and min_gap do not enter it.  An uneven family's classes carry the
+    stretch regime below band 1's depth h/2 down through bands 2 and 3,
+    but H1's matching of band-2 interiors joins the two regimes, so that
+    partition is not equitable and its chain is not exact."""
     params.validate()
-    if params.variant == "cylinder":
-        raise GraphError("no chain for variant 'cylinder'")
-    h, L = params.h, params.L
-    cubic = params.variant == "cubic"
-    fanout, branching, degree = _TREE_SHAPES[params.variant]
-    split = h // 2 if params.variant == "no_cutoff" else 0
+    fam = FAMILIES[params.variant]
+    if not fam.branching:
+        raise GraphError(f"no chain for variant {params.variant!r}")
+    h, L, branching = params.h, params.L, fam.branching
+    split = h // 2 if fam.uneven else 0
     c = _ChainBuilder()
-    top = c.below(c.below(c.add(1, 0), fanout, 1), branching, 2)
+    top = c.below(c.below(c.add(1, 0), fam.fanout, 1), branching, 2)
     band1, interiors1 = c.graft([top], branching, h,
                                 partial(_stretch, params, 1), 2, split)
     for s in interiors1:
@@ -519,28 +544,20 @@ def class_chain(params: ConstructionParams) -> RootChain:
     band2, interiors2 = c.graft(band1, branching, h,
                                 partial(_stretch, params, 2), h + 2)
     for s in interiors2:
-        if cubic:
-            # each interior's pendant, joined through the auxiliaries of
-            # its own copy of H1's line graph
-            pendant = c.below(s, 1)
-            aux = c.add(c.sizes[pendant] * 2 // 3)
-            c.join(pendant, aux, 2, 3)
-        else:
-            c.join(s, s, 3, 3)         # matching along the 3-regular H1
+        # with line graphs, through the interior's pendant
+        c.wire(fam, c.below(s, 1) if fam.line_graphs else s,
+               fam.expander_degree(2))
     leaves, _ = c.graft(band2, branching, h, partial(_stretch, params, 3),
                         2 * h + 2)
     for leaf in leaves:
-        if cubic:
-            aux = c.add(c.sizes[leaf] * 2 // 3)
-            c.join(leaf, aux, 2, 3)    # H2's line graph
-        else:
-            c.join(leaf, leaf, 4, 4)   # the 4-regular H2
-    return c.chain(degree, {"variant": params.variant, "h": h, "L": L}, leaves)
+        c.wire(fam, leaf, fam.expander_degree(1))
+    return c.chain(fam.degree, {"variant": params.variant, "h": h, "L": L},
+                   leaves)
 
 
 def root_chain(params: ConstructionParams) -> RootChain:
-    """The exact root-class chain of the cubic or five_regular build with
-    these parameters: its class_chain, refused for no_cutoff."""
+    """The exact root-class chain of a tree-family build with these
+    parameters: its class_chain, refused for an uneven family."""
     if params.variant not in ROOT_CHAIN_VARIANTS:
         raise GraphError(f"no root chain for variant {params.variant!r}")
     return class_chain(params)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import RootChain, leaf_level, theoretical_tstar
+from .construction import FAMILIES, RootChain, leaf_level, log_cap
 from .graphs import (GraphError, LeveledGraph, PATH_INTERIOR, UNLEVELED,
                      bfs_distances, is_bipartite)
 
@@ -232,12 +232,11 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     """Per-start mixing summaries (each carrying its profile) plus the
     worst start among them.
 
-    t_max defaults to a generous multiple of theoretical_tstar(h, L) for
-    the five_regular and no_cutoff families, to 100 (bit length of n)^2
-    otherwise, and laziness to default_laziness: both read only the
-    variant, h, L and arcs that a build, its parsed graph.ev and a chain
-    all carry.  Every `stride`-th step is recorded.  g may be a RootChain,
-    with starts [0].
+    t_max defaults to the t_cap(h, L, n) of the variant's FAMILIES record
+    (log_cap for a graph of no family), and laziness to default_laziness:
+    both read only the variant, h, L and arcs that a build, its parsed
+    graph.ev and a chain all carry.  Every `stride`-th step is recorded.
+    g may be a RootChain, with starts [0].
 
     The starts evolve concurrently, one thread each up to the CPUs this
     process may use (the kernel's numpy and sparse calls release the GIL).
@@ -253,10 +252,8 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     if laziness is None:
         laziness = default_laziness(g)
     if t_max is None:
-        if g.meta.get("variant") in ("five_regular", "no_cutoff"):
-            t_max = int(20 * theoretical_tstar(g.meta["h"], g.meta["L"])) + 200
-        else:
-            t_max = 100 * g.vertex_count.bit_length() ** 2
+        t_cap = getattr(FAMILIES.get(g.meta.get("variant")), "t_cap", log_cap)
+        t_max = t_cap(g.meta.get("h", 0), g.meta.get("L", 0), g.vertex_count)
     min_eps = _eps_grid(eps_grid)[0]
     # built once here, then only read by the workers; a graph's kernel
     # builds its CSR adjacency, a chain's needs no scipy

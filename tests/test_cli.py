@@ -382,6 +382,52 @@ def test_cylinder_sweep_host_is_the_build_host(tmp_path):
         f"5,{g.vertex_count},{worst.tmix[0.25]},{worst.tmix[0.75]}"
 
 
+def test_cylinder_profile_takes_the_sweeps_step_cap(tmp_path):
+    # both walk a cylinder for up to 400 n steps: 100 (bit length of n)^2
+    # = 12,100 steps stops this one short of its mixing time
+    build_out, sweep_out = tmp_path / "build", tmp_path / "sweep"
+    assert run("build", "--variant", "cylinder", "--m", "14", "--L", "61",
+               "--seed", "1", "--out", str(build_out)) == 0
+    assert run("profile", "--graph", str(build_out / "graph.ev"),
+               "--out", str(build_out)) == 0
+    assert run("cylinder-sweep", "--m", "14", "--Ls", "5,61", "--seed", "1",
+               "--out", str(sweep_out)) == 0
+    worst = read_json(build_out / "profile_summary.json")["worst_start"]
+    assert worst["tmix"]["0.25"] == 17336
+    assert read_json(sweep_out / "cylinder_sweep.json")["points"][1] == {
+        "L": 61, "tmix": 17336}
+
+
+def test_cylinder_sweep_tmax_zero_is_a_cap(tmp_path, capsys):
+    # --tmax 0 caps the walk at 0 steps, as in profile, and is not read as
+    # "no cap given"
+    out = tmp_path / "cyl"
+    assert run("cylinder-sweep", "--Ls", "5,9", "--seed", "1", "--tmax", "0",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == \
+        "error: not mixed below 0.245 by t_max=0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--variant", "five_regular", "--h", "1", "--L", "2"),
+    ("build", "--variant", "cylinder", "--m", "8", "--L", "5"),
+    ("hitting", "--chain", "--variant", "cubic", "--h", "2", "--L", "2"),
+], ids=["build-five_regular", "build-cylinder", "hitting-cubic"])
+def test_lprime_is_refused_by_even_stretch_variants(tmp_path, capsys, argv):
+    # only an uneven-stretch variant reads L_prime; an even one used to
+    # record Lprime=7 in its header and L_prime 0 in its census
+    out = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("Lprime=7\n")
+    variant = argv[argv.index("--variant") + 1]
+    for given in (("--Lprime", "7"), ("--config", str(cfg))):
+        assert run(*argv, *given, "--seed", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            f"error: variant {variant} takes no --Lprime\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fixture", ["five_reg_h1", "cubic_h2", "no_cutoff_h2",
                                      "cylinder"])
 def test_profile_of_graph_file_equals_library_report(request, tmp_path,

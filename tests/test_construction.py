@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expander_cutoff.construction import (
+    FAMILIES,
     ConstructionParams,
     build,
     build_cylinder,
@@ -13,6 +14,7 @@ from expander_cutoff.construction import (
     family_vertex_count,
     leaf_level,
     level_census,
+    root_chain,
     standalone_cylinder,
     theoretical_tstar,
 )
@@ -131,21 +133,40 @@ def _chain_census(params):
     return census
 
 
-TREE_FAMILIES = st.one_of(
-    st.builds(lambda h, L: ConstructionParams(h=h, L=L, variant="cubic"),
-              st.integers(1, 3), st.integers(1, 3)),
-    st.builds(lambda L: ConstructionParams(h=1, L=L), st.integers(1, 3)))
+@st.composite
+def tree_families(draw):
+    """Parameters of any tree row of FAMILIES, small enough to build."""
+    variant = draw(st.sampled_from(
+        [v for v, fam in FAMILIES.items() if fam.branching]))
+    fam = FAMILIES[variant]
+    L = draw(st.integers(1, 3))
+    # an uneven row builds at even h only; every level multiplies the size
+    # by about branching^3
+    h = 2 if fam.uneven else draw(st.integers(1, 3 if fam.branching == 2
+                                              else 1))
+    return ConstructionParams(h=h, L=L, variant=variant,
+                              L_prime=L + 1 if fam.uneven else 0)
 
 
 @settings(max_examples=10, deadline=None, database=None)
-@given(params=TREE_FAMILIES)
+@given(params=tree_families())
 def test_tree_family_build_matches_size_and_chain(params):
+    fam = FAMILIES[params.variant]
     g = build(params)
-    assert assert_regular(g, 3 if params.variant == "cubic" else 5)
+    assert g.meta["degree"] == fam.degree
+    assert assert_regular(g, fam.degree)
     assert is_connected(g)
-    assert g.vertex_count == family_vertex_count(params.variant, params.h,
-                                                 params.L)
+    assert g.vertex_count == class_chain(params).vertex_count
+    if params.variant in ("cubic", "five_regular"):
+        assert g.vertex_count == family_vertex_count(params.variant, params.h,
+                                                     params.L)
     assert level_census(g) == _chain_census(params)
+    # exactly the rows with an equitable class partition have a root chain
+    if fam.uneven:
+        with pytest.raises(GraphError, match="no root chain"):
+            root_chain(params)
+    else:
+        assert root_chain(params).sizes == class_chain(params).sizes
 
 
 def test_no_cutoff_census_matches_chain(no_cutoff_h2):

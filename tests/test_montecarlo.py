@@ -3,6 +3,7 @@ import pytest
 
 from expander_cutoff import montecarlo
 from expander_cutoff.construction import (
+    FAMILIES,
     ConstructionParams,
     RootChain,
     standalone_cylinder,
@@ -52,6 +53,16 @@ def test_predicted_tau_values():
     assert predicted_tau(3.0, 7, 2) == 0.0
     assert predicted_tau(0.0, 3, 1) == pytest.approx(15.0)
     assert predicted_tau(0.0, 4, 2) == pytest.approx(100.0)
+
+
+def test_family_prediction_is_the_root_hitting_time():
+    # hitting --chain reports the record's prediction, bit for bit the
+    # five_regular root's predicted_tau
+    for h in (1, 4, 16, 40):
+        for L in (1, 2, 5, 119):
+            assert FAMILIES["five_regular"].predicted(h, L) == \
+                predicted_tau(0, h, L)
+            assert FAMILIES["cubic"].predicted(h, L) is None
 
 
 def test_predicted_tau_domain():
