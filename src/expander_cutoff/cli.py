@@ -40,11 +40,17 @@ def _header(command: str, params: dict) -> str:
             f"# command: {command} {param_s}\n")
 
 
+# characters per write: the file object encodes one slice at a time, so no
+# encoded copy of a whole body exists
+_WRITE_SLICE = 1 << 20
+
+
 def write_artifact(path: Path, command: str, params: dict, body: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(_header(command, params))
-        f.write(body)
+        for i in range(0, len(body), _WRITE_SLICE):
+            f.write(body[i:i + _WRITE_SLICE])
 
 
 def write_json(path: Path, command: str, params: dict, obj) -> None:
@@ -55,12 +61,14 @@ def write_json(path: Path, command: str, params: dict, obj) -> None:
 def read_artifact(path) -> str:
     """Artifact body: the text from the first line that does not start
     with `#`.  The file is read with universal newlines, so its lines end
-    in LF whatever the file used."""
-    text = Path(path).read_text()
-    start = 0
-    while text.startswith("#", start):
-        start = text.find("\n", start) + 1 or len(text)
-    return text[start:]
+    in LF whatever the file used.  The header lines are read one by one
+    and the body in one read, so the whole file is never held twice."""
+    with open(path) as f:
+        start = f.tell()
+        while f.readline().startswith("#"):
+            start = f.tell()
+        f.seek(start)
+        return f.read()
 
 
 def read_json(path):
@@ -290,6 +298,16 @@ def _require_in_range(args):
             raise UsageError(f"--eps must lie in (0, 1), got {eps}")
 
 
+def _checked(params: ConstructionParams) -> ConstructionParams:
+    """params, checked before any work: the library's GraphError for a
+    parameter out of range is a usage error here."""
+    try:
+        params.validate()
+    except GraphError as exc:
+        raise UsageError(str(exc)) from None
+    return params
+
+
 def _params_from_args(args) -> ConstructionParams:
     fam = construction.FAMILIES[args.variant]
     if args.h is None and fam.branching:
@@ -298,11 +316,11 @@ def _params_from_args(args) -> ConstructionParams:
         raise UsageError("--L is required")
     if args.Lprime and not fam.uneven:
         raise UsageError(f"variant {args.variant} takes no --Lprime")
-    return ConstructionParams(
+    return _checked(ConstructionParams(
         h=args.h or 0, L=args.L, variant=args.variant, L_prime=args.Lprime,
         expander_seeds=(args.seed, args.seed + 1),
         # hitting takes no --m or --min-gap
-        **{k: getattr(args, k) for k in ("m", "min_gap") if hasattr(args, k)})
+        **{k: getattr(args, k) for k in ("m", "min_gap") if hasattr(args, k)}))
 
 
 def _load_graph(path):
@@ -428,11 +446,13 @@ def _cmd_cutoff_report(args) -> int:
     if args.hmin > args.hmax:
         raise UsageError(f"--hmin {args.hmin} is above --hmax {args.hmax}")
     eps = args.eps or [0.25, 0.75]
+    heights = [_checked(ConstructionParams(h=h, L=args.L, variant=args.variant))
+               for h in range(args.hmin, args.hmax + 1)]
     rows = ["h,n,tmix_quarter,tmix_threequarter,cutoff_ratio,window"]
     details = []
-    for h in range(args.hmin, args.hmax + 1):
-        g = construction.root_chain(
-            ConstructionParams(h=h, L=args.L, variant=args.variant))
+    for params in heights:
+        h = params.h
+        g = construction.root_chain(params)
         summaries, worst = mixing.cutoff_report(
             g, [0], eps_grid=eps, t_max=args.tmax, laziness=args.laziness,
             stride=args.stride)
@@ -455,12 +475,14 @@ def _cmd_cylinder_sweep(args) -> int:
     if len(set(lengths)) < 2:
         raise UsageError("--Ls needs at least two distinct lengths for the "
                          "log-log fit")
+    sweep = [_checked(ConstructionParams(
+        h=0, L=L, variant="cylinder", m=args.m,
+        expander_seeds=(args.seed, args.seed + 1))) for L in lengths]
     rows = ["L,n,tmix_quarter,tmix_threequarter"]
     pts = []
-    for L in lengths:
-        g = construction.build(ConstructionParams(
-            h=0, L=L, variant="cylinder", m=args.m,
-            expander_seeds=(args.seed, args.seed + 1)))
+    for params in sweep:
+        L = params.L
+        g = construction.build(params)
         summaries, worst = mixing.cutoff_report(
             g, mixing.default_starts(g), t_max=args.tmax,
             laziness=args.laziness, stride=args.stride)
@@ -484,9 +506,9 @@ def _cmd_cylinder_sweep(args) -> int:
 def _cmd_nocutoff_demo(args) -> int:
     if args.h is None or args.L is None or not args.Lprime:
         raise UsageError("nocutoff-demo needs --h, --L and --Lprime")
-    params = ConstructionParams(
+    params = _checked(ConstructionParams(
         h=args.h, L=args.L, variant="no_cutoff", L_prime=args.Lprime,
-        expander_seeds=(args.seed, args.seed + 1), min_gap=args.min_gap)
+        expander_seeds=(args.seed, args.seed + 1), min_gap=args.min_gap))
     chain = montecarlo.descent_chain(params)
     stats = montecarlo.hitting_stats(chain.sample(args.samples, args.seed))
     bimodal = montecarlo.bimodality_check(stats)

@@ -9,7 +9,14 @@ Vertex ids are dense integers assigned in construction order.  The builder
 takes vertices in runs and edges in arrays only.  Graphs are immutable
 after build; every operation returns a new graph.  A parallel edge or a
 self-loop is an error, never a silent no-op: finish() finds both, and
-unknown endpoints, in one pass over the whole edge set.
+unknown endpoints, over the whole edge set.  It reads the builder's edge
+chunks in place and holds one key per edge, then both arcs of each, so
+its peak stays under twice the bytes of the graph it returns.
+
+The `.ev` codec stays near the size of its text: to_text formats the edge
+lines block by block from the CSR rows, and from_text matches each section
+in runs of lines and converts its fields in bulk, so neither keeps a
+Python object or matcher state per line.
 """
 
 from __future__ import annotations
@@ -214,37 +221,58 @@ class GraphBuilder:
         vs = np.asarray(vs, dtype=np.int64)
         if us.shape != vs.shape:
             raise GraphError("endpoint arrays differ in shape")
-        self._chunks.append((us.ravel(), vs.ravel()))
+        # reshape, not ravel: a strided 1-D slice stays a view
+        self._chunks.append((us.reshape(-1), vs.reshape(-1)))
 
     def finish(self, **meta_updates) -> LeveledGraph:
+        """Freeze into a LeveledGraph; the builder is left as it was.
+
+        The edge chunks are read in place, never concatenated: one key per
+        edge and both arcs of each edge are the only edge-sized arrays,
+        and the keys are freed before the arcs are sorted."""
         n = len(self._level)
-        eu, ev = map(np.concatenate,
-                     zip((np.empty(0, np.int64),) * 2, *self._chunks))
-        if len(eu):
-            if eu.min() < 0 or ev.min() < 0 or max(eu.max(), ev.max()) >= n:
+        chunks = [(us, vs) for us, vs in self._chunks if len(us)]
+        # every endpoint is checked before any self-loop, and every
+        # self-loop before any duplicate
+        for us, vs in chunks:
+            if min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n:
                 raise GraphError("edge references unknown vertex")
-            loops = eu == ev
+        for us, vs in chunks:
+            loops = us == vs
             if loops.any():
-                raise GraphError(f"self-loop at vertex {eu[loops.argmax()]}")
-            # one (lo << 32) | hi key per edge: sorted, a duplicate repeats
-            keys = np.sort((np.minimum(eu, ev) << 32) | np.maximum(eu, ev))
-            dup = np.flatnonzero(np.diff(keys) == 0)
-            if len(dup):
-                k = int(keys[dup[0]])
-                raise GraphError(f"duplicate edge ({k >> 32}, {k & 0xffffffff})")
-            # both arcs of each edge as (src << 32) | dst: sorted, they list
-            # the CSR rows in order
-            arcs = np.concatenate([keys, (keys & 0xffffffff) << 32 | keys >> 32])
-            arcs.sort()
-            indices = arcs & 0xffffffff
-            counts = np.bincount(arcs >> 32, minlength=n)
-        else:
-            indices = np.empty(0, np.int64)
-            counts = np.zeros(n, np.int64)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+                raise GraphError(f"self-loop at vertex {us[loops.argmax()]}")
+        # one (lo << 32) | hi key per edge: sorted, a duplicate repeats
+        m = sum(len(us) for us, _ in chunks)
+        keys = np.empty(m, np.int64)
+        end = 0
+        for us, vs in chunks:
+            part = keys[end:end + len(us)]
+            np.minimum(us, vs, out=part)
+            part <<= 32
+            part |= np.maximum(us, vs)
+            end += len(us)
+        keys.sort()
+        dup = keys[1:] == keys[:-1]
+        if dup.any():
+            k = int(keys[dup.argmax()])
+            raise GraphError(f"duplicate edge ({k >> 32}, {k & 0xffffffff})")
+        # both arcs of each edge as (src << 32) | dst: sorted, they list
+        # the CSR rows in order
+        arcs = np.empty(2 * m, np.int64)
+        arcs[:m] = keys
+        back = arcs[m:]
+        np.bitwise_and(keys, 0xffffffff, out=back)
+        back <<= 32
+        keys >>= 32
+        back |= keys
+        del keys
+        arcs.sort()
+        # row v starts at the first arc leaving v or a later vertex
+        indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) << 32)
+        arcs &= 0xffffffff
         meta = dict(self.meta)
         meta.update(meta_updates)
-        return LeveledGraph(indptr, indices,
+        return LeveledGraph(indptr, arcs,
                             np.array(self._level, dtype=np.int64),
                             np.array(self._role, dtype=np.uint8), meta)
 
@@ -397,6 +425,11 @@ def assert_regular(g: LeveledGraph, d: int) -> bool:
     return bool(len(degs) > 0 and (degs == d).all())
 
 
+# frontier vertices expanded per gather: bounds the temporaries of one BFS
+# level, which on an expander can hold a third of the graph
+_BFS_ROWS = 1 << 14
+
+
 def bfs_distances(g: LeveledGraph, source: int) -> np.ndarray:
     """BFS distance from source to every vertex (-1 for unreachable)."""
     n = len(g.indptr) - 1
@@ -405,21 +438,23 @@ def bfs_distances(g: LeveledGraph, source: int) -> np.ndarray:
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while frontier.size:
-        starts = g.indptr[frontier]
-        counts = g.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        take = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts) \
-            + np.repeat(starts, counts)
-        nbrs = g.indices[take]
-        # not np.unique: it imports numpy.ma on first use and hashes slower
-        fresh = np.sort(nbrs[dist[nbrs] < 0])
-        if fresh.size == 0:
-            break
         d += 1
-        frontier = fresh[np.diff(fresh, prepend=-1) != 0]
-        dist[frontier] = d
+        fresh = []
+        for i in range(0, len(frontier), _BFS_ROWS):
+            rows = frontier[i:i + _BFS_ROWS]
+            starts = g.indptr[rows]
+            counts = g.indptr[rows + 1] - starts
+            # arc k of the gathered rows is indptr[v] + (k - first arc of v)
+            take = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            take += np.arange(len(take))
+            nbrs = g.indices[take]
+            # not np.unique: it imports numpy.ma on first use and hashes
+            # slower; a vertex marked here is not fresh in a later block
+            new = np.sort(nbrs[dist[nbrs] < 0])
+            new = new[np.diff(new, prepend=-1) != 0]
+            dist[new] = d
+            fresh.append(new)
+        frontier = np.concatenate(fresh)
     return dist
 
 
@@ -434,11 +469,14 @@ def is_bipartite(g: LeveledGraph) -> bool:
     a LeveledGraph or any CSR multigraph (a construction.RootChain), so
     every arc is checked: a self-loop is an odd cycle."""
     n = len(g.indptr) - 1
-    color = np.full(n, -1, dtype=np.int64)
-    while (uncoloured := np.flatnonzero(color < 0)).size:
-        dist = bfs_distances(g, int(uncoloured[0]))
+    # one byte per vertex, so the per-arc comparison reads bytes
+    color = np.full(n, -1, dtype=np.int8)
+    while (uncoloured := color < 0).any():
+        dist = bfs_distances(g, int(uncoloured.argmax()))
         comp = dist >= 0
-        color[comp] = dist[comp] % 2
+        dist &= 1
+        color[comp] = dist[comp]
+        del dist, comp
     tail_color = np.repeat(color, np.diff(g.indptr))
     return bool((tail_color != color[g.indices]).all())
 
@@ -446,32 +484,57 @@ def is_bipartite(g: LeveledGraph) -> bool:
 # ---------------------------------------------------------------------------
 # serialization: text edge-list with a levels section
 
-# rows formatted per % operation: bounds the Python objects alive at once
+# vertex lines, or arcs read for edge lines, per % operation: bounds the
+# Python objects alive at once
 _CHUNK_ROWS = 8192
+_ROLE_OBJECTS = np.array(ROLE_NAMES, dtype=object)
 
 # at most 18 digits, so a field never leaves int64 (np.fromstring would
 # saturate it silently); (?=(...))\1 takes each line atomically, leaving no
 # backtracking state behind (an atomic group, which Python 3.10 lacks)
 _INT = r"-?[0-9]{1,18}"
+# lines per match: the matcher keeps state for every line it repeats over
+# (about 90 bytes), so a section is matched in runs of this many lines
+_MATCH_LINES = 1024
 _EDGE_LINES = re.compile(
-    rf"(?:(?=([ \t]*{_INT}[ \t]+{_INT}[ \t]*\r?\n))\1)*")
+    rf"(?:(?=([ \t]*{_INT}[ \t]+{_INT}[ \t]*\r?\n))\1){{0,{_MATCH_LINES}}}")
 _VERTEX_LINES = re.compile(
     rf"(?:(?=([ \t]*{_INT}[ \t]+{_INT}[ \t]+(?:{'|'.join(ROLE_NAMES)})"
-    rf"[ \t]*(?:\r?\n|\Z)))\1)*")
+    rf"[ \t]*(?:\r?\n|\Z)))\1){{0,{_MATCH_LINES}}}")
 _LEVELS_LINE = re.compile(r"levels(?:\r?\n|\Z)")
 _BLANK_TAIL = re.compile(r"[ \t\r\n]*\Z")
 
 
-def _format_rows(fmt, *columns):
-    """fmt % row for every row of the equal-length columns, one % per
-    chunk of rows."""
-    n = len(columns[0])
+def _format_block(fmt, *columns):
+    """fmt % row for every row of the equal-length columns, in one %."""
+    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, col in enumerate(columns):
+        cells[:, j] = col
+    return fmt * len(cells) % tuple(cells.ravel().tolist())
+
+
+def _edge_lines(g):
+    """The `u v` line of every edge u < v, in row order, formatted block by
+    block straight from the CSR rows: a block reads _CHUNK_ROWS arcs."""
+    indptr, indices = g.indptr, g.indices
+    for i in range(0, len(indices), _CHUNK_ROWS):
+        j = min(i + _CHUNK_ROWS, len(indices))
+        # rows a..b-1 hold arcs i..j-1
+        a = int(np.searchsorted(indptr, i, "right")) - 1
+        b = int(np.searchsorted(indptr, j))
+        src = np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1].clip(i, j)))
+        dst = indices[i:j]
+        keep = src < dst
+        yield _format_block("%d %d\n", src[keep], dst[keep])
+
+
+def _vertex_lines(g):
+    """The `vertex level role` line of every vertex, _CHUNK_ROWS per block."""
+    n = g.vertex_count
     for i in range(0, n, _CHUNK_ROWS):
-        k = min(_CHUNK_ROWS, n - i)
-        cells = np.empty((k, len(columns)), dtype=object)
-        for j, col in enumerate(columns):
-            cells[:, j] = col[i:i + k]
-        yield fmt * k % tuple(cells.ravel().tolist())
+        j = min(i + _CHUNK_ROWS, n)
+        yield _format_block("%d %d %s\n", np.arange(i, j), g.level[i:j],
+                            _ROLE_OBJECTS[g.role[i:j]])
 
 
 def to_text(g: LeveledGraph) -> str:
@@ -491,14 +554,9 @@ def to_text(g: LeveledGraph) -> str:
                         ("level", int(g.level.max(initial=0)))):
         if abs(value) >= 10 ** 18:
             raise GraphError(f"{name} {value} does not fit an 18-digit field")
-    edges = g.edge_array()
-    names = np.array(ROLE_NAMES, dtype=object)[g.role]
     return "".join([
         f"ev {g.vertex_count} {g.edge_count} {h} {L} {variant}\n",
-        *_format_rows("%d %d\n", edges[:, 0], edges[:, 1]),
-        "levels\n",
-        *_format_rows("%d %d %s\n", np.arange(g.vertex_count), g.level,
-                      names)])
+        *_edge_lines(g), "levels\n", *_vertex_lines(g)])
 
 
 def _malformed(text, pos, line_no, expected):
@@ -509,7 +567,9 @@ def _malformed(text, pos, line_no, expected):
 
 def _match_lines(pattern, text, pos):
     """End of the lines `pattern` matches from pos, and their count."""
-    end = pattern.match(text, pos).end()
+    end = pos
+    while (step := pattern.match(text, end).end()) > end:
+        end = step
     count = text.count("\n", pos, end)
     if end == len(text) > pos and not text.endswith("\n"):
         count += 1
@@ -576,4 +636,6 @@ def from_text(text: str) -> LeveledGraph:
     b = GraphBuilder(meta=meta)
     b.add_vertex_array(level, role)
     b.add_edge_array(edges[0::2], edges[1::2])
+    # the builder copied the tags: only the edges stay alive into finish()
+    del section, vertex, level, role
     return b.finish()

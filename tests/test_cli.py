@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import expander_cutoff
-from expander_cutoff import construction
+from expander_cutoff import construction, montecarlo
 from expander_cutoff.cli import (_apply_config, build_parser, main,
                                  read_artifact, read_json)
 from expander_cutoff.construction import ConstructionParams
@@ -257,6 +257,37 @@ def test_config_values_take_the_flags_choices(tmp_path, capsys, argv, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid choice for config key variant: "
                           f"'{value}'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("build", "--h", "0", "--L", "2"), "h must be >= 1"),
+    (("build", "--variant", "no_cutoff", "--h", "2", "--L", "2", "--Lprime",
+      "2"), "no_cutoff requires L_prime > L"),
+    (("hitting", "--chain", "--variant", "no_cutoff", "--h", "3", "--L", "2",
+      "--Lprime", "4", "--samples", "10"), "no_cutoff requires even h"),
+    (("nocutoff-demo", "--h", "3", "--L", "2", "--Lprime", "4"),
+     "no_cutoff requires even h"),
+    (("cylinder-sweep", "--m", "3", "--Ls", "5,9"),
+     "cylinder host size m must be >= 4"),
+    # L=5 is valid: nothing is built before L=7 is refused
+    (("cylinder-sweep", "--m", "4", "--Ls", "5,7"),
+     "cylinder length must satisfy L = 1 (mod 4)"),
+    (("cutoff-report", "--variant", "cubic", "--L", "3", "--hmin", "0",
+      "--hmax", "2"), "h must be >= 1"),
+], ids=["build-h0", "build-lprime", "hitting-odd-h", "nocutoff-odd-h",
+        "sweep-m3", "sweep-L7", "report-h0"])
+def test_parameter_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                 argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the parameters were checked")
+
+    for module, name in ((construction, "build"), (construction, "root_chain"),
+                         (montecarlo, "descent_chain")):
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "run"
+    assert run(*argv, "--seed", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -318,6 +318,39 @@ def test_unknown_endpoint_raises(u, v):
         b.finish()
 
 
+def test_finish_checks_every_chunk_for_range_first_then_loops():
+    # per-chunk checks must keep finish()'s order over the whole edge set:
+    # a bad endpoint anywhere wins over an earlier self-loop or duplicate,
+    # and a self-loop anywhere over an earlier duplicate
+    b = GraphBuilder()
+    b.add_vertices(4)
+    b.add_edge_array([0, 0], [1, 1])
+    b.add_edge_array([2], [2])
+    b.add_edge_array([1], [4])
+    with pytest.raises(GraphError, match="unknown vertex"):
+        b.finish()
+    b = GraphBuilder()
+    b.add_vertices(4)
+    b.add_edge_array([0, 1], [1, 0])
+    b.add_edge_array([3], [3])
+    with pytest.raises(GraphError, match="self-loop at vertex 3"):
+        b.finish()
+
+
+def test_finish_is_repeatable():
+    b = GraphBuilder(meta={"variant": "custom"})
+    b.add_vertices(6)
+    b.add_edge_array(np.array([[0, 1], [2, 3]]), np.array([[4, 5], [5, 4]]))
+    ids = np.arange(6)
+    b.add_edge_array(ids[0::2], ids[1::2])  # strided views
+    first, second = b.finish(), b.finish(h=1)
+    assert first.same_structure(second)
+    assert second.meta == {"variant": "custom", "h": 1}
+    assert first.edge_set() == {(0, 4), (1, 5), (2, 5), (3, 4), (0, 1),
+                                (2, 3), (4, 5)}
+    first.check()
+
+
 def test_edge_arrays_of_different_shapes_raise():
     b = GraphBuilder()
     b.add_vertices(3)
