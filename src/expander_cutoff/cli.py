@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -53,9 +54,22 @@ def write_artifact(path: Path, command: str, params: dict, body: str) -> None:
             f.write(body[i:i + _WRITE_SLICE])
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, an undefined mean or ratio, as None:
+    strict JSON has no NaN or Infinity, so it is written as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(path: Path, command: str, params: dict, obj) -> None:
     write_artifact(path, command, params,
-                   json.dumps(obj, indent=2, sort_keys=True) + "\n")
+                   json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n")
 
 
 def read_artifact(path) -> str:
@@ -381,9 +395,11 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    starts = _int_list_option(args.starts, "--starts") if args.starts else None
+    if starts and len(set(starts)) != len(starts):
+        raise UsageError(f"--starts must be distinct, got {args.starts}")
     g = _load_graph(args.graph)
-    starts = (_int_list_option(args.starts, "--starts") if args.starts
-              else mixing.default_starts(g))
+    starts = starts or mixing.default_starts(g)
     summaries, worst = mixing.cutoff_report(
         g, starts, eps_grid=args.eps or [0.25, 0.75], t_max=args.tmax,
         laziness=args.laziness, stride=args.stride)

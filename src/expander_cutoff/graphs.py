@@ -10,8 +10,9 @@ takes vertices in runs and edges in arrays only.  Graphs are immutable
 after build; every operation returns a new graph.  A parallel edge or a
 self-loop is an error, never a silent no-op: finish() finds both, and
 unknown endpoints, over the whole edge set.  It reads the builder's edge
-chunks in place and holds one key per edge, then both arcs of each, so
-its peak stays under twice the bytes of the graph it returns.
+chunks in place and holds one key per edge, then both arcs of each, and
+frees the arcs before it copies the tags, so its peak stays under twice
+the bytes of the graph it returns.
 
 The `.ev` codec stays near the size of its text: to_text formats the edge
 lines block by block from the CSR rows, and from_text matches each section
@@ -36,6 +37,11 @@ ROLE_CODES = {name: code for code, name in enumerate(ROLE_NAMES)}
 
 UNLEVELED = -1
 
+# rows or arcs per block where a whole-graph pass would make an n- or
+# arc-long int64 temporary (numpy gathers through an int32 index array by
+# an intp copy of it)
+_BLOCK = 1 << 12
+
 
 class GraphError(ValueError):
     """A structural operation was applied to an unsuitable graph."""
@@ -46,8 +52,11 @@ class LeveledGraph:
 
     Attributes
     ----------
-    indptr, indices : int64 arrays
-        CSR adjacency; each neighbor list is sorted ascending.
+    indptr, indices : int32 arrays
+        CSR adjacency; each neighbor list is sorted ascending.  int32 is
+        the index type scipy's sparse kernels run on, so adjacency_csr()
+        wraps these arrays without a copy; GraphBuilder.finish refuses a
+        graph of 2^31 vertices or arcs or more.
     level : int64 array
         Per-vertex level; ``UNLEVELED`` (-1) where levels are meaningless.
     role : uint8 array
@@ -60,8 +69,8 @@ class LeveledGraph:
                  "_kernel", "_float_degrees")
 
     def __init__(self, indptr, indices, level, role, meta=None):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = np.asarray(indptr, dtype=np.int32)
+        self.indices = np.asarray(indices, dtype=np.int32)
         self.level = np.asarray(level, dtype=np.int64)
         self.role = np.asarray(role, dtype=np.uint8)
         self.meta = dict(meta or {})
@@ -108,16 +117,15 @@ class LeveledGraph:
         return {(int(u), int(v)) for u, v in self.edge_array()}
 
     def adjacency_csr(self):
-        """Adjacency as a cached scipy CSR matrix with float64 entries."""
+        """Adjacency as a cached scipy CSR matrix with float64 entries, on
+        the graph's own index arrays."""
         if self._csr is None:
             import scipy.sparse as sp
 
             n = self.vertex_count
             data = np.ones(len(self.indices), dtype=np.float64)
-            self._csr = sp.csr_matrix(
-                (data, self.indices.astype(np.int32, copy=False)
-                 if n < 2**31 else self.indices, self.indptr),
-                shape=(n, n))
+            self._csr = sp.csr_matrix((data, self.indices, self.indptr),
+                                      shape=(n, n))
         return self._csr
 
     def matvec_kernel(self):
@@ -228,10 +236,16 @@ class GraphBuilder:
         """Freeze into a LeveledGraph; the builder is left as it was.
 
         The edge chunks are read in place, never concatenated: one key per
-        edge and both arcs of each edge are the only edge-sized arrays,
-        and the keys are freed before the arcs are sorted."""
+        edge and both arcs of each edge are the only int64 edge-sized
+        arrays, the keys are freed before the arcs are sorted, and the arcs
+        before the tags are copied.  A graph whose vertex or arc count does
+        not fit int32 is a GraphError."""
         n = len(self._level)
         chunks = [(us, vs) for us, vs in self._chunks if len(us)]
+        m = sum(len(us) for us, _ in chunks)
+        if n >= 2**31 or 2 * m >= 2**31:
+            raise GraphError(f"{n} vertices and {2 * m} arcs do not fit the "
+                             f"int32 CSR index arrays")
         # every endpoint is checked before any self-loop, and every
         # self-loop before any duplicate
         for us, vs in chunks:
@@ -242,15 +256,7 @@ class GraphBuilder:
             if loops.any():
                 raise GraphError(f"self-loop at vertex {us[loops.argmax()]}")
         # one (lo << 32) | hi key per edge: sorted, a duplicate repeats
-        m = sum(len(us) for us, _ in chunks)
-        keys = np.empty(m, np.int64)
-        end = 0
-        for us, vs in chunks:
-            part = keys[end:end + len(us)]
-            np.minimum(us, vs, out=part)
-            part <<= 32
-            part |= np.maximum(us, vs)
-            end += len(us)
+        keys = _edge_keys(chunks, m)
         keys.sort()
         dup = keys[1:] == keys[:-1]
         if dup.any():
@@ -265,16 +271,38 @@ class GraphBuilder:
         back <<= 32
         keys >>= 32
         back |= keys
-        del keys
+        # the view `back` would keep the arcs alive past `del arcs` below
+        del keys, back
         arcs.sort()
-        # row v starts at the first arc leaving v or a later vertex
-        indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) << 32)
+        # row v starts at the first arc leaving v or a later vertex; found
+        # _BLOCK rows at a time, so no n-long int64 temporary is made
+        indptr = np.empty(n + 1, np.int32)
+        for i in range(0, n + 1, _BLOCK):
+            rows = np.arange(i, min(i + _BLOCK, n + 1), dtype=np.int64)
+            rows <<= 32
+            indptr[i:i + _BLOCK] = np.searchsorted(arcs, rows)
         arcs &= 0xffffffff
+        indices = arcs.astype(np.int32)
+        del arcs
         meta = dict(self.meta)
         meta.update(meta_updates)
-        return LeveledGraph(indptr, arcs,
+        return LeveledGraph(indptr, indices,
                             np.array(self._level, dtype=np.int64),
                             np.array(self._role, dtype=np.uint8), meta)
+
+
+def _edge_keys(chunks, m):
+    """One (lo << 32) | hi key per edge of the (us, vs) chunks, in chunk
+    order; a function of its own, so no view of the keys outlives it."""
+    keys = np.empty(m, np.int64)
+    end = 0
+    for us, vs in chunks:
+        part = keys[end:end + len(us)]
+        np.minimum(us, vs, out=part)
+        part <<= 32
+        part |= np.maximum(us, vs)
+        end += len(us)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +470,15 @@ def bfs_distances(g: LeveledGraph, source: int) -> np.ndarray:
         fresh = []
         for i in range(0, len(frontier), _BFS_ROWS):
             rows = frontier[i:i + _BFS_ROWS]
-            starts = g.indptr[rows]
+            starts = g.indptr[rows].astype(np.int64)
             counts = g.indptr[rows + 1] - starts
-            # arc k of the gathered rows is indptr[v] + (k - first arc of v)
+            # arc k of the gathered rows is indptr[v] + (k - first arc of v),
+            # an int64 offset whatever the dtype of indptr
             take = np.repeat(starts - (np.cumsum(counts) - counts), counts)
             take += np.arange(len(take))
             nbrs = g.indices[take]
+            # freed before dist[nbrs] makes its intp copy of the int32 nbrs
+            del take
             # not np.unique: it imports numpy.ma on first use and hashes
             # slower; a vertex marked here is not fresh in a later block
             new = np.sort(nbrs[dist[nbrs] < 0])
@@ -478,7 +509,9 @@ def is_bipartite(g: LeveledGraph) -> bool:
         color[comp] = dist[comp]
         del dist, comp
     tail_color = np.repeat(color, np.diff(g.indptr))
-    return bool((tail_color != color[g.indices]).all())
+    return all((tail_color[i:i + _BLOCK]
+                != color[g.indices[i:i + _BLOCK]]).all()
+               for i in range(0, len(tail_color), _BLOCK))
 
 
 # ---------------------------------------------------------------------------

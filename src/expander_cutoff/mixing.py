@@ -61,6 +61,11 @@ def step(g: LeveledGraph, p: np.ndarray, laziness: float = 0.0,
     n = len(degrees)
     out = _walk_buffer(out, n)
     work = _walk_buffer(work, n)
+    # p is read after out and work are written
+    if (np.may_share_memory(out, p) or np.may_share_memory(work, p)
+            or np.may_share_memory(out, work)):
+        raise GraphError("walk buffers out and work must not overlap p or "
+                         "each other")
     np.divide(p, degrees, out=work)
     g.matvec_kernel()(work, out)
     if laziness:

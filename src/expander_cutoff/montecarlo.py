@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -337,7 +337,9 @@ def bimodality_check(stats: HittingStats) -> BimodalityReport:
     split = float((qs[k] + qs[k + 1]) / 2.0)
     left, right = s[s <= split], s[s > split]
     w = (len(left) / n, len(right) / n)
-    means = (float(left.mean()), float(right.mean()))
+    # an empty cluster (every sample equal) has no mean
+    means = tuple(float(c.mean()) if len(c) else float("nan")
+                  for c in (left, right))
     v_left = float(left.var(ddof=1)) if len(left) > 1 else 0.0
     v_right = float(right.var(ddof=1)) if len(right) > 1 else 0.0
     pooled = np.sqrt(((len(left) - 1) * v_left + (len(right) - 1) * v_right)
@@ -402,13 +404,19 @@ class DescentChain:
         """S(0), S(1), ...: the class mass of the walk from `start` not yet
         absorbed, evolved by the class chain's row-sum kernel with the leaf
         classes zeroed before each reading; the one loop behind survival
-        and sample."""
+        and sample.  Once S falls below the smallest normal double it is 0
+        from then on: subnormal masses lose their relative precision, so S
+        stalled and even rose there, and each subnormal step was slow."""
         mass = self._point_mass(start)
         kernel = self.classes.matvec_kernel()
         work = np.empty(self.size)
+        tiny = np.finfo(float).tiny
         while True:
             mass[self._absorbing] = 0.0
-            yield mass.sum()
+            s = mass.sum()
+            if s < tiny:
+                yield from repeat(0.0)
+            yield s
             np.divide(mass, self.classes.degree, out=work)
             kernel(work, mass)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import expander_cutoff
-from expander_cutoff import construction, montecarlo
+from expander_cutoff import cli, construction, montecarlo
 from expander_cutoff.cli import (_apply_config, build_parser, main,
                                  read_artifact, read_json)
 from expander_cutoff.construction import ConstructionParams
@@ -674,13 +674,59 @@ def test_cylinder_sweep_needs_two_lengths(tmp_path):
     assert not out.exists()
 
 
-def test_repeated_start_exits_1(tmp_path):
+K3_TEXT = ("ev 3 3 0 0 custom\n0 1\n0 2\n1 2\nlevels\n"
+           "0 -1 TreeNode\n1 -1 TreeNode\n2 -1 TreeNode\n")
+
+
+def _strict_json(path):
+    """The artifact's JSON body, read by a parser that refuses NaN and
+    Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(read_artifact(path), parse_constant=refuse)
+
+
+def test_repeated_start_exits_2(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "k3.ev"
+    graph.write_text(K3_TEXT)
+
+    def no_read(path):
+        raise AssertionError("the graph was read before --starts was checked")
+
+    monkeypatch.setattr(cli, "_load_graph", no_read)
     out = tmp_path / "run"
-    run("build", "--variant", "five_regular", "--h", "1", "--L", "2",
-        "--seed", "1", "--out", str(out))
-    assert run("profile", "--graph", str(out / "graph.ev"), "--starts", "0,0",
-               "--out", str(out)) == 1
-    assert not (out / "profile_summary.json").exists()
+    assert run("profile", "--graph", str(graph), "--starts", "0,0",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == \
+        "error: --starts must be distinct, got 0,0\n"
+    assert not out.exists()
+
+
+def test_profile_writes_an_undefined_ratio_as_null(tmp_path):
+    # on K3 the walk starts within 3/4 of uniform: tmix(3/4) = 0
+    graph = tmp_path / "k3.ev"
+    graph.write_text(K3_TEXT)
+    out = tmp_path / "run"
+    assert run("profile", "--graph", str(graph), "--out", str(out)) == 0
+    body = _strict_json(out / "profile_summary.json")
+    assert body["worst_start"]["tmix"] == {"0.25": 2, "0.75": 0}
+    assert body["worst_start"]["cutoff_ratio"] is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_hitting_from_a_leaf_writes_undefined_values_as_null(tmp_path):
+    # every sample is 0: one cluster is empty and Q25 is 0
+    graph = tmp_path / "leaf.ev"
+    graph.write_text("ev 2 1 0 0 c\n0 1\nlevels\n0 0 TreeNode\n1 1 Leaf\n")
+    out = tmp_path / "run"
+    assert run("hitting", "--graph", str(graph), "--start", "1",
+               "--samples", "1000", "--seed", "1", "--out", str(out)) == 0
+    body = _strict_json(out / "hitting.json")
+    assert body["mean"] == 0.0
+    assert body["bimodality"]["cluster_means"] == [0.0, None]
+    assert body["bimodality"]["separation"] is None
+    assert body["quantile_ratio"] is None
 
 
 def test_eps_outside_unit_interval_exits_2(tmp_path, capsys):

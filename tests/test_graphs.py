@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from expander_cutoff import graphs
 from expander_cutoff.graphs import (
     AUXILIARY,
     LEAF,
@@ -351,6 +352,20 @@ def test_finish_is_repeatable():
     first.check()
 
 
+def test_index_arrays_are_int32_and_shared_with_the_adjacency():
+    b = GraphBuilder(meta={"variant": "custom"})
+    b.add_vertices(4)
+    b.add_edge_array([0, 1, 2], [1, 2, 3])
+    built = b.finish()
+    for g in (built, from_text(to_text(built)),
+              stretch_edges(built, [(1, 2)], 3)):
+        assert g.indptr.dtype == g.indices.dtype == np.int32
+        assert g.level.dtype == np.int64 and g.role.dtype == np.uint8
+        a = g.adjacency_csr()
+        assert np.shares_memory(a.indices, g.indices)
+        assert np.shares_memory(a.indptr, g.indptr)
+
+
 def test_edge_arrays_of_different_shapes_raise():
     b = GraphBuilder()
     b.add_vertices(3)
@@ -390,6 +405,15 @@ def test_bipartiteness_reaches_every_component(last, bipartite):
     g = graph_from_edges(10, square + [(5, 6)] + last)
     assert g.degrees()[4] == 0
     assert is_bipartite(g) is bipartite
+
+
+def test_bipartiteness_checks_every_block_of_arcs(monkeypatch):
+    # three arcs per block, so the odd cycle's arcs span many blocks
+    monkeypatch.setattr(graphs, "_BLOCK", 3)
+    assert is_bipartite(cycle_graph(10))
+    assert not is_bipartite(cycle_graph(9))
+    assert not is_bipartite(graph_from_edges(
+        12, [(i, i + 1) for i in range(8)] + [(9, 10), (10, 11), (11, 9)]))
 
 
 def test_serialization_roundtrip(five_reg_h1):

@@ -104,6 +104,18 @@ def test_step_rejects_mismatched_buffers():
             step(g, p, out=bad)
         with pytest.raises(GraphError, match="buffers"):
             step(g, p, work=bad)
+    # an `out` or `work` that is p itself gave mass 0.9375 or 0.875 at
+    # laziness 0.25, and work=p overwrote p
+    g = cycle_graph(6)
+    p = point_mass(6, 0)
+    buf = np.empty(12)
+    for kwargs in ({"out": p}, {"work": p}, {"out": buf[:6], "work": buf[:6]},
+                   {"out": buf[:6], "work": buf[3:9]}):
+        with pytest.raises(GraphError, match="buffers .* must not overlap"):
+            step(g, p, 0.25, **kwargs)
+    assert np.array_equal(p, point_mass(6, 0))
+    assert step(g, p, 0.25, out=buf[:6],
+                work=buf[6:]).sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

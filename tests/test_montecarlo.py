@@ -369,6 +369,20 @@ def test_chain_survival_is_monotone():
     assert surv[-1] < 0.01
 
 
+def test_chain_survival_is_zero_below_the_normal_range():
+    """Cubic h=1 L=1: S(t) leaves the normal doubles at t = 4,489.  It
+    used to hover at 5-6e-323 through t = 20,000, rising by up to 20%
+    between steps; below 1e-300 it now rises by rounding only (a few ulps,
+    as it does everywhere) and is exactly 0 from there on."""
+    surv = descent_chain(ConstructionParams(h=1, L=1,
+                                            variant="cubic")).survival(6000)
+    tiny = np.finfo(float).tiny
+    assert surv[4488] >= tiny
+    assert (surv[4489:] == 0.0).all()
+    low = surv[:-1] < 1e-300
+    assert (surv[1:][low] <= surv[:-1][low] * (1 + 1e-15)).all()
+
+
 def test_chain_start_levels():
     chain = descent_chain(ConstructionParams(h=4, L=2))
     def mean_from(level, n):
