@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, construction, mixing, montecarlo, spectral
 from .construction import ConstructionParams
-from .graphs import GraphError, from_text, to_text
+from .graphs import GraphError, from_text, text_blocks
 
 
 class UsageError(ValueError):
@@ -46,12 +46,17 @@ def _header(command: str, params: dict) -> str:
 _WRITE_SLICE = 1 << 20
 
 
-def write_artifact(path: Path, command: str, params: dict, body: str) -> None:
+def write_artifact(path: Path, command: str, params: dict, body) -> None:
+    """Header, then the body: a str, written in slices, or an iterable of
+    str blocks (graphs.text_blocks), written as they come."""
+    blocks = body
+    if isinstance(body, str):
+        blocks = (body[i:i + _WRITE_SLICE]
+                  for i in range(0, len(body), _WRITE_SLICE))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(_header(command, params))
-        for i in range(0, len(body), _WRITE_SLICE):
-            f.write(body[i:i + _WRITE_SLICE])
+        f.writelines(blocks)
 
 
 def _finite_or_null(obj):
@@ -368,7 +373,7 @@ def _cmd_build(args) -> int:
             if k in ("variant", "h", "L", "L_prime", "m", "degree", "seeds",
                      "gap1", "gap2", "L_floor", "meets_L_floor", "bipartite")}
     info = _param_summary(args, ("variant", "h", "L", "Lprime", "m", "seed"))
-    write_artifact(out / "graph.ev", "build", info, to_text(g))
+    write_artifact(out / "graph.ev", "build", info, text_blocks(g))
     census = {
         "vertices": g.vertex_count,
         "edges": g.edge_count,

@@ -3,13 +3,14 @@
 The provider draws seeded random regular graphs (configuration model with
 whole-pairing rejection of self-loops and parallel edges), then certifies
 the adjacency gap by an exact eigensolve: dense below DENSE_LIMIT vertices,
-Lanczos (ARPACK) above.  Random regular graphs are near-optimal expanders
-with overwhelming probability, so the bounded seed-increment retry loop
-nearly always stops at the first attempt.
+Lanczos on the walk's own matvec kernel above.  Random regular graphs are
+near-optimal expanders with overwhelming probability, so the bounded
+seed-increment retry loop nearly always stops at the first attempt.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,10 @@ from .graphs import (
 
 DENSE_LIMIT = 2000
 MAX_ATTEMPTS = 200
+# Lanczos steps before certification gives up with GraphError; the cubic
+# H2 takes 500 steps at 2^14 vertices and 950 at 2^17
+LANCZOS_STEPS = 10000
+_CHECK_EVERY = 50
 _EIG_TOL = 1e-8
 
 
@@ -82,29 +87,92 @@ def _pair_regular(degree: int, size: int, gen: np.random.Generator):
     return lo, hi
 
 
-def adjacency_extremes(g: LeveledGraph):
-    """(second largest, smallest) adjacency eigenvalues, signed.
+def _negative_definite(a, b2, x):
+    """Whether T - xI is negative definite, T the tridiagonal matrix with
+    diagonal a and squared off-diagonal b2: whether every pivot of its
+    LDL^T is negative."""
+    q = a[0] - x
+    for ak, bk2 in zip(a[1:], b2):
+        if q >= 0:
+            return False
+        q = ak - x - bk2 / q
+    return q < 0
 
-    Dense symmetric solve for small graphs; above DENSE_LIMIT, implicitly
-    restarted Lanczos on the sparse adjacency (both spectrum ends in one
-    factorization) with a fixed start vector so repeated runs agree
-    bit-for-bit.
+
+def _top_ritz(a, b, beta):
+    """(theta, beta |s_m|) for the largest eigenvalue theta of T (diagonal
+    a, off-diagonal b), bisected between max(a) and Gershgorin's bound:
+    s_m, the last entry of its unit eigenvector, comes from the three-term
+    recurrence run back from s_m = 1, rescaled before it overflows."""
+    b2 = [x * x for x in b]
+    edge = [0.0, *b, 0.0]
+    lo = max(a)
+    hi = max(ak + edge[k] + edge[k + 1] for k, ak in enumerate(a))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _negative_definite(a, b2, mid):
+            hi = mid
+        else:
+            lo = mid
+    x, x_next, norm2, last = 1.0, 0.0, 1.0, 1.0
+    for k in range(len(a) - 1, 0, -1):
+        x, x_next = ((hi - a[k]) * x - edge[k + 1] * x_next) / b[k - 1], x
+        norm2 += x * x
+        if norm2 > 1e200:
+            x, x_next, last = x * 1e-100, x_next * 1e-100, last * 1e-100
+            norm2 *= 1e-200
+    return hi, beta * last / math.sqrt(norm2)
+
+
+def adjacency_extremes(g: LeveledGraph):
+    """(second largest, smallest) adjacency eigenvalues of a regular graph,
+    signed; GraphError on one that is not regular.
+
+    Dense symmetric solve for small graphs.  Above DENSE_LIMIT, Lanczos on
+    g.matvec_kernel() from a fixed start vector, so repeated runs agree
+    bit for bit.  Every step subtracts the mean, since A maps the
+    complement of the constants to itself, so the extremes of T_m tend to
+    (lam2, lam_min).  There is no reorthogonalization: extreme Ritz values
+    converge regardless, and lost orthogonality only repeats them.  Every
+    _CHECK_EVERY steps both extreme Ritz pairs are held to Parlett's
+    residual bound beta_m |s_m| < _EIG_TOL; past LANCZOS_STEPS steps
+    GraphError names the residuals reached.
     """
+    degrees = g.degrees()
+    if np.any(degrees != degrees[:1]):
+        raise GraphError("graph is not regular")
     n = g.vertex_count
     if n <= DENSE_LIMIT:
         w = np.linalg.eigvalsh(g.adjacency_dense())
         return float(w[-2]), float(w[0])
-    # imported here, the one eigsh call, so commands that never certify
-    # above DENSE_LIMIT start without scipy
-    import scipy.sparse.linalg as spla
-
-    a = g.adjacency_csr()
-    v0 = np.full(n, 1.0)
-    v0[::2] += 0.5
-    v0[::3] -= 0.25
-    w = np.sort(spla.eigsh(a, k=3, which="BE", tol=_EIG_TOL, v0=v0,
-                           maxiter=100000, return_eigenvectors=False))
-    return float(w[1]), float(w[0])
+    kernel = g.matvec_kernel()
+    v = np.full(n, 1.0)
+    v[::2] += 0.5
+    v[::3] -= 0.25
+    v -= v.mean()
+    v /= math.sqrt(v @ v)
+    v_prev, w = np.zeros(n), np.empty(n)
+    a, b, beta = [], [], 0.0
+    for m in range(1, LANCZOS_STEPS + 1):
+        kernel(v, w)
+        w -= w.mean()
+        v_prev *= beta
+        w -= v_prev
+        a.append(float(w @ v))
+        np.multiply(v, a[-1], out=v_prev)
+        w -= v_prev
+        beta = math.sqrt(w @ w)
+        if m % _CHECK_EVERY == 0 or m == LANCZOS_STEPS or beta < _EIG_TOL:
+            lam2, res2 = _top_ritz(a, b, beta)
+            neg_min, res_min = _top_ritz([-x for x in a], b, beta)
+            if max(res2, res_min) < _EIG_TOL:
+                return lam2, -neg_min
+        b.append(beta)
+        v_prev, v, w = v, w, v_prev
+        v /= beta
+    raise GraphError(
+        f"Lanczos did not converge in LANCZOS_STEPS={LANCZOS_STEPS} steps: "
+        f"residuals {res2:.1e} (lam2) and {res_min:.1e} (lam_min), "
+        f"tolerance {_EIG_TOL:.0e}")
 
 
 def regular_extremes(g: LeveledGraph, degree: int):

@@ -14,16 +14,18 @@ chunks in place and holds one key per edge, then both arcs of each, and
 frees the arcs before it copies the tags, so its peak stays under twice
 the bytes of the graph it returns.
 
-The `.ev` codec stays near the size of its text: to_text formats the edge
-lines block by block from the CSR rows, and from_text matches each section
-in runs of lines and converts its fields in bulk, so neither keeps a
-Python object or matcher state per line.
+The `.ev` codec stays near the size of its text: text_blocks formats the
+edge lines block by block from the CSR rows (to_text joins the blocks,
+build writes them as they come), and from_text matches each section in
+runs of lines and converts its fields in bulk, so neither keeps a Python
+object or matcher state per line.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -570,9 +572,10 @@ def _vertex_lines(g):
                             _ROLE_OBJECTS[g.role[i:j]])
 
 
-def to_text(g: LeveledGraph) -> str:
-    """Serialize: header `ev <n> <m> <h> <L> <variant>`, one `u v` line per
-    edge (u < v), then a `levels` section of `vertex level role` triples."""
+def text_blocks(g: LeveledGraph):
+    """to_text as an iterator of string blocks, for writing a graph without
+    one string of the whole text; its fields are checked before it
+    returns."""
     meta = g.meta
     h = int(meta.get("h", 0))
     L = int(meta.get("L", 0))
@@ -587,9 +590,14 @@ def to_text(g: LeveledGraph) -> str:
                         ("level", int(g.level.max(initial=0)))):
         if abs(value) >= 10 ** 18:
             raise GraphError(f"{name} {value} does not fit an 18-digit field")
-    return "".join([
-        f"ev {g.vertex_count} {g.edge_count} {h} {L} {variant}\n",
-        *_edge_lines(g), "levels\n", *_vertex_lines(g)])
+    return chain([f"ev {g.vertex_count} {g.edge_count} {h} {L} {variant}\n"],
+                 _edge_lines(g), ["levels\n"], _vertex_lines(g))
+
+
+def to_text(g: LeveledGraph) -> str:
+    """Serialize: header `ev <n> <m> <h> <L> <variant>`, one `u v` line per
+    edge (u < v), then a `levels` section of `vertex level role` triples."""
+    return "".join(text_blocks(g))
 
 
 def _malformed(text, pos, line_no, expected):

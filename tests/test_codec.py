@@ -4,6 +4,7 @@ and the codec's memory as a multiple of the text it writes or reads."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from expander_cutoff.graphs import (
     GraphBuilder,
     GraphError,
     from_text,
+    text_blocks,
     to_text,
 )
 
@@ -156,6 +158,29 @@ def test_write_artifact_holds_no_extra_copy_of_the_body(tmp_path):
         lambda: write_artifact(path, "build", {"h": 3}, body)) < 1.5 * len(body)
     assert read_artifact(path) == body
     assert path.read_text().startswith("# expander-cutoff ")
+
+
+def test_build_streams_the_text_without_joining_it(tmp_path):
+    """write_artifact takes text_blocks' iterator as it takes to_text's
+    string and writes the same bytes.  Its peak is one block's formatting,
+    about 1 MB whatever the graph, where to_text's is twice the text: on a
+    100,000-cycle (a 2,966,705-character text) tracemalloc peaks at 0.36x
+    the text against 2.0x."""
+    n = 100_000
+    b = GraphBuilder()
+    b.add_vertices(n)
+    b.add_edge_array(np.arange(n), (np.arange(n) + 1) % n)
+    g = b.finish()
+    text = to_text(g)
+    path = tmp_path / "graph.ev"
+    assert _traced_peak(lambda: write_artifact(
+        path, "build", {"h": 3}, text_blocks(g))) < 0.5 * len(text)
+    assert read_artifact(path) == text
+    b = GraphBuilder(meta={"variant": " custom"})
+    b.add_vertices(2)
+    # fields are checked before the first block, not mid-write
+    with pytest.raises(GraphError, match="does not fit the header line"):
+        text_blocks(b.finish())
 
 
 @pytest.mark.parametrize("field, value", [

@@ -75,20 +75,61 @@ def test_certify_rejects_disconnected():
         spectral_report(g)
 
 
-def test_dense_and_iterative_paths_agree():
-    # same graph through both solvers by monkeying the dense cutoff
+def test_dense_and_iterative_paths_agree(monkeypatch):
+    # the same graphs through both solvers, by lowering the dense cutoff
     import expander_cutoff.expanders as ex_mod
 
-    ex = make_expander(ExpanderSpec(3, 256, 0.05, 3))
-    dense = adjacency_extremes(ex.graph)
-    old = ex_mod.DENSE_LIMIT
-    ex_mod.DENSE_LIMIT = 10
-    try:
-        sparse = adjacency_extremes(ex.graph)
-    finally:
-        ex_mod.DENSE_LIMIT = old
-    assert dense[0] == pytest.approx(sparse[0], abs=1e-6)
-    assert dense[1] == pytest.approx(sparse[1], abs=1e-6)
+    graphs = [make_expander(ExpanderSpec(d, n, 0.05, seed)).graph
+              for d, n, seed in ((3, 256, 3), (3, 1000, 1), (3, 2000, 2),
+                                 (4, 256, 1), (4, 999, 2), (4, 2000, 3))]
+    dense = [adjacency_extremes(g) for g in graphs]
+    monkeypatch.setattr(ex_mod, "DENSE_LIMIT", 10)
+    for g, (lam2, lam_min) in zip(graphs, dense):
+        lanczos = adjacency_extremes(g)
+        assert lanczos == pytest.approx((lam2, lam_min), abs=1e-9), g
+
+
+def test_lanczos_on_the_cubic_h4_h2():
+    """The 2^14-vertex H2 of `build --variant cubic --h 4 --L 3 --seed 1`
+    (seed 2, certified at its first attempt), against the values ARPACK
+    gave it; a second call repeats the floats bit for bit."""
+    ex = make_expander(ExpanderSpec(3, 16384, 0.05, 2))
+    assert ex.attempts == 1
+    lam2, lam_min = adjacency_extremes(ex.graph)
+    assert lam2 == pytest.approx(2.828305715568, abs=1e-9)
+    assert lam_min == pytest.approx(-2.826499620870, abs=1e-9)
+    assert adjacency_extremes(ex.graph) == (lam2, lam_min)
+
+
+@pytest.mark.parametrize("dense_limit", [2000, 10])
+def test_eigensolve_refuses_a_graph_that_is_not_regular(monkeypatch,
+                                                        dense_limit):
+    import expander_cutoff.expanders as ex_mod
+
+    from conftest import graph_from_edges
+
+    monkeypatch.setattr(ex_mod, "DENSE_LIMIT", dense_limit)
+    # a 64-cycle with one chord: two vertices of degree 3
+    edges = [(i, (i + 1) % 64) for i in range(64)] + [(0, 32)]
+    with pytest.raises(GraphError, match="not regular"):
+        adjacency_extremes(graph_from_edges(64, edges))
+
+
+def test_lanczos_past_its_step_cap_is_a_graph_error(monkeypatch, tmp_path,
+                                                    capsys):
+    import expander_cutoff.expanders as ex_mod
+    from expander_cutoff.cli import main
+
+    ex = make_expander(ExpanderSpec(3, 2048, 0.05, 1))
+    monkeypatch.setattr(ex_mod, "LANCZOS_STEPS", 30)
+    with pytest.raises(GraphError, match=r"LANCZOS_STEPS=30 steps: "
+                       r"residuals \S+ \(lam2\) and \S+ \(lam_min\)"):
+        adjacency_extremes(ex.graph)
+    # the build of that expander exits 1 with the message, not a traceback
+    make_expander.cache_clear()
+    assert main(["build", "--variant", "cubic", "--h", "3", "--L", "1",
+                 "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert "LANCZOS_STEPS=30 steps" in capsys.readouterr().err
 
 
 def test_cheeger_sandwich_on_certified_expanders():
