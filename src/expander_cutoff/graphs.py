@@ -23,8 +23,11 @@ object or matcher state per line.
 
 from __future__ import annotations
 
+import os
 import re
+import sys
 from array import array
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -56,9 +59,10 @@ class LeveledGraph:
     ----------
     indptr, indices : int32 arrays
         CSR adjacency; each neighbor list is sorted ascending.  int32 is
-        the index type scipy's sparse kernels run on, so adjacency_csr()
-        wraps these arrays without a copy; GraphBuilder.finish refuses a
-        graph of 2^31 vertices or arcs or more.
+        an index type scipy's compiled csr_matvec runs on, so the walk's
+        kernel (matvec_kernel) and adjacency_csr() use these arrays
+        without a copy; GraphBuilder.finish refuses a graph of 2^31
+        vertices or arcs or more.
     level : int64 array
         Per-vertex level; ``UNLEVELED`` (-1) where levels are meaningless.
     role : uint8 array
@@ -98,9 +102,13 @@ class LeveledGraph:
 
     def float_degrees(self) -> np.ndarray:
         """Degrees as a cached, read-only float64 array (the walk kernel's
-        divisor)."""
+        divisor); a vertex of degree 0, where the walk is undefined, is a
+        GraphError."""
         if self._float_degrees is None:
             d = self.degrees().astype(np.float64)
+            if not d.all():
+                raise GraphError(f"vertex {int(d.argmin())} has degree 0: "
+                                 f"the walk is undefined there")
             d.setflags(write=False)
             self._float_degrees = d
         return self._float_degrees
@@ -120,7 +128,8 @@ class LeveledGraph:
 
     def adjacency_csr(self):
         """Adjacency as a cached scipy CSR matrix with float64 entries, on
-        the graph's own index arrays."""
+        the graph's own index arrays.  No command calls it: it imports
+        scipy.sparse, which the walk's kernel does without."""
         if self._csr is None:
             import scipy.sparse as sp
 
@@ -131,19 +140,21 @@ class LeveledGraph:
         return self._csr
 
     def matvec_kernel(self):
-        """Cached kernel(x, out) writing A x into `out`: scipy's csr_matvec,
-        the loop csr_matrix.dot runs, on adjacency_csr().  It checks no
-        lengths, so x and out must be distinct contiguous float64 vectors of
-        length n (mixing.step checks them)."""
+        """Cached kernel(x, out) writing A x into `out`: scipy's compiled
+        csr_matvec, the loop csr_matrix.dot runs, on the graph's own index
+        arrays and one float64 array of ones, so it agrees bit for bit
+        with adjacency_csr().dot(x) without importing scipy.sparse.  It
+        checks no lengths, so x and out must be distinct contiguous
+        float64 vectors of length n (mixing.step checks them)."""
         if self._kernel is None:
-            from scipy.sparse._sparsetools import csr_matvec
-
-            a = self.adjacency_csr()
+            csr_matvec = _csr_matvec()
             n = self.vertex_count
+            indptr, indices = self.indptr, self.indices
+            ones = np.ones(len(indices), dtype=np.float64)
 
             def kernel(x, out):
                 out.fill(0)
-                csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
+                csr_matvec(n, n, indptr, indices, ones, x, out)
 
             self._kernel = kernel
         return self._kernel
@@ -184,6 +195,39 @@ class LeveledGraph:
     def __repr__(self):
         return (f"LeveledGraph(n={self.vertex_count}, m={self.edge_count}, "
                 f"variant={self.meta.get('variant', 'custom')!r})")
+
+
+@cache
+def _csr_matvec():
+    """scipy's compiled csr_matvec, loaded once per process from the
+    sparse/_sparsetools extension file of the installed scipy.
+
+    Importing scipy.sparse would run its package init (about 19 MB of
+    modules, among them numpy.testing, numpy.random and numpy.fft) to
+    reach this one function.  Only the top-level scipy package is
+    imported, as its init sets up the wheel's bundled-library paths on
+    some platforms.  The extension enters itself in sys.modules as it
+    loads; that entry is removed again unless scipy.sparse made it, so
+    sys.modules lists no submodule of a package that was never
+    imported."""
+    from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                     FileFinder)
+    from importlib.util import module_from_spec
+
+    import scipy
+
+    name = "scipy.sparse._sparsetools"
+    finder = FileFinder(os.path.join(scipy.__path__[0], "sparse"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name} extension in {finder.path}")
+    entered = name not in sys.modules
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if entered:
+        sys.modules.pop(name, None)
+    return module.csr_matvec
 
 
 class GraphBuilder:

@@ -9,9 +9,10 @@ so root profiles of the cubic and five_regular families cost microseconds
 per step at any height.
 
 step takes the product from the object it walks (`matvec_kernel()`): a
-graph runs scipy's csr_matvec on its CSR adjacency, a chain a numpy
-row sum over the arcs of its CSR multigraph, bit-identical to csr_matvec.
-Nothing here imports scipy, so a chain is evolved without loading it.
+graph runs scipy's compiled csr_matvec on its own CSR arrays, loaded
+without importing scipy.sparse, and a chain a numpy row sum over the arcs
+of its CSR multigraph, bit-identical to csr_matvec.  Nothing here imports
+scipy, so a chain is evolved without loading it.
 """
 
 from __future__ import annotations
@@ -211,7 +212,10 @@ def summarize_profile(profile: TVProfile,
 def default_starts(g: LeveledGraph) -> list:
     """Representative start set: root, a mid-depth vertex, one vertex on
     each expander-identified level, and a leaf (for leveled builds); vertex
-    0 plus a farthest vertex from it otherwise."""
+    0 plus a farthest vertex from it otherwise.  A graph with no vertex
+    has no start: GraphError."""
+    if g.vertex_count == 0:
+        raise GraphError("graph has no vertices: no start to walk from")
     h = g.meta.get("h", 0)
     if h and (g.level != UNLEVELED).any():
         wanted = [0, (h + 1) // 2, h + 2, 2 * h + 2, leaf_level(g)]
@@ -261,7 +265,7 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
         t_max = t_cap(g.meta.get("h", 0), g.meta.get("L", 0), g.vertex_count)
     min_eps = _eps_grid(eps_grid)[0]
     # built once here, then only read by the workers; a graph's kernel
-    # builds its CSR adjacency, a chain's needs no scipy
+    # loads scipy's csr_matvec, a chain's needs no scipy
     g.matvec_kernel()
     g.float_degrees()
 

@@ -123,6 +123,32 @@ def test_hitting_without_reachable_leaf_exits_1(tmp_path, capsys, text):
         "error: no leaf vertex is reachable from start 0\n")
 
 
+_ISOLATED = ("ev 3 1 1 1 custom\n0 1\nlevels\n"
+             + "".join(f"{v} 0 TreeNode\n" for v in range(3)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, starts, message", [
+    ("ev 0 0 1 1 custom\nlevels\n", (),
+     "graph has no vertices: no start to walk from"),
+    (_ISOLATED, (), "vertex 2 has degree 0: the walk is undefined there"),
+    (_ISOLATED, ("--starts", "0"),
+     "vertex 2 has degree 0: the walk is undefined there"),
+], ids=["empty", "isolated_vertex", "isolated_vertex_start_0"])
+def test_profile_refuses_a_graph_it_cannot_walk(tmp_path, capsys, text,
+                                                starts, message):
+    """An empty graph is refused before a start is chosen, and a vertex of
+    degree 0 before the first step divides by its degree: exit 1 with
+    the reason, no traceback, no warning and no artifact."""
+    graph = tmp_path / "bad.ev"
+    graph.write_text(text)
+    out = tmp_path / "run"
+    assert run("profile", "--graph", str(graph), *starts, "--tmax", "50",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_hitting_chain_mode(tmp_path):
     out = tmp_path / "hit"
     rc = run("hitting", "--chain", "--variant", "five_regular", "--h", "4",
@@ -798,6 +824,87 @@ def test_chain_commands_start_without_scipy(tmp_path):
                       "build_linalg": False}
     census = read_json(tmp_path / "b" / "census.json")
     assert census["vertices"] > 2048 and census["meta"]["gap2"] > 0
+
+
+_NO_SPARSE_SCRIPT = """
+import json, sys
+from expander_cutoff import cli
+
+out = sys.argv[1]
+graph = out + "/build/graph.ev"
+# cubic h=3 certifies its 2048-vertex expander by Lanczos on the kernel
+codes = [cli.main(argv + ["--out", out + "/" + argv[0]]) for argv in (
+    ["build", "--variant", "cubic", "--h", "3", "--L", "1", "--seed", "1"],
+    ["profile", "--graph", graph],
+    ["spectral", "--graph", graph],
+    ["hitting", "--graph", graph, "--samples", "200", "--seed", "1"],
+    ["cylinder-sweep", "--Ls", "5,9", "--seed", "1"])]
+print(json.dumps({"codes": codes, "sparse": sorted(
+    m for m in sys.modules if m.startswith("scipy.sparse"))}))
+"""
+
+
+def test_graph_commands_start_without_scipy_sparse(tmp_path):
+    """build, the graph walks and cylinder-sweep run scipy's compiled
+    csr_matvec in a fresh process without loading scipy.sparse or leaving
+    any of its modules in sys.modules."""
+    report = json.loads(_fresh_python(_NO_SPARSE_SCRIPT, str(tmp_path)))
+    assert report == {"codes": [0] * 5, "sparse": []}
+    for name in ("profile/profile_summary.json", "spectral/spectral.json",
+                 "hitting/hitting.json", "cylinder-sweep/cylinder_sweep.json"):
+        assert read_json(tmp_path / name)
+
+
+_KERNEL_SCRIPT = """
+import json, sys
+import numpy as np
+from expander_cutoff import construction, graphs
+from expander_cutoff.construction import ConstructionParams
+
+cubic = construction.build(ConstructionParams(
+    h=3, L=3, variant="cubic", expander_seeds=(1, 2)))
+irregular = graphs.stretch_edges(cubic, cubic.edge_array()[::5], 2)
+rng = np.random.default_rng(3)
+xs = [rng.standard_normal(g.vertex_count) * 10.0 ** rng.integers(
+    -300, 300, g.vertex_count) for g in (cubic, irregular)]
+
+def products(gs):
+    outs = []
+    for g, x in zip(gs, xs):
+        out = np.full(g.vertex_count, np.nan)
+        g.matvec_kernel()(x, out)
+        outs.append(out.view(np.int64))
+    return outs
+
+first = products((cubic, irregular))
+sparse_first = "scipy.sparse" in sys.modules
+# scipy.sparse now loads the extension a second time, and a fresh kernel
+# loader a third, with scipy.sparse's module entered in sys.modules
+import scipy.sparse
+graphs._csr_matvec.cache_clear()
+again = products([g.with_meta() for g in (cubic, irregular)])
+refs = [g.adjacency_csr().dot(x).view(np.int64)
+        for g, x in zip((cubic, irregular), xs)]
+print(json.dumps({
+    "sparse_first": sparse_first,
+    "regular": [len(np.unique(g.degrees())) for g in (cubic, irregular)],
+    "first": [bool(np.array_equal(a, r)) for a, r in zip(first, refs)],
+    "again": [bool(np.array_equal(a, r)) for a, r in zip(again, refs)],
+    "entered": sys.modules["scipy.sparse._sparsetools"]
+               is scipy.sparse._sparsetools}))
+"""
+
+
+def test_graph_kernel_is_bit_identical_to_scipy_sparse():
+    """matvec_kernel() gives adjacency_csr().dot(x) bit for bit on signed
+    vectors spanning the float range, for a cubic build and an irregular
+    stretch of it, both before scipy.sparse is imported and after, when
+    the extension has been loaded again; the later load leaves
+    scipy.sparse's own module in sys.modules."""
+    report = json.loads(_fresh_python(_KERNEL_SCRIPT))
+    assert report == {"sparse_first": False, "regular": [1, 2],
+                      "first": [True, True], "again": [True, True],
+                      "entered": True}
 
 
 _THREADS_SCRIPT = """
