@@ -16,13 +16,14 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
+from importlib.util import find_spec
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, construction, mixing, montecarlo, spectral
 from .construction import ConstructionParams
-from .graphs import GraphError, from_text, text_blocks
+from .graphs import GraphError, from_text_blocks, text_blocks
 
 
 class UsageError(ValueError):
@@ -77,17 +78,46 @@ def write_json(path: Path, command: str, params: dict, obj) -> None:
                               allow_nan=False) + "\n")
 
 
+def _skip_header(f):
+    """Move the text file f past its leading `#` lines."""
+    start = f.tell()
+    while f.readline().startswith("#"):
+        start = f.tell()
+    f.seek(start)
+
+
 def read_artifact(path) -> str:
     """Artifact body: the text from the first line that does not start
     with `#`.  The file is read with universal newlines, so its lines end
     in LF whatever the file used.  The header lines are read one by one
-    and the body in one read, so the whole file is never held twice."""
+    and the body in one read, so the whole file is never held twice.  The
+    CLI reads graph files block by block instead (_load_graph), so no
+    string of a whole graph.ev body exists."""
     with open(path) as f:
-        start = f.tell()
-        while f.readline().startswith("#"):
-            start = f.tell()
-        f.seek(start)
+        _skip_header(f)
         return f.read()
+
+
+# characters per read of a graph file: the parser holds about one block
+# of text and its fields at a time
+_READ_BLOCK = 1 << 16
+
+
+def _line_blocks(f):
+    """The rest of the text file f as blocks of whole lines, read
+    _READ_BLOCK characters at a time; a line longer than a read is joined
+    from its pieces, and only the last block may lack a final newline."""
+    pieces = []
+    while block := f.read(_READ_BLOCK):
+        cut = block.rfind("\n") + 1
+        if cut:
+            pieces.append(block[:cut])
+            yield "".join(pieces)
+            pieces = []
+            block = block[cut:]
+        pieces.append(block)
+    if tail := "".join(pieces):
+        yield tail
 
 
 def read_json(path):
@@ -220,7 +250,7 @@ _POST_CONFIG_DEFAULTS = {
 _CONFIG_FLAG_VALUES = {"1": True, "true": True, "0": False, "false": False}
 
 
-def _read_input(read, path, what) -> str:
+def _read_input(read, path, what):
     """read(path) for an input file; a missing, unreadable or undecodable
     file is a usage error."""
     p = Path(path)
@@ -301,7 +331,17 @@ def _require_one_mode(args):
                              f"{', '.join(mixed)}")
 
 
+# how far the Philox keys of a command reach past --seed: a build keys its
+# second expander with seed + 1
+_SEED_SPAN = {"build": 1, "nocutoff-demo": 1, "hitting": 0,
+              "cylinder-sweep": 0}
+
+
 def _require_in_range(args):
+    span = _SEED_SPAN.get(args.command)
+    if span is not None and not 0 <= args.seed <= 2**64 - 1 - span:
+        raise UsageError(f"--seed must lie in [0, {2**64 - 1 - span}], "
+                         f"got {args.seed}")
     for key in ("samples", "stride"):
         value = getattr(args, key, None)
         if value is not None and value < 1:
@@ -342,8 +382,16 @@ def _params_from_args(args) -> ConstructionParams:
         **{k: getattr(args, k) for k in ("m", "min_gap") if hasattr(args, k)}))
 
 
+def _read_graph(path):
+    with open(path) as f:
+        _skip_header(f)
+        return from_text_blocks(_line_blocks(f))
+
+
 def _load_graph(path):
-    return from_text(_read_input(read_artifact, path, "graph file"))
+    """The graph of a graph file, parsed as it is read (a file that cannot
+    be read or decoded, at any point, is a usage error)."""
+    return _read_input(_read_graph, path, "graph file")
 
 
 def _int_option(text, option) -> int:
@@ -565,7 +613,33 @@ _COMMANDS = {
 }
 
 
+# the builtin modules hashlib falls back to without OpenSSL; CPython can
+# be built without some of them (--with-builtin-hashlib-hashes), and
+# hashlib's import then logs an error for each hash it lacks
+_BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2",
+                   *(("_sha2",) if sys.version_info >= (3, 12)
+                     else ("_sha256", "_sha512")))
+
+
 def main(argv=None) -> int:
+    """Run one command.  No command hashes, but numpy.random imports
+    secrets, and with it hmac and hashlib, whose OpenSSL backend _hashlib
+    maps libcrypto (about 3 MB resident).  While the command runs, a None
+    entry for a _hashlib that nothing has loaded makes both fall back to
+    CPython's builtin hashes, where the interpreter has them all; the
+    entry is removed again on return."""
+    unloaded = ("_hashlib" not in sys.modules
+                and all(map(find_spec, _BUILTIN_HASHES)))
+    if unloaded:
+        sys.modules["_hashlib"] = None
+    try:
+        return _run(argv)
+    finally:
+        if unloaded and sys.modules.get("_hashlib", False) is None:
+            del sys.modules["_hashlib"]
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -139,8 +139,12 @@ ROOT_CHAIN_VARIANTS = tuple(sorted(v for v, fam in FAMILIES.items()
 # shared scaffolding
 
 
-def _finalize(b, degree, meta):
-    g = b.finish(**meta)
+def _finalize(b, degree):
+    """b.finish(), checked to be connected and `degree`-regular and tagged
+    with its bipartiteness.  Callers pass their only reference to the
+    builder, so its edge chunks are freed before the checks run."""
+    g = b.finish()
+    del b
     if not assert_regular(g, degree):
         degs = g.degrees()
         bad = int(np.flatnonzero(degs != degree)[0])
@@ -181,11 +185,12 @@ def _wire(b, fam, exp, targets, level):
         b.add_edge_array(targets[edges[:, 0]], targets[edges[:, 1]])
 
 
-def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
-    """A tree-family build, branch for branch as class_chain lumps it: a
-    tree top, band 1 cross-wired by cliques on groups of `branching` trees,
-    band 2 whose interiors (or, with line graphs, their pendants) are wired
-    along H1, and band 3 whose leaves are wired along H2 (_wire)."""
+def _tree_family_builder(params: ConstructionParams) -> GraphBuilder:
+    """The builder of a tree-family build, branch for branch as class_chain
+    lumps it: a tree top, band 1 cross-wired by cliques on groups of
+    `branching` trees, band 2 whose interiors (or, with line graphs, their
+    pendants) are wired along H1, and band 3 whose leaves are wired along
+    H2 (_wire)."""
     fam = FAMILIES[params.variant]
     h, L, fanout, branching = params.h, params.L, fam.fanout, fam.branching
     leaves1 = fanout * branching ** (h + 1)
@@ -197,8 +202,13 @@ def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
         d, 2 * n // d if fam.line_graphs else n, params.min_gap, seed))
         for d, n, seed in zip(degrees, counts, params.expander_seeds))
     floor = choose_L(exp1.gap, exp2.gap)
+    meta = {"variant": params.variant, "h": h, "L": L, "degree": fam.degree,
+            "seeds": tuple(params.expander_seeds), "gap1": exp1.gap,
+            "gap2": exp2.gap, "L_floor": floor, "meets_L_floor": L >= floor}
+    if not fam.line_graphs:
+        meta["L_prime"] = params.L_prime if fam.uneven else 0
 
-    b = GraphBuilder()
+    b = GraphBuilder(meta)
     # the tree top: the root, then each child followed by its children
     levels = np.r_[0, np.tile([1] + [2] * branching, fanout)]
     b.add_vertex_array(levels, np.full(len(levels), TREE_NODE))
@@ -230,13 +240,7 @@ def _build_tree_family(params: ConstructionParams) -> LeveledGraph:
     set_b = (bases2[:, None] + t2["leaves"]).ravel()
     bases3 = _graft_trees_onto(b, set_b, t3, 2 * h + 2)
     _wire(b, fam, exp2, (bases3[:, None] + t3["leaves"]).ravel(), 3 * h + 2)
-
-    meta = {"variant": params.variant, "h": h, "L": L, "degree": fam.degree,
-            "seeds": tuple(params.expander_seeds), "gap1": exp1.gap,
-            "gap2": exp2.gap, "L_floor": floor, "meets_L_floor": L >= floor}
-    if not fam.line_graphs:
-        meta["L_prime"] = params.L_prime if fam.uneven else 0
-    return _finalize(b, fam.degree, meta)
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +288,16 @@ def build_cylinder(host, L: int) -> LeveledGraph:
             "host_gap": getattr(host, "gap", host_g.meta.get("gap"))}
     if L == 1:
         return host_g.with_meta(**meta, bipartite=is_bipartite(host_g))
-    k = (L - 1) // 4
-    b = GraphBuilder()
-    b.add_vertices(m, UNLEVELED, TREE_NODE)
+    return _finalize(_cylinder_builder(host_g, (L - 1) // 4, meta), 3)
+
+
+def _cylinder_builder(host_g, k, meta) -> GraphBuilder:
+    """The builder of a cylinder build: the host's vertices, then a ladder
+    of length 4k + 1 along each host edge."""
+    b = GraphBuilder(meta)
+    b.add_vertices(host_g.vertex_count, UNLEVELED, TREE_NODE)
     _add_ladders(b, host_g.edge_array(), k)
-    return _finalize(b, 3, meta)
+    return b
 
 
 def cylinder_vertex_count(m: int, num_host_edges: int, L: int) -> int:
@@ -315,8 +324,9 @@ def build(params: ConstructionParams) -> LeveledGraph:
     """The graph of any variant: a tree family, or a cylinder on a
     certified 3-regular host of m vertices."""
     params.validate()
-    if FAMILIES[params.variant].branching:
-        return _build_tree_family(params)
+    fam = FAMILIES[params.variant]
+    if fam.branching:
+        return _finalize(_tree_family_builder(params), fam.degree)
     host = make_expander(ExpanderSpec(3, params.m, params.min_gap,
                                       params.expander_seeds[0]))
     return build_cylinder(host, params.L)

@@ -10,15 +10,16 @@ takes vertices in runs and edges in arrays only.  Graphs are immutable
 after build; every operation returns a new graph.  A parallel edge or a
 self-loop is an error, never a silent no-op: finish() finds both, and
 unknown endpoints, over the whole edge set.  It reads the builder's edge
-chunks in place and holds one key per edge, then both arcs of each, and
-frees the arcs before it copies the tags, so its peak stays under twice
-the bytes of the graph it returns.
+chunks in place, sorts one key per edge and places each CSR row straight
+from the keys, so its peak stays under twice the bytes of the graph it
+returns.
 
 The `.ev` codec stays near the size of its text: text_blocks formats the
 edge lines block by block from the CSR rows (to_text joins the blocks,
-build writes them as they come), and from_text matches each section in
-runs of lines and converts its fields in bulk, so neither keeps a Python
-object or matcher state per line.
+build writes them as they come), and from_text_blocks parses blocks of
+whole lines as they come (from_text is one block), matching each section
+in runs of lines and converting its fields in bulk, so neither keeps a
+Python object or matcher state per line.
 """
 
 from __future__ import annotations
@@ -270,9 +271,12 @@ class GraphBuilder:
 
     def add_edge_array(self, us, vs) -> None:
         """Edges us[i] - vs[i] for arrays of one shape; every check runs at
-        finish()."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        finish().  Two int32 arrays are kept as they are, any others as
+        int64."""
+        us, vs = np.asarray(us), np.asarray(vs)
+        if not us.dtype == vs.dtype == np.int32:
+            us = us.astype(np.int64, copy=False)
+            vs = vs.astype(np.int64, copy=False)
         if us.shape != vs.shape:
             raise GraphError("endpoint arrays differ in shape")
         # reshape, not ravel: a strided 1-D slice stays a view
@@ -281,11 +285,12 @@ class GraphBuilder:
     def finish(self, **meta_updates) -> LeveledGraph:
         """Freeze into a LeveledGraph; the builder is left as it was.
 
-        The edge chunks are read in place, never concatenated: one key per
-        edge and both arcs of each edge are the only int64 edge-sized
-        arrays, the keys are freed before the arcs are sorted, and the arcs
-        before the tags are copied.  A graph whose vertex or arc count does
-        not fit int32 is a GraphError."""
+        The edge chunks are read in place, never concatenated.  One int64
+        key (lo << 32) | hi per edge is sorted, which finds any duplicate,
+        and each CSR row is placed straight from the keys (_rows_from_keys):
+        the keys and the int32 indices are the only edge-sized arrays made,
+        with no array of both arcs of each edge.  A graph whose vertex or
+        arc count does not fit int32 is a GraphError."""
         n = len(self._level)
         chunks = [(us, vs) for us, vs in self._chunks if len(us)]
         m = sum(len(us) for us, _ in chunks)
@@ -308,28 +313,9 @@ class GraphBuilder:
         if dup.any():
             k = int(keys[dup.argmax()])
             raise GraphError(f"duplicate edge ({k >> 32}, {k & 0xffffffff})")
-        # both arcs of each edge as (src << 32) | dst: sorted, they list
-        # the CSR rows in order
-        arcs = np.empty(2 * m, np.int64)
-        arcs[:m] = keys
-        back = arcs[m:]
-        np.bitwise_and(keys, 0xffffffff, out=back)
-        back <<= 32
-        keys >>= 32
-        back |= keys
-        # the view `back` would keep the arcs alive past `del arcs` below
-        del keys, back
-        arcs.sort()
-        # row v starts at the first arc leaving v or a later vertex; found
-        # _BLOCK rows at a time, so no n-long int64 temporary is made
-        indptr = np.empty(n + 1, np.int32)
-        for i in range(0, n + 1, _BLOCK):
-            rows = np.arange(i, min(i + _BLOCK, n + 1), dtype=np.int64)
-            rows <<= 32
-            indptr[i:i + _BLOCK] = np.searchsorted(arcs, rows)
-        arcs &= 0xffffffff
-        indices = arcs.astype(np.int32)
-        del arcs
+        del dup
+        indptr, indices = _rows_from_keys(keys, n)
+        del keys
         meta = dict(self.meta)
         meta.update(meta_updates)
         return LeveledGraph(indptr, indices,
@@ -349,6 +335,62 @@ def _edge_keys(chunks, m):
         part |= np.maximum(us, vs)
         end += len(us)
     return keys
+
+
+def _key_starts(keys, n):
+    """int32 array whose entry v counts the sorted keys below v << 32:
+    counted _BLOCK keys at a time, so no n-long int64 temporary is made."""
+    starts = np.zeros(n + 1, np.int32)
+    for i in range(0, len(keys), _BLOCK):
+        tops = keys[i:i + _BLOCK] >> 32
+        first = int(tops[0])
+        tops -= first
+        counts = np.bincount(tops)
+        starts[first + 1:first + 1 + len(counts)] += counts.astype(np.int32)
+    np.cumsum(starts, out=starts)
+    return starts
+
+
+def _swap_halves(keys):
+    """Each key (a << 32) | b as (b << 32) | a, in place."""
+    for i in range(0, len(keys), _BLOCK):
+        block = keys[i:i + _BLOCK]
+        tops = block >> 32
+        block &= 0xffffffff
+        block <<= 32
+        block |= tops
+
+
+def _place(indices, keys, offsets):
+    """indices[j + offsets[a]] = b for the j-th key (a << 32) | b."""
+    for j in range(0, len(keys), _BLOCK):
+        block = keys[j:j + _BLOCK]
+        to = offsets[block >> 32]
+        to += np.arange(j, j + len(block))
+        indices[to] = block & 0xffffffff
+
+
+def _rows_from_keys(keys, n):
+    """(indptr, indices) of the n-vertex graph whose edges are the sorted,
+    distinct keys (lo << 32) | hi with lo < hi; the keys are reordered.
+
+    Row v is its lower neighbours, the keys ending at v, then its higher
+    ones, the keys starting at v, each part in key order, so the row is
+    sorted.  With starts[v] keys starting and ends[v] ending below v, row
+    v begins at starts[v] + ends[v].  So, the keys sorted by their ends,
+    the j-th, ending at v, goes to j + starts[v]; sorted by their starts
+    again, the i-th, starting at v, goes to i + ends[v + 1]."""
+    indices = np.empty(2 * len(keys), np.int32)
+    starts = _key_starts(keys, n)
+    _swap_halves(keys)
+    keys.sort()
+    ends = _key_starts(keys, n)
+    _place(indices, keys, starts)
+    _swap_halves(keys)
+    keys.sort()
+    _place(indices, keys, ends[1:])
+    starts += ends
+    return starts, indices
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +623,7 @@ _VERTEX_LINES = re.compile(
     rf"(?:(?=([ \t]*{_INT}[ \t]+{_INT}[ \t]+(?:{'|'.join(ROLE_NAMES)})"
     rf"[ \t]*(?:\r?\n|\Z)))\1){{0,{_MATCH_LINES}}}")
 _LEVELS_LINE = re.compile(r"levels(?:\r?\n|\Z)")
-_BLANK_TAIL = re.compile(r"[ \t\r\n]*\Z")
+_BLANK = re.compile(r"[ \t\r\n]*")
 
 
 def _format_block(fmt, *columns):
@@ -598,9 +640,10 @@ def _edge_lines(g):
     indptr, indices = g.indptr, g.indices
     for i in range(0, len(indices), _CHUNK_ROWS):
         j = min(i + _CHUNK_ROWS, len(indices))
-        # rows a..b-1 hold arcs i..j-1
-        a = int(np.searchsorted(indptr, i, "right")) - 1
-        b = int(np.searchsorted(indptr, j))
+        # rows a..b-1 hold arcs i..j-1 (int32 bounds: an int bound would
+        # make searchsorted copy indptr to int64)
+        a = int(np.searchsorted(indptr, np.int32(i), "right")) - 1
+        b = int(np.searchsorted(indptr, np.int32(j)))
         src = np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1].clip(i, j)))
         dst = indices[i:j]
         keep = src < dst
@@ -644,25 +687,58 @@ def to_text(g: LeveledGraph) -> str:
     return "".join(text_blocks(g))
 
 
-def _malformed(text, pos, line_no, expected):
-    line = text[pos:text.find("\n", pos) + 1 or len(text)]
+def _malformed(line, line_no, expected):
     return GraphError(f"malformed graph text: line {line_no}: expected "
                       f"{expected}, got {line[:80]!r}")
 
 
-def _match_lines(pattern, text, pos):
-    """End of the lines `pattern` matches from pos, and their count."""
-    end = pos
-    while (step := pattern.match(text, end).end()) > end:
-        end = step
-    count = text.count("\n", pos, end)
-    if end == len(text) > pos and not text.endswith("\n"):
-        count += 1
-    return end, count
+def _line_count(run):
+    """Lines in a run of whole lines, the last of which may lack its
+    line break."""
+    return run.count("\n") + (not run.endswith("\n"))
+
+
+class _Blocks:
+    """Read position in an iterable of str blocks, each a run of whole
+    lines; only the last block's last line may lack its line break."""
+
+    def __init__(self, blocks):
+        self._rest = iter(blocks)
+        self.text, self.pos = "", 0
+
+    def at_end(self) -> bool:
+        """Whether the input is used up, moving on to the next nonempty
+        block when this one is."""
+        while self.pos == len(self.text):
+            text = next(self._rest, None)
+            if text is None:
+                return True
+            self.text, self.pos = text, 0
+        return False
+
+    def line(self) -> str:
+        """The line at the position, '' at the end of the input."""
+        self.at_end()
+        text, pos = self.text, self.pos
+        return text[pos:text.find("\n", pos) + 1 or len(text)]
+
+    def runs(self, pattern):
+        """The text of the lines `pattern` matches from the position on,
+        one run per block, leaving the position at the first line it does
+        not match."""
+        while not self.at_end():
+            text, end = self.text, self.pos
+            while (step := pattern.match(text, end).end()) > end:
+                end = step
+            run, self.pos = text[self.pos:end], end
+            if run:
+                yield run
+            if end < len(text):
+                return
 
 
 def from_text(text: str) -> LeveledGraph:
-    """Parse the to_text format.
+    """Parse the to_text format: from_text_blocks over the one block text.
 
     Lines end in LF or CRLF, and the last one may lack it.  Fields are
     separated by runs of spaces or tabs, which may also lead or trail a
@@ -670,14 +746,32 @@ def from_text(text: str) -> LeveledGraph:
     of them, in the header's four counts as in the data lines.  After the
     last vertex line only blank lines may follow.
 
-    Each section's shape is checked with one regular expression and its
-    fields converted in bulk.  A missing line, wrong field count,
-    non-integer or overlong field, unknown role, duplicate edge,
-    self-loop, unknown endpoint, levels section that does not list
-    vertices 0..n-1 in order, or text after it raises GraphError.
+    A missing line, wrong field count, non-integer or overlong field,
+    unknown role, duplicate edge, self-loop, unknown endpoint, levels
+    section that does not list vertices 0..n-1 in order, or text after it
+    raises GraphError.
     """
-    pos = text.find("\n") + 1 or len(text)
-    header = text[:pos].removesuffix("\n").removesuffix("\r")
+    return from_text_blocks([text])
+
+
+def from_text_blocks(blocks) -> LeveledGraph:
+    """Parse the to_text format from an iterable of str blocks, each a run
+    of whole lines (only the last may end without a line break), with
+    from_text's grammar and its messages and line numbers whatever the
+    blocks.
+
+    Each section's lines are matched with one regular expression and
+    their fields converted in bulk, block by block, so the text is held a
+    block at a time: endpoints go to a GraphBuilder as int32 arrays (a
+    field outside 0..n-1 is remembered and refused before finish()),
+    vertex tags as they come.  Errors come in the order of a parse of the
+    whole text: every line's shape first, then vertex numbering, then the
+    builder's edge checks.
+    """
+    src = _Blocks(blocks)
+    header = src.line()
+    src.pos += len(header)
+    header = header.removesuffix("\n").removesuffix("\r")
     if not header.startswith("ev "):
         raise GraphError("bad header")
     fields = header.split(maxsplit=5)
@@ -685,42 +779,53 @@ def from_text(text: str) -> LeveledGraph:
         raise GraphError(f"malformed graph text: line 1: expected 'ev n m h "
                          f"L variant', got {header[:80]!r}")
     n, m, h, L = map(int, fields[1:5])
-    meta = {"h": h, "L": L, "variant": fields[5]}
+    b = GraphBuilder(meta={"h": h, "L": L, "variant": fields[5]})
     if n < 0 or m < 0:
         raise GraphError(f"malformed graph text: negative count in {header!r}")
 
-    end, count = _match_lines(_EDGE_LINES, text, pos)
+    count, stray = 0, False
+    for run in src.runs(_EDGE_LINES):
+        count += _line_count(run)
+        if count > m:
+            raise GraphError("missing levels section")
+        edges = np.fromstring(run, dtype=np.int64, sep=" ")
+        stray = stray or edges.min() < 0 or edges.max() >= n
+        edges = edges.astype(np.int32)
+        b.add_edge_array(edges[0::2], edges[1::2])
     if count < m:
-        raise _malformed(text, end, 2 + count, "an edge line 'u v'")
-    levels = _LEVELS_LINE.match(text, end) if count == m else None
+        raise _malformed(src.line(), 2 + count, "an edge line 'u v'")
+    levels = None if src.at_end() else _LEVELS_LINE.match(src.text, src.pos)
     if levels is None:
         raise GraphError("missing levels section")
-    edges = np.fromstring(text[pos:end], dtype=np.int64, sep=" ")
 
-    pos = levels.end()
-    end, count = _match_lines(_VERTEX_LINES, text, pos)
+    src.pos = levels.end()
+    count, misnumbered = 0, None
+    for run in src.runs(_VERTEX_LINES):
+        lines = _line_count(run)
+        if count + lines > n:
+            raise GraphError(f"malformed graph text: line {3 + m + n}: more "
+                             f"than the header's {n} vertex lines")
+        for code, name in enumerate(ROLE_NAMES):
+            run = run.replace(name, str(code))
+        vertex, level, role = np.fromstring(run, dtype=np.int64,
+                                            sep=" ").reshape(lines, 3).T
+        # to_text lists every vertex once, in order
+        bad = np.flatnonzero(vertex != np.arange(count, count + lines))
+        if len(bad) and misnumbered is None:
+            misnumbered = count + int(bad[0]), int(vertex[bad[0]])
+        b.add_vertex_array(level, role)
+        count += lines
     if count < n:
-        raise _malformed(text, end, 3 + m + count,
+        raise _malformed(src.line(), 3 + m + count,
                          "a vertex line 'vertex level role'")
-    if count > n:
-        raise GraphError(f"malformed graph text: line {3 + m + n}: more "
-                         f"than the header's {n} vertex lines")
-    if not _BLANK_TAIL.match(text, end):
-        raise _malformed(text, end, 3 + m + n, "the end of the text")
-    section = text[pos:end]
-    for code, name in enumerate(ROLE_NAMES):
-        section = section.replace(name, str(code))
-    vertex, level, role = np.fromstring(section, dtype=np.int64,
-                                        sep=" ").reshape(n, 3).T
-    # to_text lists every vertex once, in order
-    bad = np.flatnonzero(vertex != np.arange(n))
-    if len(bad):
-        v = int(bad[0])
-        raise GraphError(f"line {v + 3 + m}: expected vertex {v}, "
-                         f"got {vertex[v]}")
-    b = GraphBuilder(meta=meta)
-    b.add_vertex_array(level, role)
-    b.add_edge_array(edges[0::2], edges[1::2])
-    # the builder copied the tags: only the edges stay alive into finish()
-    del section, vertex, level, role
+    tail = src.line()
+    while not src.at_end():
+        src.pos = _BLANK.match(src.text, src.pos).end()
+        if src.pos < len(src.text):
+            raise _malformed(tail, 3 + m + n, "the end of the text")
+    if misnumbered is not None:
+        v, got = misnumbered
+        raise GraphError(f"line {v + 3 + m}: expected vertex {v}, got {got}")
+    if stray:
+        raise GraphError("edge references unknown vertex")
     return b.finish()

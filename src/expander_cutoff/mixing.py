@@ -18,8 +18,10 @@ scipy, so a chain is evolved without loading it.
 from __future__ import annotations
 
 import os
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -108,12 +110,14 @@ class TVProfile:
 
 
 def tv_profile_until(g, start, target, t_cap, stride=1,
-                     laziness=0.0) -> TVProfile:
+                     laziness=0.0, buffers=None) -> TVProfile:
     """The evolution loop behind every profile: records the TV distance to
     uniform every `stride` steps and at t_cap, and stops at the first
     record below `target` (errors if t_cap comes first).  target=None
     runs to t_cap.  g is a LeveledGraph, or a RootChain evolved from the
-    root (start 0) as class masses against its `stationary` law."""
+    root (start 0) as class masses against its `stationary` law.
+    `buffers`, three distinct contiguous float64 vectors with one entry
+    per vertex (or class), are the walk's; allocated when not given."""
     if t_cap < 0:
         raise GraphError("t_max must be >= 0")
     n = g.vertex_count
@@ -122,17 +126,19 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
     stride = int(stride)
     if stride < 1:
         raise GraphError(f"stride must be >= 1, got {stride}")
+    pi = None
     if isinstance(g, RootChain):
         # the mass of each class; vertex 0 is the root class
         if start != 0:
             raise GraphError("a root chain evolves the walk from vertex 0 only")
-        p, pi = point_mass(g.state_count, 0), g.stationary
-    else:
-        p, pi = point_mass(n, start), None
-    q = np.empty_like(p)
-    work = np.empty_like(p)
-    times = [0]
-    tv = [tv_to_uniform(p, work, pi)]
+        n, pi = g.state_count, g.stationary
+    if buffers is None:
+        buffers = (np.empty(n) for _ in range(3))
+    p, q, work = buffers
+    p.fill(0.0)
+    p[start] = 1.0
+    # one float per record: record i is at time min(i * stride, t_cap)
+    tv = array("d", [tv_to_uniform(p, work, pi)])
     renorms = 0
     t = 0
     while t < t_cap and (target is None or tv[-1] >= target):
@@ -144,12 +150,13 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
         if abs(mass - 1.0) > RENORM_TOL:
             p /= mass
             renorms += 1
-        times.append(t)
         tv.append(tv_to_uniform(p, work, pi))
     if target is not None and tv[-1] >= target:
         raise GraphError(f"not mixed below {target} by t_max={t_cap}")
-    return TVProfile(start=int(start), times=np.asarray(times, dtype=np.int64),
-                     tv=np.asarray(tv), laziness=laziness, stride=stride,
+    times = np.arange(len(tv), dtype=np.int64) * stride
+    np.minimum(times, t_cap, out=times)
+    return TVProfile(start=int(start), times=times, tv=np.array(tv),
+                     laziness=laziness, stride=stride,
                      renormalizations=renorms)
 
 
@@ -267,14 +274,26 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     # built once here, then only read by the workers; a graph's kernel
     # loads scipy's csr_matvec, a chain's needs no scipy
     g.matvec_kernel()
-    g.float_degrees()
-
-    def summary(s):
-        prof = tv_profile_until(g, s, target=min_eps * 0.98, t_cap=t_max,
-                                stride=stride, laziness=laziness)
-        return summarize_profile(prof, eps_grid)
+    size = len(g.float_degrees())
 
     workers = min(len(starts), _usable_cpus())
+    # one set of walk buffers per worker, allocated in this thread: buffers
+    # a worker thread allocated would come from its own malloc arena, which
+    # keeps what they freed from the rest of the process
+    free = SimpleQueue()
+    for _ in range(workers):
+        free.put(tuple(np.empty(size) for _ in range(3)))
+
+    def summary(s):
+        buffers = free.get()
+        try:
+            prof = tv_profile_until(g, s, target=min_eps * 0.98, t_cap=t_max,
+                                    stride=stride, laziness=laziness,
+                                    buffers=buffers)
+        finally:
+            free.put(buffers)
+        return summarize_profile(prof, eps_grid)
+
     if workers == 1:
         summaries = [summary(s) for s in starts]
     else:

@@ -317,6 +317,56 @@ def test_parameter_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+_SEED_CASES = {
+    # a build keys its two expanders with seed and seed + 1
+    "build": (("build", "--variant", "cubic", "--h", "2", "--L", "3"),
+              2**64 - 2),
+    "nocutoff-demo": (("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime",
+                       "4", "--samples", "1000"), 2**64 - 2),
+    "hitting-chain": (("hitting", "--chain", "--variant", "five_regular",
+                       "--h", "4", "--L", "2", "--samples", "100"), 2**64 - 1),
+    "hitting-graph": (("hitting", "--graph", "graph.ev", "--samples", "100"),
+                      2**64 - 1),
+    "cylinder-sweep": (("cylinder-sweep", "--Ls", "5,9"), 2**64 - 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEED_CASES))
+@pytest.mark.parametrize("past", [-1, 1])
+def test_seed_outside_philox_keys_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, case, past):
+    """A seed below 0, or one whose highest Philox key (seed + 1 for a
+    build) leaves uint64, is refused before anything is read or built,
+    where numpy raised OverflowError mid-command."""
+    argv, top = _SEED_CASES[case]
+    seed = -1 if past < 0 else top + 1
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    for module, name in ((construction, "build"), (montecarlo, "descent_chain"),
+                         (cli, "_load_graph")):
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "run"
+    assert run(*argv, "--seed", str(seed), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: --seed must lie in "
+                                       f"[0, {top}], got {seed}\n")
+    assert not out.exists()
+
+
+def test_highest_seed_a_command_takes_runs(tmp_path):
+    """The largest seed each sampler takes runs to the end."""
+    for case in ("hitting-chain", "nocutoff-demo"):
+        argv, top = _SEED_CASES[case]
+        assert run(*argv, "--seed", str(top), "--out",
+                   str(tmp_path / case)) == 0
+    argv, top = _SEED_CASES["build"]
+    assert run("build", "--variant", "five_regular", "--h", "1", "--L", "2",
+               "--seed", str(top), "--out", str(tmp_path / "build")) == 0
+    assert read_json(tmp_path / "build" / "census.json")["meta"]["seeds"] == [
+        top, top + 1]
+
+
 @pytest.mark.parametrize("case", ["graph_dir", "graph_bytes", "config_bytes",
                                   "out_file", "out_below_file"])
 def test_bad_paths_exit_2(tmp_path, capsys, case):
@@ -853,6 +903,83 @@ def test_graph_commands_start_without_scipy_sparse(tmp_path):
     for name in ("profile/profile_summary.json", "spectral/spectral.json",
                  "hitting/hitting.json", "cylinder-sweep/cylinder_sweep.json"):
         assert read_json(tmp_path / name)
+
+
+_NO_OPENSSL_SCRIPT = """
+import contextlib, io, json, os, sys
+from expander_cutoff import cli
+
+def libcrypto():
+    if not os.path.exists("/proc/self/maps"):
+        return None
+    with open("/proc/self/maps") as f:
+        return "libcrypto" in f.read()
+
+out = sys.argv[1]
+# numpy.random, which build and both samplers load, imports hashlib
+codes = [cli.main(argv) for argv in (
+    ["build", "--variant", "cubic", "--h", "3", "--L", "1", "--seed", "1",
+     "--out", out + "/build"],
+    ["hitting", "--graph", out + "/build/graph.ev", "--samples", "200",
+     "--seed", "1", "--out", out + "/graph"],
+    ["hitting", "--chain", "--h", "2", "--L", "2", "--samples", "200",
+     "--seed", "1", "--out", out + "/chain"])]
+after = {"codes": codes, "hashlib": "hashlib" in sys.modules,
+         "_hashlib": "_hashlib" in sys.modules, "libcrypto": libcrypto()}
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    import hashlib
+    digest = hashlib.sha256(b"abc").hexdigest()[:8]
+after.update(sha256=digest, stderr=err.getvalue())
+print(json.dumps(after))
+"""
+
+_IMPORT_KEEPS_OPENSSL_SCRIPT = """
+import json, sys
+import expander_cutoff
+absent = "_hashlib" not in sys.modules
+import hashlib
+# a _hashlib loaded before a command is left as it is
+from expander_cutoff import cli
+assert cli.main(["hitting", "--chain", "--h", "2", "--L", "2", "--samples",
+                 "200", "--seed", "1", "--out", sys.argv[1]]) == 0
+print(json.dumps([absent, hashlib.sha256.__module__,
+                  type(sys.modules["_hashlib"]).__name__]))
+"""
+
+_NO_BUILTIN_HASH_SCRIPT = """
+import contextlib, io, json, sys
+from expander_cutoff import cli
+
+# an interpreter built without one of hashlib's builtin hashes
+cli._BUILTIN_HASHES += ("_no_such_hash",)
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(["hitting", "--chain", "--h", "2", "--L", "2", "--samples",
+                     "200", "--seed", "1", "--out", sys.argv[1]])
+print(json.dumps([code, type(sys.modules["_hashlib"]).__name__,
+                  err.getvalue()]))
+"""
+
+
+def test_commands_run_without_openssl(tmp_path):
+    """build, hitting --graph and hitting --chain import numpy.random, and
+    with it hashlib and hmac, in one fresh process without loading
+    _hashlib or mapping libcrypto; afterwards hashlib works on CPython's
+    builtin hashes, quietly.  Importing the package changes nothing: a
+    later hashlib gets OpenSSL's hashes, and a command leaves a _hashlib
+    loaded before it as it was.  An interpreter without every builtin
+    hash keeps OpenSSL, so that hashlib's import logs nothing."""
+    report = json.loads(_fresh_python(_NO_OPENSSL_SCRIPT, str(tmp_path)))
+    assert report["libcrypto"] in (False, None)
+    report.pop("libcrypto")
+    assert report == {"codes": [0, 0, 0], "hashlib": True, "_hashlib": False,
+                      "sha256": "ba7816bf", "stderr": ""}
+    assert read_json(tmp_path / "graph" / "hitting.json")["mean"] > 0
+    line = _fresh_python(_IMPORT_KEEPS_OPENSSL_SCRIPT, str(tmp_path / "c"))
+    assert json.loads(line) == [True, "_hashlib", "module"]
+    line = _fresh_python(_NO_BUILTIN_HASH_SCRIPT, str(tmp_path / "d"))
+    assert json.loads(line) == [0, "module", ""]
 
 
 _KERNEL_SCRIPT = """

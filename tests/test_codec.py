@@ -1,13 +1,20 @@
 """The `.ev` codec on random graphs: round trips, the whitespace and
 line-ending grammar, single-field mutations that must fail as GraphError,
-and the codec's memory as a multiple of the text it writes or reads."""
+and the codec's memory as a multiple of the text it writes or reads.
+Graph texts are read through both entry points: from_text on the whole
+text, and the CLI's graph file reader, which parses blocks of whole lines
+as it reads them (here a few characters per read)."""
 
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from expander_cutoff import cli
 from expander_cutoff.cli import read_artifact, write_artifact
 from expander_cutoff.graphs import (
     GraphBuilder,
@@ -53,6 +60,28 @@ def _graph(edges, levels, roles):
     return b.finish()
 
 
+def via_file(text, block=5):
+    """The graph of `text` read back by the CLI's graph file reader with
+    `block` characters per read; a GraphError carries from_text's message
+    for the same text."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "graph.ev"
+        write_artifact(path, "build", {"h": 3}, text)
+        with mock.patch.object(cli, "_READ_BLOCK", block):
+            try:
+                return cli._load_graph(path)
+            except GraphError as exc:
+                with pytest.raises(GraphError) as whole:
+                    from_text(text)
+                assert str(exc) == str(whole.value)
+                raise
+
+
+# both entry points: the whole text, and the file read a few characters
+# at a time
+PARSERS = (from_text, via_file)
+
+
 # every role, level -1 and an isolated vertex (4); no edge; no vertex
 @example(_graph([(0, 1), (1, 3)], [0, -1, 7, -1, 2], [0, 1, 2, 3, 3]))
 @example(_graph([], [-1, -1, 0], [3, 2, 1]))
@@ -61,15 +90,16 @@ def _graph(edges, levels, roles):
 @given(small_graphs())
 def test_round_trip(g):
     text = to_text(g)
-    back = from_text(text)
-    assert back.same_structure(g)
-    assert back.meta == {k: g.meta[k] for k in ("h", "L", "variant")}
-    assert to_text(back) == text
-    # the same graph under the grammar's other spellings
-    for variant in (text.replace("\n", "\r\n"),
-                    text.replace(" ", " \t  "),
-                    text[:-1]):
-        assert from_text(variant).same_structure(g)
+    for parse in PARSERS:
+        back = parse(text)
+        assert back.same_structure(g)
+        assert back.meta == {k: g.meta[k] for k in ("h", "L", "variant")}
+        assert to_text(back) == text
+        # the same graph under the grammar's other spellings
+        for variant in (text.replace("\n", "\r\n"),
+                        text.replace(" ", " \t  "),
+                        text[:-1]):
+            assert parse(variant).same_structure(g)
 
 
 NON_INTEGERS = ["x", "1.5", "1e3", "0x1", "--1", "1-", "+-1", "١"]
@@ -113,8 +143,9 @@ def mutate(text, m, n, mutation, draw):
 @given(small_graphs(min_vertices=1), st.sampled_from(MUTATIONS), st.data())
 def test_one_mutated_field_is_a_graph_error(g, mutation, data):
     bad = mutate(to_text(g), g.edge_count, g.vertex_count, mutation, data.draw)
-    with pytest.raises(GraphError):
-        from_text(bad)
+    for parse in PARSERS:
+        with pytest.raises(GraphError):
+            parse(bad)
 
 
 def _traced_peak(f):
@@ -127,19 +158,28 @@ def _traced_peak(f):
         tracemalloc.stop()
 
 
-def test_codec_memory_is_a_small_multiple_of_the_text(cubic_h3, tmp_path):
+def test_codec_memory_is_a_small_multiple_of_the_text(cubic_h3, tmp_path,
+                                                      monkeypatch):
     """tracemalloc peaks on the cubic h=3 build (10,066 vertices, a
     308,462-character text), measured with numpy 2.4.6: to_text 3.9x the
-    text and from_text(read_artifact(...)) 3.9x, against 10.2x and 17.6x
-    when both made one Python string per line and int per field, and 4.8x
-    and 7.8x when finish() concatenated the edge chunks and the edge
-    sections were matched in one regular-expression run.  finish() on the
-    same edges peaks at 1.4x the bytes of the graph it returns (2.9x)."""
+    text and from_text(read_artifact(...)) 4.3x (3.6x before the parser
+    gave the builder int32 endpoints, which copies them once when the text
+    is one block), against 10.2x and 17.6x when both made one Python
+    string per line and int per field, and 4.8x and 7.8x when finish()
+    concatenated the edge chunks and the edge sections were matched in one
+    regular-expression run.  The CLI's graph file reader, parsing 4,096
+    characters per read, peaks at 2.2x.  finish() on the same edges peaks at
+    1.8x the bytes of the graph it returns, as when it sorted an array of
+    both arcs of each edge, and on the cubic h=4 build (81,254 vertices)
+    at 1.4x against 1.7x: its per-block temporaries weigh more in a small
+    graph."""
     text = to_text(cubic_h3)
     path = tmp_path / "graph.ev"
     write_artifact(path, "build", {"h": 3}, text)
     assert _traced_peak(lambda: to_text(cubic_h3)) < 7 * len(text)
     assert _traced_peak(lambda: from_text(read_artifact(path))) < 5 * len(text)
+    monkeypatch.setattr(cli, "_READ_BLOCK", 4096)
+    assert _traced_peak(lambda: cli._load_graph(path)) < 3 * len(text)
     b = GraphBuilder()
     b.add_vertex_array(cubic_h3.level, cubic_h3.role)
     edges = cubic_h3.edge_array()
@@ -224,6 +264,54 @@ def test_widest_fields_round_trip():
     "ev 1 0 0 " + "1" * 19 + " c", "ev 1 0 0 0", "ev 1 0 0 c d"])
 def test_header_counts_follow_the_data_grammar(header):
     text = header + "\nlevels\n0 0 Leaf\n"
-    with pytest.raises(GraphError, match="line 1: expected 'ev n m h L"):
-        from_text(text)
-    assert from_text("ev 1 0 0 0 c\nlevels\n0 0 Leaf\n").vertex_count == 1
+    for parse in PARSERS:
+        with pytest.raises(GraphError, match="line 1: expected 'ev n m h L"):
+            parse(text)
+        assert parse("ev 1 0 0 0 c\nlevels\n0 0 Leaf\n").vertex_count == 1
+
+
+def _small_cubic():
+    b = GraphBuilder(meta={"h": 1, "L": 2, "variant": "custom"})
+    b.add_vertex_array(np.arange(8) % 3 - 1, np.arange(8) % 4)
+    b.add_edge_array([0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6],
+                     [1, 2, 3, 4, 5, 4, 6, 5, 7, 7, 6, 7])
+    return b.finish()
+
+
+def test_blocks_may_split_the_text_anywhere():
+    """A read may end anywhere: inside a CRLF, at the edge of the levels
+    line, in a final line without its newline or among trailing blank
+    lines; the graph is the same whatever the block size."""
+    g = _small_cubic()
+    text = to_text(g)
+    levels = text.index("levels")
+    for variant in (text, text.replace("\n", "\r\n"), text[:-1],
+                    text + "\n \t\n\r\n\n"):
+        for block in [*range(1, 24), levels, levels + 6, levels + 7]:
+            assert via_file(variant, block).same_structure(g)
+
+
+@pytest.mark.parametrize("tail", ["\n\nx\n", "\n \n7 0 Leaf\n", "levels\n"])
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_text_after_blank_lines_is_refused_by_both_readers(tail, block):
+    text = to_text(_small_cubic())
+    with pytest.raises(GraphError, match="expected the end of the text"):
+        via_file(text + tail, block)
+
+
+def test_undecodable_byte_mid_file_exits_2(tmp_path, capsys, monkeypatch):
+    """A byte that does not decode, found after the first blocks were
+    parsed, is a usage error with a message, not a traceback."""
+    g = _small_cubic()
+    path = tmp_path / "graph.ev"
+    write_artifact(path, "build", {"h": 1}, to_text(g))
+    data = path.read_bytes()
+    mid = data.index(b"levels")
+    path.write_bytes(data[:mid] + b"\xff" + data[mid:])
+    monkeypatch.setattr(cli, "_READ_BLOCK", 8)
+    assert cli.main(["spectral", "--graph", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read graph file {path}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -282,7 +282,7 @@ def test_walk_defaults_survive_the_codec(request, monkeypatch, fixture):
          if fixture == "cylinder" else request.getfixturevalue(fixture))
     seen = []
 
-    def record(g, start, target, t_cap, stride, laziness):
+    def record(g, start, target, t_cap, stride, laziness, buffers):
         seen.append((laziness, t_cap))
         raise GraphError("recorded")
 
