@@ -4,14 +4,15 @@ Every per-variant fact lives in the variant's FAMILIES record, which the
 build, class_chain, the walk defaults and the CLI read.  Every build is a
 deterministic function of its parameters, made by build().  The tree
 families (five_regular, its uneven-stretch variant no_cutoff, and cubic)
-share one build: a tree top, bands of stretched trees grafted level by
-level, cross wiring between isomorphic path interiors (cliques, matchings,
-or expander adjacency), and an expander identified with the leaf level.
-cubic embeds its expanders through line graphs with auxiliary vertices so
-the degree stays at 3.  class_chain lumps the walk from the root of a
-tree-family build onto classes, taking the same branches as the build.
-The cylinder family replaces each edge of a cubic host by a degree-3
-ladder gadget.
+are written down once, as the script _tree_family: a tree top, bands of
+stretched trees grafted level by level (_graft), cross wiring between
+isomorphic path interiors (cliques or expander adjacency), and an expander
+identified with the leaf level.  cubic embeds its expanders through line
+graphs with pendant and auxiliary vertices so the degree stays at 3.  The
+script runs on two back ends: _GraphBackEnd builds the graph for build(),
+and _ChainBuilder lumps the walk from the root onto classes for
+class_chain, without building.  The cylinder family replaces each edge of
+a cubic host by a degree-3 ladder gadget.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from .graphs import (
     GraphError,
     LeveledGraph,
     _embed_line_graph_bulk,
-    _graft_trees_onto,
-    _join_counterparts,
-    _tree_template,
     assert_regular,
     is_bipartite,
     is_connected,
@@ -175,25 +173,149 @@ def _stretch(params, band, depth, pos):
     return params.L
 
 
-def _wire(b, fam, exp, targets, level):
-    """Join targets[i] and targets[j] along each edge (i, j) of exp, or join
-    targets[i] as edge i of exp to an auxiliary (at `level`) per end."""
-    edges = exp.graph.edge_array()
-    if fam.line_graphs:
-        _embed_line_graph_bulk(b, exp.size, edges, targets, level)
-    else:
-        b.add_edge_array(targets[edges[:, 0]], targets[edges[:, 1]])
+def _graft(back, roots, height, length_at, base_level, leaf_role=TREE_NODE,
+           split=0):
+    """A stretched tree of height `height` below every vertex of the
+    classes `roots`, with the edge lengths length_at(depth, pos), on either
+    back end.  A column stands for the nodes at one distance from the
+    roots, with the left-to-right index pos of one of them in its tree.
+    Every depth asks the back end for each column's children (back.kids)
+    and adds the classes of one edge per child: its interiors, at the
+    level above its lower node, then its lower node.  At depth `split` the
+    chain splits its columns by node index parity.  Returns the leaf
+    classes, the interior classes and their levels."""
+    columns = back.plant(roots)
+    interiors, levels = [], []
+    for depth in range(1, height + 1):
+        role = leaf_role if depth == height else TREE_NODE
+        grown = []
+        for parent, pos in columns:
+            for child, per in back.kids(pos, depth == split):
+                length = length_at(depth, child)
+                if length < 1:
+                    raise GraphError("stretch length must be >= 1")
+                prev, level = parent, base_level + depth - 1
+                for _ in range(length - 1):
+                    prev = back.below(prev, per, level, PATH_INTERIOR)
+                    interiors.append(prev)
+                    levels.append(level)
+                    per = 1
+                grown.append((back.below(prev, per, level + 1, role), child))
+        columns = grown
+    return (*back.copy([c for c, _ in columns], interiors), levels)
+
+
+def _tree_family(params: ConstructionParams, back):
+    """The one description of a tree family, run on a back end: a tree top,
+    band 1 cross-wired by cliques on groups of `branching` trees, band 2
+    whose interiors (or, with line graphs, their pendants) are wired along
+    H1, and band 3 whose leaves are wired along H2.  Returns the leaf
+    classes."""
+    fam, h = FAMILIES[params.variant], params.h
+    band1, interiors1, _ = _graft(back, [back.top()], h,
+                                  partial(_stretch, params, 1), 2,
+                                  split=h // 2 if fam.uneven else 0)
+    back.clique(interiors1)
+    band2, interiors2, levels = _graft(back, band1, h,
+                                       partial(_stretch, params, 2), h + 2)
+    for s, level in zip(interiors2, levels):
+        # tree i's interior gets a pendant, which is H1's edge i
+        back.wire([back.pendant(s, level) if fam.line_graphs else s], 0, level)
+    leaves, _, _ = _graft(back, band2, h, partial(_stretch, params, 3),
+                          2 * h + 2, LEAF)
+    back.wire(leaves, 1, 3 * h + 2)
+    return leaves
+
+
+class _GraphBackEnd:
+    """_tree_family's back end that builds, on the GraphBuilder b.  A class
+    is the int64 array of its vertices, one per tree of its band in tree
+    order, so equal positions of two classes lie in one tree; a list of
+    classes may be a 2-D array of one class per row.  Within a _graft a
+    class is a position in one template tree (-1 its root), which copy()
+    lays out below every root, tree by tree, as classes of the copies: so
+    a tree's vertices are numbered in BFS edge order, each edge's interiors
+    before its lower node."""
+
+    def __init__(self, b, fam, expanders):
+        self.b, self.fam, self.expanders = b, fam, expanders
+
+    def top(self):
+        """The root, then each child followed by its children; returns the
+        class of the grandchildren."""
+        fanout, branching = self.fam.fanout, self.fam.branching
+        levels = np.r_[0, np.tile([1] + [2] * branching, fanout)]
+        self.b.add_vertex_array(levels, np.full(len(levels), TREE_NODE))
+        kids = 1 + (branching + 1) * np.arange(fanout)
+        top = (kids[:, None] + 1 + np.arange(branching)).ravel()
+        self.b.add_edge_array(np.r_[np.zeros(fanout, np.int64),
+                                    np.repeat(kids, branching)],
+                              np.r_[kids, top])
+        return top
+
+    def plant(self, roots):
+        self._roots = np.transpose(roots).ravel()
+        self._tree = []               # (parent position, level, role)
+        return [(-1, 0)]
+
+    def kids(self, pos, split):
+        first = pos * self.fam.branching
+        return [(first + i, 1) for i in range(self.fam.branching)]
+
+    def below(self, parent, per, level, role):
+        self._tree.append((parent, level, role))
+        return len(self._tree) - 1
+
+    def copy(self, *positions):
+        """The template below every root, tree by tree; returns the classes
+        of the copies at each list of positions, as the rows of a view of
+        one tree-major array, which plant() and wire() read without a
+        copy."""
+        tree = np.array(self._tree, np.int64).reshape(-1, 3)
+        parents, levels, roles = tree.T
+        roots, size = self._roots, len(levels)
+        first = self.b.add_vertex_array(np.tile(levels, len(roots)),
+                                        np.tile(roles, len(roots)))
+        bases = first + size * np.arange(len(roots), dtype=np.int64)
+        self.b.add_edge_array(
+            np.where(parents < 0, roots[:, None], bases[:, None] + parents),
+            bases[:, None] + np.arange(size))
+        return [(bases[:, None] + np.asarray(at, np.int64)).T
+                for at in positions]
+
+    def clique(self, classes):
+        """Join every vertex of each class to its counterparts in the other
+        trees of its group of `branching` consecutive trees."""
+        i, j = np.triu_indices(self.fam.branching, 1)
+        groups = np.reshape(classes, (-1, self.fam.branching))
+        self.b.add_edge_array(groups[:, i], groups[:, j])
+
+    def pendant(self, cls, level):
+        """A class of one AUXILIARY vertex at `level` per vertex of cls."""
+        ids = self.b.add_vertices(len(cls), level, AUXILIARY) \
+            + np.arange(len(cls))
+        self.b.add_edge_array(cls, ids)
+        return ids
+
+    def wire(self, classes, which, level):
+        """Join the vertices of `classes`, taken tree by tree, along each
+        edge (i, j) of H1 (which=0) or H2 (which=1), or join vertex i as
+        edge i of H to an auxiliary (at `level`) per end."""
+        targets = np.transpose(classes).ravel()
+        exp = self.expanders[which]
+        edges = exp.graph.edge_array()
+        if self.fam.line_graphs:
+            _embed_line_graph_bulk(self.b, exp.size, edges, targets, level)
+        else:
+            self.b.add_edge_array(targets[edges[:, 0]], targets[edges[:, 1]])
 
 
 def _tree_family_builder(params: ConstructionParams) -> GraphBuilder:
-    """The builder of a tree-family build, branch for branch as class_chain
-    lumps it: a tree top, band 1 cross-wired by cliques on groups of
-    `branching` trees, band 2 whose interiors (or, with line graphs, their
-    pendants) are wired along H1, and band 3 whose leaves are wired along
-    H2 (_wire)."""
+    """The builder of a tree-family build: _tree_family on a _GraphBackEnd,
+    with H1 and H2 certified expanders of the sizes the bands need."""
     fam = FAMILIES[params.variant]
-    h, L, fanout, branching = params.h, params.L, fam.fanout, fam.branching
-    leaves1 = fanout * branching ** (h + 1)
+    h, L, branching = params.h, params.L, fam.branching
+    leaves1 = fam.fanout * branching ** (h + 1)
     # H1 meets one vertex per band-2 tree, H2 one per leaf: each a vertex
     # of H, or with line graphs an edge of H
     degrees = fam.expander_degree(2), fam.expander_degree(1)
@@ -207,40 +329,9 @@ def _tree_family_builder(params: ConstructionParams) -> GraphBuilder:
             "gap2": exp2.gap, "L_floor": floor, "meets_L_floor": L >= floor}
     if not fam.line_graphs:
         meta["L_prime"] = params.L_prime if fam.uneven else 0
-
-    b = GraphBuilder(meta)
-    # the tree top: the root, then each child followed by its children
-    levels = np.r_[0, np.tile([1] + [2] * branching, fanout)]
-    b.add_vertex_array(levels, np.full(len(levels), TREE_NODE))
-    kids = 1 + (branching + 1) * np.arange(fanout)
-    top = (kids[:, None] + 1 + np.arange(branching)).ravel()
-    b.add_edge_array(np.r_[np.zeros(fanout, np.int64),
-                           np.repeat(kids, branching)], np.r_[kids, top])
-    t1, t2, t3 = (_tree_template(branching, h, partial(_stretch, params, band),
-                                 LEAF if band == 3 else TREE_NODE)
-                  for band in (1, 2, 3))
-    bases1 = _graft_trees_onto(b, top, t1, 2)
-    # cliques on the counterparts of each group of `branching` trees
-    pairs = np.column_stack(np.triu_indices(branching, 1))
-    groups = np.arange(0, len(top), branching)
-    _join_counterparts(b, bases1, t1["interiors"],
-                       groups[:, None, None] + pairs)
-    set_a = (bases1[:, None] + t1["leaves"]).ravel()
-    bases2 = _graft_trees_onto(b, set_a, t2, h + 2)
-    for offset in t2["interiors"].tolist():
-        lvl = h + 2 + int(t2["level_off"][offset])
-        targets = bases2 + offset
-        if fam.line_graphs:
-            # tree i's interior gets a pendant, which is H1's edge i
-            pendants = b.add_vertices(len(bases2), lvl, AUXILIARY) \
-                + np.arange(len(bases2))
-            b.add_edge_array(targets, pendants)
-            targets = pendants
-        _wire(b, fam, exp1, targets, lvl)
-    set_b = (bases2[:, None] + t2["leaves"]).ravel()
-    bases3 = _graft_trees_onto(b, set_b, t3, 2 * h + 2)
-    _wire(b, fam, exp2, (bases3[:, None] + t3["leaves"]).ravel(), 3 * h + 2)
-    return b
+    back = _GraphBackEnd(GraphBuilder(meta), fam, (exp1, exp2))
+    _tree_family(params, back)
+    return back.b
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +548,15 @@ class RootChain:
 
 
 class _ChainBuilder:
-    """Class sizes, tree levels and rows[c], the class of each neighbour of
-    a vertex of class c, added the way a build adds vertices and edges."""
+    """_tree_family's back end that lumps: class sizes, tree levels and
+    rows[c], the class of each neighbour of a vertex of class c, added the
+    way _GraphBackEnd adds vertices and edges.  A column of _graft is one
+    class, or two from the uneven split on."""
 
-    def __init__(self):
-        self.sizes = []
-        self.levels = []
-        self.rows = []
+    def __init__(self, fam):
+        self.fam = fam
+        self.degrees = fam.expander_degree(2), fam.expander_degree(1)
+        self.sizes, self.levels, self.rows = [], [], []
 
     def add(self, size, level=UNLEVELED) -> int:
         self.sizes.append(size)
@@ -481,88 +574,72 @@ class _ChainBuilder:
         if a != b:
             self.rows[b] += [a] * per_b
 
-    def below(self, parent, branching, level=UNLEVELED) -> int:
-        """A class of `branching` children per vertex of `parent`."""
-        child = self.add(self.sizes[parent] * branching, level)
-        self.join(parent, child, branching, 1)
+    def below(self, parent, per, level=UNLEVELED, role=TREE_NODE) -> int:
+        """A class of `per` children per vertex of `parent`, at `level`
+        unless it holds path interiors."""
+        child = self.add(self.sizes[parent] * per,
+                         UNLEVELED if role == PATH_INTERIOR else level)
+        self.join(parent, child, per, 1)
         return child
 
-    def graft(self, roots, branching, height, length_at, base_level,
-              split=0):
-        """The classes of one band, a stretched tree below every vertex of
-        each class in `roots`, with the edge lengths length_at(depth, pos)
-        the builds graft.  Each root class starts a column of classes, one
-        per distance from its root, and every depth adds the classes of one
-        edge: its interiors, then its lower node.  At depth `split`
-        every column splits by node index parity, branching/2 children per
-        parent each, the even column first.  Returns the columns' leaf
-        classes and all interior classes."""
-        columns = [(r, 0) for r in roots]    # class, index of one of its nodes
-        interiors = []
-        for depth in range(1, height + 1):
-            grown = []
-            for parent, pos in columns:
-                first = pos * branching
-                kids = ([(first, branching // 2), (first + 1, branching // 2)]
-                        if depth == split else [(first, branching)])
-                for child, per in kids:
-                    prev = parent
-                    for _ in range(length_at(depth, child) - 1):
-                        prev = self.below(prev, per)
-                        interiors.append(prev)
-                        per = 1
-                    grown.append((self.below(prev, per, base_level + depth),
-                                  child))
-            columns = grown
-        return [c for c, _ in columns], interiors
+    def top(self) -> int:
+        return self.below(self.below(self.add(1, 0), self.fam.fanout, 1),
+                          self.fam.branching, 2)
 
-    def wire(self, fam, cls, degree) -> None:
-        """_wire's degree-`degree` expander on class cls."""
-        if fam.line_graphs:
-            self.join(cls, self.add(self.sizes[cls] * 2 // degree), 2, degree)
-        else:
-            self.join(cls, cls, degree, degree)
+    def plant(self, roots):
+        return [(r, 0) for r in roots]
 
-    def chain(self, degree, meta, leaves) -> RootChain:
-        for c, row in enumerate(self.rows):
-            if len(row) != degree:
-                raise GraphError(f"chain bug: class {c} has degree "
-                                 f"{len(row)}, expected {degree}")
-        indices = [t for row in self.rows for t in sorted(row)]
-        return RootChain(self.sizes, indices, degree, meta, self.levels, leaves)
+    def kids(self, pos, split):
+        """One child class, or at the split the even and the odd children,
+        branching/2 per parent each."""
+        first, per = pos * self.fam.branching, self.fam.branching
+        if split:
+            return [(first, per // 2), (first + 1, per // 2)]
+        return [(first, per)]
+
+    def copy(self, *positions):
+        return positions
+
+    def clique(self, classes) -> None:
+        for cls in classes:
+            self.join(cls, cls, self.fam.branching - 1,
+                      self.fam.branching - 1)
+
+    def pendant(self, cls, level) -> int:
+        return self.below(cls, 1)
+
+    def wire(self, classes, which, level) -> None:
+        """_GraphBackEnd.wire's expander on each class of `classes`."""
+        degree = self.degrees[which]
+        for cls in classes:
+            if self.fam.line_graphs:
+                self.join(cls, self.add(self.sizes[cls] * 2 // degree), 2,
+                          degree)
+            else:
+                self.join(cls, cls, degree, degree)
 
 
 def class_chain(params: ConstructionParams) -> RootChain:
-    """The walk from the root of a tree-family build, lumped onto classes
-    derived from the tree template without building; the expander seeds
-    and min_gap do not enter it.  An uneven family's classes carry the
-    stretch regime below band 1's depth h/2 down through bands 2 and 3,
-    but H1's matching of band-2 interiors joins the two regimes, so that
-    partition is not equitable and its chain is not exact."""
+    """The walk from the root of a tree-family build, lumped onto classes:
+    _tree_family on a _ChainBuilder, so the classes come from the script
+    the build runs, without building; the expander seeds and min_gap do
+    not enter it.  An uneven family's classes carry the stretch regime
+    below band 1's depth h/2 down through bands 2 and 3, but H1's matching
+    of band-2 interiors joins the two regimes, so that partition is not
+    equitable and its chain is not exact."""
     params.validate()
     fam = FAMILIES[params.variant]
     if not fam.branching:
         raise GraphError(f"no chain for variant {params.variant!r}")
-    h, L, branching = params.h, params.L, fam.branching
-    split = h // 2 if fam.uneven else 0
-    c = _ChainBuilder()
-    top = c.below(c.below(c.add(1, 0), fam.fanout, 1), branching, 2)
-    band1, interiors1 = c.graft([top], branching, h,
-                                partial(_stretch, params, 1), 2, split)
-    for s in interiors1:
-        c.join(s, s, branching - 1, branching - 1)   # cross clique
-    band2, interiors2 = c.graft(band1, branching, h,
-                                partial(_stretch, params, 2), h + 2)
-    for s in interiors2:
-        # with line graphs, through the interior's pendant
-        c.wire(fam, c.below(s, 1) if fam.line_graphs else s,
-               fam.expander_degree(2))
-    leaves, _ = c.graft(band2, branching, h, partial(_stretch, params, 3),
-                        2 * h + 2)
-    for leaf in leaves:
-        c.wire(fam, leaf, fam.expander_degree(1))
-    return c.chain(fam.degree, {"variant": params.variant, "h": h, "L": L},
-                   leaves)
+    c = _ChainBuilder(fam)
+    leaves = _tree_family(params, c)
+    for k, row in enumerate(c.rows):
+        if len(row) != fam.degree:
+            raise GraphError(f"chain bug: class {k} has degree {len(row)}, "
+                             f"expected {fam.degree}")
+    return RootChain(c.sizes, [t for row in c.rows for t in sorted(row)],
+                     fam.degree, {"variant": params.variant, "h": params.h,
+                                  "L": params.L}, c.levels, leaves)
 
 
 def root_chain(params: ConstructionParams) -> RootChain:

@@ -1,9 +1,7 @@
 """Sparse undirected graphs with per-vertex level and role tags, the
-builder that freezes them, and the structural operations the constructions
-compose on a builder: stretched-tree grafting that copies one template
-below every root, wiring between counterpart vertices of those copies, and
-line-graph auxiliary embedding.  stretch_edges replaces edges of a finished
-graph by paths.
+builder that freezes them, and the line-graph auxiliary embedding the
+constructions compose on a builder.  stretch_edges replaces edges of a
+finished graph by paths.
 
 Vertex ids are dense integers assigned in construction order.  The builder
 takes vertices in runs and edges in arrays only.  Graphs are immutable
@@ -432,87 +430,6 @@ def stretch_edges(g: LeveledGraph, edges, L: int) -> LeveledGraph:
         lo, (x0 + np.arange(len(lo) * (L - 1))).reshape(-1, L - 1), hi])
     b.add_edge_array(paths[:, :-1], paths[:, 1:])
     return b.finish()
-
-
-# ---------------------------------------------------------------------------
-# stretched-tree grafting and counterpart wiring on a builder
-
-
-def _tree_template(branching, height, length_at, leaf_role):
-    """Shared layout of one stretched tree: vertex offsets (interiors of an
-    edge first, then its lower node, in BFS edge order), edge offset pairs
-    (-1 stands for the grafting root), level offsets, and roles.
-
-    length_at(depth, position) gives the stretch length of the edge ending
-    at the depth-`depth` node with left-to-right index `position`."""
-    t_src, t_dst = [], []
-    level_off, role_of = [], []
-    interiors, leaves = [], []
-    off = 0
-    prev_nodes = [-1]
-    for depth in range(1, height + 1):
-        role = leaf_role if depth == height else TREE_NODE
-        cur = []
-        pos = 0
-        for parent in prev_nodes:
-            for _ in range(branching):
-                ln = int(length_at(depth, pos))
-                if ln < 1:
-                    raise GraphError("stretch length must be >= 1")
-                prev = parent
-                for _ in range(ln - 1):
-                    interiors.append(off)
-                    level_off.append(depth - 1)
-                    role_of.append(PATH_INTERIOR)
-                    t_src.append(prev)
-                    t_dst.append(off)
-                    prev = off
-                    off += 1
-                level_off.append(depth)
-                role_of.append(role)
-                t_src.append(prev)
-                t_dst.append(off)
-                cur.append(off)
-                if depth == height:
-                    leaves.append(off)
-                off += 1
-                pos += 1
-        prev_nodes = cur
-    return {
-        "size": off,
-        "src": np.asarray(t_src, dtype=np.int64),
-        "dst": np.asarray(t_dst, dtype=np.int64),
-        "level_off": np.asarray(level_off, dtype=np.int64),
-        "roles": np.asarray(role_of, dtype=np.int64),
-        "interiors": np.asarray(interiors, dtype=np.int64),
-        "leaves": np.asarray(leaves, dtype=np.int64),
-    }
-
-
-def _graft_trees_onto(b, roots, tmpl, base_level):
-    """Copy the tree template `tmpl` below each root, directly on a
-    builder, with levels base_level + the template's level offsets, and
-    return the int64 array of copy bases: the vertex at offset k of the
-    copy below roots[i] is bases[i] + k.  Vertices at equal offsets from
-    their bases are isomorphic counterparts.
-    """
-    roots = np.asarray(roots, dtype=np.int64)
-    first = b.add_vertex_array(
-        np.tile(base_level + tmpl["level_off"], len(roots)),
-        np.tile(tmpl["roles"], len(roots)))
-    bases = first + np.arange(len(roots), dtype=np.int64) * tmpl["size"]
-    b.add_edge_array(np.where(tmpl["src"] < 0, roots[:, None],
-                              bases[:, None] + tmpl["src"]),
-                     bases[:, None] + tmpl["dst"])
-    return bases
-
-
-def _join_counterparts(b, bases, offsets, pairs):
-    """For every row (i, j) of the (p, 2) array pairs, join the vertex at
-    each offset k of copy i to its counterpart bases[j] + k of copy j."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    b.add_edge_array(bases[pairs[:, :1]] + offsets,
-                     bases[pairs[:, 1:]] + offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -57,5 +57,10 @@ def cubic_h3():
 
 
 @pytest.fixture(scope="session")
+def cubic_h4():
+    return build(ConstructionParams(h=4, L=3, variant="cubic"))
+
+
+@pytest.fixture(scope="session")
 def no_cutoff_h2():
     return build(ConstructionParams(h=2, L=2, L_prime=4, variant="no_cutoff"))

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expander_cutoff import construction
 from expander_cutoff.construction import (
     FAMILIES,
     ConstructionParams,
@@ -22,6 +24,7 @@ from expander_cutoff.expanders import ExpanderSpec, make_expander
 from expander_cutoff.graphs import (
     LEAF,
     UNLEVELED,
+    GraphBuilder,
     GraphError,
     assert_regular,
     is_bipartite,
@@ -310,6 +313,28 @@ PINNED_BUILDS = [
      "4e4ae581c3271f704b52cff0f959bfb3d0de3821720f3096d6d0912ebab9f176"),
     ("no_cutoff_h2", 116346,
      "c9487666c246beeb5dd87227d06dc96c86f1ae5c5fa50e4ef8547c441df3050a"),
+    # the graph the benchmark's `walks` study profiles (build --seed 1)
+    ("cubic_h4", 81254,
+     "757adadc94bbe307fd43c56b6926e23a835e1316dee0f09d76ad2ee383573eb3"),
+]
+
+# sha256 of repr((sizes, levels, leaves, indices)) of class_chain for
+# (variant, h, L, L_prime): the chains cutoff-report walks, the one the
+# benchmark's `hitting --chain` samples (five_regular h=16 L=4), and the
+# uneven family's
+PINNED_CHAINS = [
+    (("cubic", 3, 3, 0), 37,
+     "45ef5a47b1aafc72d58ce44475e8149d29c15c1eed1989d6177de1526288919e"),
+    (("cubic", 12, 3, 0), 136,
+     "8fbfad5a08daab3f0e5ccac2a8a94a37f976deb18c1cd44cf24eca4c31fbdfa4"),
+    (("cubic", 40, 3, 0), 444,
+     "7bd2953ff100c8ec66495609d5cba006b5480c0bc14a1ee5bedd2755717d4b02"),
+    (("five_regular", 16, 4, 0), 147,
+     "46d7994369f111b80a6bfe82a3cc24893d3225f916fa1cea1faddb5e35cddbdb"),
+    (("no_cutoff", 2, 2, 4), 25,
+     "2f8a205e5de2ee8eadb3a55580e03ec38fa556a1d6fc7f44fa5b2f0e68ccceb5"),
+    (("no_cutoff", 8, 2, 4), 85,
+     "81ff2bcf9affb34728b745a9fe6dabab901d7be7fcc766bb0d1dce23291c9fbf"),
 ]
 
 
@@ -356,6 +381,36 @@ def test_build_bytes_are_pinned(request, fixture, n, digest):
     if g.meta["variant"] != "cubic":
         keys |= {"L_prime"}
     assert set(g.meta) == keys
+
+
+@pytest.mark.parametrize("params, k, digest", PINNED_CHAINS,
+                         ids=["-".join(map(str, c[0])) for c in PINNED_CHAINS])
+def test_class_chain_is_pinned(params, k, digest):
+    variant, h, L, L_prime = params
+    c = class_chain(ConstructionParams(h=h, L=L, variant=variant,
+                                       L_prime=L_prime))
+    assert c.state_count == k
+    key = repr((c.sizes, c.levels, c.leaves, c.indices.tolist()))
+    assert hashlib.sha256(key.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("variant", ["cubic", "five_regular"])
+def test_tree_family_checks_run_without_the_builder(monkeypatch, variant):
+    """build() hands _finalize its only reference to the GraphBuilder, so
+    its edge chunks are freed before the regularity, connectivity and
+    bipartiteness checks, where a held builder would raise the peak."""
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, GraphBuilder)}
+    held = []
+
+    def checked(g, d):
+        held.append(sum(isinstance(o, GraphBuilder) and id(o) not in before
+                        for o in gc.get_objects()))
+        return assert_regular(g, d)
+
+    monkeypatch.setattr(construction, "assert_regular", checked)
+    build(ConstructionParams(h=1, L=2, variant=variant))
+    assert held == [0]
 
 
 def test_build_rejects_unknown_variant():

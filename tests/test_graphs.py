@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from expander_cutoff import graphs
+from expander_cutoff.construction import (
+    Family,
+    _ChainBuilder,
+    _graft,
+    _GraphBackEnd,
+)
 from expander_cutoff.graphs import (
     AUXILIARY,
     LEAF,
@@ -11,9 +17,6 @@ from expander_cutoff.graphs import (
     GraphBuilder,
     GraphError,
     _embed_line_graph_bulk,
-    _graft_trees_onto,
-    _join_counterparts,
-    _tree_template,
     assert_regular,
     bfs_distances,
     from_text,
@@ -26,14 +29,21 @@ from expander_cutoff.graphs import (
 from conftest import complete_graph, cycle_graph, graph_from_edges
 
 
+def _graph_back(branching, roots=1):
+    """The graph back end of `branching`-ary trees on a builder holding
+    `roots` level-0 vertices, and the class of those roots."""
+    b = GraphBuilder()
+    b.add_vertices(roots, 0, TREE_NODE)
+    return (_GraphBackEnd(b, Family(0, None, branching=branching), ()),
+            np.arange(roots))
+
+
 def _grafted_tree(branching, height):
     """A `branching`-ary tree of the given height grafted at stretch 1 below
     a level-0 root (vertex 0), its deepest level tagged LEAF."""
-    b = GraphBuilder()
-    b.add_vertices(1, 0, TREE_NODE)
-    _graft_trees_onto(b, [0], _tree_template(branching, height,
-                                             lambda d, p: 1, LEAF), 0)
-    return b.finish()
+    back, root = _graph_back(branching)
+    _graft(back, [root], height, lambda d, p: 1, 0, LEAF)
+    return back.b.finish()
 
 
 def _chain_ends(g, v):
@@ -169,66 +179,75 @@ def test_stretch_contract_roundtrip(make, L):
 
 
 # ---------------------------------------------------------------------------
-# graft + counterpart wiring
+# grafting and counterpart cliques on the graph back end
 
 
-def _four_roots():
-    b = GraphBuilder()
-    b.add_vertices(4, level=0)
-    return b
-
-
-def _stretched_edge(stretch):
-    """The template of one stretched edge (a height-1 unary tree)."""
-    return _tree_template(1, 1, lambda d, p: stretch, TREE_NODE)
+def _stretched_edges(branching, roots, stretch, base_level=0):
+    """A height-1 `branching`-ary tree of stretch `stretch` grafted below
+    each of `roots` roots: the back end, then _graft's leaf classes,
+    interior classes and interior levels."""
+    back, rooted = _graph_back(branching, roots)
+    return (back, *_graft(back, [rooted], 1, lambda d, p: stretch,
+                          base_level))
 
 
 def test_graft_returns_copy_bases():
-    b = _four_roots()
-    tmpl = _stretched_edge(3)
-    bases = _graft_trees_onto(b, [0, 1, 2, 3], tmpl, 5)
+    back, leaves, interiors, levels = _stretched_edges(1, 4, 3, 5)
+    # the vertex at position k of the copy below root i is bases[i] + k
+    bases = interiors[0]
     assert bases.dtype == np.int64
     assert bases.tolist() == [4, 7, 10, 13]
-    g = b.finish()
+    assert [c.tolist() for c in (*interiors, *leaves)] \
+        == [(bases + k).tolist() for k in range(3)]
+    assert levels == [5, 5]
+    g = back.b.finish()
     # each copy: two interiors then the lower node, levels from base_level
     for i, base in enumerate(bases.tolist()):
         assert g.level[base:base + 3].tolist() == [5, 5, 6]
         assert _chain_ends(g, base) == [i, base + 2]
 
 
+@pytest.mark.parametrize("chain", [False, True])
+def test_graft_rejects_stretch_below_one(chain):
+    if chain:
+        back = _ChainBuilder(Family(0, None, branching=2))
+        roots = [back.add(1, 0)]
+    else:
+        back, rooted = _graph_back(2)
+        roots = [rooted]
+    with pytest.raises(GraphError, match="stretch length must be >= 1"):
+        _graft(back, roots, 2, lambda d, p: 2 - d, 0)
+
+
 def test_interconnect_clique_on_stretched_edges():
-    b = _four_roots()
-    tmpl = _stretched_edge(3)
-    bases = _graft_trees_onto(b, [0, 1, 2, 3], tmpl, 0)
-    pairs = np.column_stack(np.triu_indices(4, 1))
-    _join_counterparts(b, bases, tmpl["interiors"], pairs)
-    wired = b.finish()
-    interiors = np.flatnonzero(wired.role == PATH_INTERIOR)
-    assert len(interiors) == 8
-    assert (wired.degrees()[interiors] == 5).all()
+    # one group of four trees, each with four edges of two interiors
+    back, _, interiors, _ = _stretched_edges(4, 4, 3)
+    back.clique(interiors)
+    wired = back.b.finish()
+    inner = np.flatnonzero(wired.role == PATH_INTERIOR)
+    assert len(inner) == 32
+    assert (wired.degrees()[inner] == 5).all()
     # the three cross edges of each interior join its counterparts
-    assert {(int(bi + k), int(bj + k)) for k in tmpl["interiors"]
-            for bi in bases for bj in bases if bi < bj} <= wired.edge_set()
+    assert {(int(u), int(v)) for s in interiors for u in s for v in s
+            if u < v} <= wired.edge_set()
 
 
 def test_interconnect_single_tree_group_no_edges():
-    b = _four_roots()
-    tmpl = _stretched_edge(3)
-    bases = _graft_trees_onto(b, [0], tmpl, 0)
-    grafted = b.finish().edge_count
-    _join_counterparts(b, bases, tmpl["interiors"], np.empty((0, 2)))
-    assert b.finish().edge_count == grafted
+    back, _, interiors, _ = _stretched_edges(1, 4, 3)
+    grafted = back.b.finish().edge_count
+    back.clique(interiors)
+    assert back.b.finish().edge_count == grafted
 
 
 def test_interconnect_matching_pair():
-    b = _four_roots()
-    tmpl = _stretched_edge(2)
-    bases = _graft_trees_onto(b, [0, 1], tmpl, 0)
-    grafted = b.finish().edge_count
-    _join_counterparts(b, bases, tmpl["interiors"], [(0, 1)])
-    g = b.finish()
-    assert g.edge_count == grafted + 1
-    assert (int(bases[0]), int(bases[1])) in g.edge_set()
+    # trees 0, 1 and trees 2, 3 form the two groups of branching = 2
+    back, _, interiors, _ = _stretched_edges(2, 4, 2)
+    grafted = back.b.finish().edge_count
+    back.clique(interiors)
+    g = back.b.finish()
+    assert g.edge_count == grafted + 2 * len(interiors)
+    assert {(int(s[0]), int(s[1])) for s in interiors} \
+        | {(int(s[2]), int(s[3])) for s in interiors} <= g.edge_set()
 
 
 # ---------------------------------------------------------------------------
