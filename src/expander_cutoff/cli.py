@@ -377,7 +377,7 @@ def _params_from_args(args) -> ConstructionParams:
         raise UsageError(f"variant {args.variant} takes no --Lprime")
     return _checked(ConstructionParams(
         h=args.h or 0, L=args.L, variant=args.variant, L_prime=args.Lprime,
-        expander_seeds=(args.seed, args.seed + 1),
+        seed=args.seed,
         # hitting takes no --m or --min-gap
         **{k: getattr(args, k) for k in ("m", "min_gap") if hasattr(args, k)}))
 
@@ -495,7 +495,8 @@ def _cmd_hitting(args) -> int:
         stats = montecarlo.sample_hitting_times(g, start,
                                                 args.samples, args.seed)
         extra = {}
-    bimodal = montecarlo.bimodality_check(stats) if len(stats.samples) >= 1000 else None
+    bimodal = (montecarlo.bimodality_check(stats) if len(stats.samples)
+               >= montecarlo.BIMODALITY_MIN_SAMPLES else None)
     body = stats.as_dict() | extra
     if bimodal is not None:
         body["bimodality"] = asdict(bimodal)
@@ -541,12 +542,14 @@ def _cmd_cutoff_report(args) -> int:
 
 def _cmd_cylinder_sweep(args) -> int:
     lengths = _int_list_option(args.Ls, "--Ls")
-    if len(set(lengths)) < 2:
+    if len(set(lengths)) != len(lengths):
+        raise UsageError(f"--Ls must be distinct, got {args.Ls}")
+    if len(lengths) < 2:
         raise UsageError("--Ls needs at least two distinct lengths for the "
                          "log-log fit")
     sweep = [_checked(ConstructionParams(
-        h=0, L=L, variant="cylinder", m=args.m,
-        expander_seeds=(args.seed, args.seed + 1))) for L in lengths]
+        h=0, L=L, variant="cylinder", m=args.m, seed=args.seed))
+        for L in lengths]
     rows = ["L,n,tmix_quarter,tmix_threequarter"]
     pts = []
     for params in sweep:
@@ -575,9 +578,13 @@ def _cmd_cylinder_sweep(args) -> int:
 def _cmd_nocutoff_demo(args) -> int:
     if args.h is None or args.L is None or not args.Lprime:
         raise UsageError("nocutoff-demo needs --h, --L and --Lprime")
+    if args.samples < montecarlo.BIMODALITY_MIN_SAMPLES:
+        raise UsageError(f"--samples must be >= "
+                         f"{montecarlo.BIMODALITY_MIN_SAMPLES} for the "
+                         f"bimodality check, got {args.samples}")
     params = _checked(ConstructionParams(
         h=args.h, L=args.L, variant="no_cutoff", L_prime=args.Lprime,
-        expander_seeds=(args.seed, args.seed + 1), min_gap=args.min_gap))
+        seed=args.seed, min_gap=args.min_gap))
     chain = montecarlo.descent_chain(params)
     stats = montecarlo.hitting_stats(chain.sample(args.samples, args.seed))
     bimodal = montecarlo.bimodality_check(stats)

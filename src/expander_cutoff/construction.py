@@ -47,14 +47,15 @@ class ConstructionParams:
 
     L may lie below the gap-derived floor (choose_L): desk-scale
     experiments need small L, and a tree-family build records in its
-    metadata whether the floor was met.
+    metadata whether the floor was met.  `seed` keys H1 (or a cylinder's
+    host) and seed + 1 keys H2.
     """
     h: int
     L: int
     variant: str = "five_regular"
     L_prime: int = 0
     m: int = 0
-    expander_seeds: tuple = (1, 2)
+    seed: int = 1
     min_gap: float = 0.05
 
     def validate(self):
@@ -68,14 +69,15 @@ class ConstructionParams:
                 raise GraphError("cylinder host size m must be >= 4")
             if self.L % 4 != 1:
                 raise GraphError("cylinder length must satisfy L = 1 (mod 4)")
-            return
-        if self.h < 1:
+        elif self.h < 1:
             raise GraphError("h must be >= 1")
-        if fam.uneven:
+        elif fam.uneven:
             if self.L_prime <= self.L:
                 raise GraphError(f"{self.variant} requires L_prime > L")
             if self.h % 2 != 0:
                 raise GraphError(f"{self.variant} requires even h")
+        for spec in _expander_specs(self):
+            spec.validate()
 
 
 def choose_L(gap1: float, gap2: float) -> int:
@@ -310,22 +312,33 @@ class _GraphBackEnd:
             self.b.add_edge_array(targets[edges[:, 0]], targets[edges[:, 1]])
 
 
-def _tree_family_builder(params: ConstructionParams) -> GraphBuilder:
-    """The builder of a tree-family build: _tree_family on a _GraphBackEnd,
-    with H1 and H2 certified expanders of the sizes the bands need."""
+def _expander_specs(params: ConstructionParams) -> tuple:
+    """The expanders a build requests: a cylinder's 3-regular host on m
+    vertices, keyed by params.seed, or a tree family's H1 and H2, keyed by
+    seed and seed + 1, at the sizes the bands need."""
     fam = FAMILIES[params.variant]
-    h, L, branching = params.h, params.L, fam.branching
-    leaves1 = fam.fanout * branching ** (h + 1)
+    if not fam.branching:
+        return (ExpanderSpec(3, params.m, params.min_gap, params.seed),)
+    leaves1 = fam.fanout * fam.branching ** (params.h + 1)
     # H1 meets one vertex per band-2 tree, H2 one per leaf: each a vertex
     # of H, or with line graphs an edge of H
     degrees = fam.expander_degree(2), fam.expander_degree(1)
-    counts = leaves1, leaves1 * branching ** (2 * h)
-    exp1, exp2 = (make_expander(ExpanderSpec(
-        d, 2 * n // d if fam.line_graphs else n, params.min_gap, seed))
-        for d, n, seed in zip(degrees, counts, params.expander_seeds))
+    counts = leaves1, leaves1 * fam.branching ** (2 * params.h)
+    return tuple(ExpanderSpec(d, 2 * n // d if fam.line_graphs else n,
+                              params.min_gap, params.seed + i)
+                 for i, (d, n) in enumerate(zip(degrees, counts)))
+
+
+def _tree_family_builder(params: ConstructionParams) -> GraphBuilder:
+    """The builder of a tree-family build: _tree_family on a _GraphBackEnd,
+    with H1 and H2 certified from _expander_specs."""
+    fam = FAMILIES[params.variant]
+    h, L = params.h, params.L
+    specs = _expander_specs(params)
+    exp1, exp2 = map(make_expander, specs)
     floor = choose_L(exp1.gap, exp2.gap)
     meta = {"variant": params.variant, "h": h, "L": L, "degree": fam.degree,
-            "seeds": tuple(params.expander_seeds), "gap1": exp1.gap,
+            "seeds": tuple(s.seed for s in specs), "gap1": exp1.gap,
             "gap2": exp2.gap, "L_floor": floor, "meets_L_floor": L >= floor}
     if not fam.line_graphs:
         meta["L_prime"] = params.L_prime if fam.uneven else 0
@@ -418,8 +431,7 @@ def build(params: ConstructionParams) -> LeveledGraph:
     fam = FAMILIES[params.variant]
     if fam.branching:
         return _finalize(_tree_family_builder(params), fam.degree)
-    host = make_expander(ExpanderSpec(3, params.m, params.min_gap,
-                                      params.expander_seeds[0]))
+    host = make_expander(_expander_specs(params)[0])
     return build_cylinder(host, params.L)
 
 
@@ -622,11 +634,11 @@ class _ChainBuilder:
 def class_chain(params: ConstructionParams) -> RootChain:
     """The walk from the root of a tree-family build, lumped onto classes:
     _tree_family on a _ChainBuilder, so the classes come from the script
-    the build runs, without building; the expander seeds and min_gap do
-    not enter it.  An uneven family's classes carry the stretch regime
-    below band 1's depth h/2 down through bands 2 and 3, but H1's matching
-    of band-2 interiors joins the two regimes, so that partition is not
-    equitable and its chain is not exact."""
+    the build runs, without building; the seed and min_gap do not enter
+    it.  An uneven family's classes carry the stretch regime below band
+    1's depth h/2 down through bands 2 and 3, but H1's matching of band-2
+    interiors joins the two regimes, so that partition is not equitable
+    and its chain is not exact."""
     params.validate()
     fam = FAMILIES[params.variant]
     if not fam.branching:

@@ -49,9 +49,10 @@ class ExpanderSpec:
         if self.size < self.degree + 1:
             raise GraphError("expander size must be >= degree + 1")
         if (self.degree * self.size) % 2 != 0:
-            raise GraphError("degree * size must be even")
+            raise GraphError(f"degree * size must be even, got "
+                             f"{self.degree} * {self.size}")
         if not (0.0 < self.min_gap < 1.0):
-            raise GraphError("min_gap must lie in (0, 1)")
+            raise GraphError(f"min_gap must lie in (0, 1), got {self.min_gap}")
 
 
 @dataclass(frozen=True)

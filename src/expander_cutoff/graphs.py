@@ -37,7 +37,6 @@ AUXILIARY = 2
 LEAF = 3
 
 ROLE_NAMES = ("TreeNode", "PathInterior", "Auxiliary", "Leaf")
-ROLE_CODES = {name: code for code, name in enumerate(ROLE_NAMES)}
 
 UNLEVELED = -1
 

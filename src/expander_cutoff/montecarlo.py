@@ -12,7 +12,7 @@ until it falls below the smallest U, through the class chain's row-sum
 kernel (at most 3 nonzeros per state); this costs O(T_tail * nnz +
 samples * log T_tail) against O(samples * mean T) for walking.
 walk_frontier stays the one trajectory sampler, for graphs and the
-one-dimensional oracles.
+one-dimensional oracles, and _absorbing_solve the one exact solve.
 
 For the uneven-stretch variant the classes also tag the stretch regime
 the walk descended into and carry the tag through the lower bands,
@@ -24,7 +24,6 @@ no_cutoff h=2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, repeat
 
 import numpy as np
@@ -121,30 +120,38 @@ def walk_frontier(indptr, indices, absorbing, start, num_samples, seed):
         alive = alive[~absorbing[nxt]]
 
 
-def _transient_matrix(indptr, indices, absorbing) -> np.ndarray:
-    """The dense transition matrix of the walk walk_frontier samples on
-    (indptr, indices), restricted to the non-absorbing states in order:
-    the entries of each row are counted, then divided once by its degree."""
+def _absorbing_solve(indptr, indices, absorbing, rhs) -> np.ndarray:
+    """x = rhs + Q x on the non-absorbing states and 0 on the absorbing
+    ones, Q the walk walk_frontier samples on (indptr, indices) restricted
+    to the non-absorbing states: each row's entries counted, then divided
+    once by its degree.  I - Q is formed in place and eliminated by
+    _solve_no_pivoting: one k x k array while a solve runs, none after.
+    rhs is a value per state or one for all (1: mean absorption times)."""
     keep = np.flatnonzero(~absorbing)
     pos = np.full(len(absorbing), -1, dtype=np.int64)
     pos[keep] = np.arange(len(keep))
     deg = np.diff(indptr)
     rows = np.repeat(np.arange(len(deg)), deg)
     inside = (pos[rows] >= 0) & (pos[indices] >= 0)
-    q = np.zeros((len(keep), len(keep)))
-    np.add.at(q, (pos[rows[inside]], pos[indices[inside]]), 1.0)
-    q /= deg[keep][:, None]
-    return q
+    a = np.zeros((len(keep), len(keep)))
+    np.add.at(a, (pos[rows[inside]], pos[indices[inside]]), 1.0)
+    a /= deg[keep][:, None]
+    np.negative(a, out=a)
+    a.flat[::len(keep) + 1] += 1.0
+    x = np.zeros(len(absorbing))
+    x[keep] = _solve_no_pivoting(a, np.broadcast_to(rhs, x.shape)[keep])
+    return x
 
 
 def _solve_no_pivoting(a, b) -> np.ndarray:
     """x with a x = b by Gaussian elimination in the given order, in numpy
-    alone: a small LAPACK solve is slow under a multi-threaded BLAS.  With
-    a = I - Q for a substochastic Q, a is row diagonally dominant, so
-    elimination without pivoting is stable.  Each pivot updates only the
-    rows below it that have an entry in its column, few when Q's rows have
-    few nonzeros."""
-    a = np.array(a, dtype=float)
+    alone; the float array a is overwritten.  np.linalg.solve at k = 146,
+    on one BLAS thread, stalled for 0.12-0.14 s per call in 2 or 3 of 12
+    fresh processes and took under a millisecond in the others; this
+    elimination takes 2-4 ms in every one.  With a = I - Q for a
+    substochastic Q, a is row diagonally dominant, so elimination without
+    pivoting is stable.  Each pivot updates only the rows below it that
+    have an entry in its column, few when Q's rows have few nonzeros."""
     b = np.array(b, dtype=float)
     n = len(b)
     for k in range(n):
@@ -234,12 +241,12 @@ def path_passage_exact(L):
     """Absorbing-chain solve for the same quantities, on the chain
     path_passage_oracle walks: expected absorption time from 0 and
     expected visits to 0."""
-    q = _transient_matrix(*_path_chain(L))
-    m = np.eye(len(q)) - q
-    center = L - 1                        # position 0 among the transients
-    times = _solve_no_pivoting(m, np.ones(len(q)))
-    visits = _solve_no_pivoting(m, (np.arange(len(q)) == center).astype(float))
-    return float(times[center]), float(visits[center])
+    indptr, indices, absorbing = _path_chain(L)
+    # state L is position 0
+    times = _absorbing_solve(indptr, indices, absorbing, 1.0)
+    visits = _absorbing_solve(indptr, indices, absorbing,
+                              np.arange(2 * L + 1) == L)
+    return float(times[L]), float(visits[L])
 
 
 def stretched_edge_delay_mc(L, num_samples, seed):
@@ -281,9 +288,7 @@ def absorbing_mean_hitting(g: LeveledGraph, start: int, targets) -> float:
         raise GraphError(f"no target is reachable from start {start}")
     # states outside the component are left out of Q like the targets
     absorbing = target_mask | ~reached
-    q = _transient_matrix(g.indptr, g.indices, absorbing)
-    h = _solve_no_pivoting(np.eye(len(q)) - q, np.ones(len(q)))
-    return float(h[np.count_nonzero(~absorbing[:start])])
+    return float(_absorbing_solve(g.indptr, g.indices, absorbing, 1.0)[start])
 
 
 def cylinder_passage_oracle(gadget: LeveledGraph, num_samples, seed) -> float:
@@ -314,6 +319,7 @@ class BimodalityReport:
 
 _SPLIT_GRID = 200
 _SPLIT_WINDOW = (0.2, 0.8)
+BIMODALITY_MIN_SAMPLES = 1000
 
 
 def bimodality_check(stats: HittingStats) -> BimodalityReport:
@@ -327,8 +333,9 @@ def bimodality_check(stats: HittingStats) -> BimodalityReport:
     rejects it."""
     s = np.sort(np.asarray(stats.samples, dtype=np.float64))
     n = len(s)
-    if n < 1000:
-        raise GraphError("bimodality check needs at least 1000 samples")
+    if n < BIMODALITY_MIN_SAMPLES:
+        raise GraphError(f"bimodality check needs at least "
+                         f"{BIMODALITY_MIN_SAMPLES} samples")
     lo, hi = _SPLIT_WINDOW
     js = np.arange(int(np.ceil(lo * _SPLIT_GRID)),
                    int(np.floor(hi * _SPLIT_GRID)) + 1)
@@ -376,8 +383,8 @@ class DescentChain:
     of c' in row c of the class chain's CSR multigraph (classes.indptr,
     classes.indices), which walk_frontier walks as it is.  survival steps
     its class masses through the class chain's matvec_kernel (counts^T),
-    sample inverts it, and only exact_mean builds the dense transient Q,
-    the one k x k array of either chain.  The law is exact for cubic and
+    sample inverts it, and exact_mean is one _absorbing_solve, whose k x k
+    array lives only while it runs.  The law is exact for cubic and
     five_regular; no_cutoff's regime tags are an approximation.
     """
 
@@ -385,11 +392,6 @@ class DescentChain:
         self.classes = classes
         self._absorbing = np.zeros(classes.state_count, dtype=bool)
         self._absorbing[list(classes.leaves)] = True
-
-    @cached_property
-    def _q(self) -> np.ndarray:
-        return _transient_matrix(self.classes.indptr, self.classes.indices,
-                                 self._absorbing)
 
     @property
     def size(self):
@@ -445,13 +447,10 @@ class DescentChain:
                                side="right").astype(np.int64, copy=False)
 
     def exact_mean(self, start=0) -> float:
-        """Expected hitting time of the leaf level: (I - Q) h = 1, solved
-        by numpy elimination (no LAPACK)."""
-        e = self._point_mass(start)[~self._absorbing]
-        if not e.any():
-            return 0.0
-        h = _solve_no_pivoting(np.eye(len(e)) - self._q, np.ones(len(e)))
-        return float(e @ h)
+        """Expected hitting time of the leaf level: h = 1 + Q h, solved by
+        numpy elimination (no LAPACK)."""
+        return float(self._point_mass(start) @ _absorbing_solve(
+            self.classes.indptr, self.classes.indices, self._absorbing, 1.0))
 
     def survival(self, t_max, start=0) -> np.ndarray:
         """Exact P(hitting time > t) for t = 0..t_max."""

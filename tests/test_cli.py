@@ -301,8 +301,24 @@ def test_config_values_take_the_flags_choices(tmp_path, capsys, argv, value):
      "cylinder length must satisfy L = 1 (mod 4)"),
     (("cutoff-report", "--variant", "cubic", "--L", "3", "--hmin", "0",
       "--hmax", "2"), "h must be >= 1"),
+    # the rules of the expanders a build requests (ExpanderSpec.validate)
+    (("build", "--variant", "cubic", "--h", "2", "--L", "3", "--min-gap",
+      "1.5"), "min_gap must lie in (0, 1), got 1.5"),
+    (("build", "--variant", "cylinder", "--m", "5", "--L", "5"),
+     "degree * size must be even, got 3 * 5"),
+    (("cylinder-sweep", "--m", "5"), "degree * size must be even, got 3 * 5"),
+    (("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4", "--min-gap",
+      "1.5"), "min_gap must lie in (0, 1), got 1.5"),
+    (("nocutoff-demo", "--h", "4", "--L", "2", "--Lprime", "4", "--min-gap",
+      "0"), "min_gap must lie in (0, 1), got 0.0"),
+    (("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4", "--samples",
+      "999"), "--samples must be >= 1000 for the bimodality check, got 999"),
+    (("cylinder-sweep", "--m", "4", "--Ls", "5,5,9"),
+     "--Ls must be distinct, got 5,5,9"),
 ], ids=["build-h0", "build-lprime", "hitting-odd-h", "nocutoff-odd-h",
-        "sweep-m3", "sweep-L7", "report-h0"])
+        "sweep-m3", "sweep-L7", "report-h0", "build-min-gap", "build-odd-m",
+        "sweep-odd-m", "nocutoff-min-gap-h2", "nocutoff-min-gap-h4",
+        "nocutoff-samples", "sweep-repeated-L"])
 def test_parameter_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                  argv, message):
     def no_work(*args, **kwargs):
@@ -483,7 +499,7 @@ def test_cylinder_sweep_host_is_the_build_host(tmp_path):
     assert run("cylinder-sweep", "--m", "14", "--Ls", "5,9", "--seed", "4",
                "--out", str(out)) == 0
     g = construction.build(ConstructionParams(h=0, L=5, variant="cylinder",
-                                              m=14, expander_seeds=(4, 5)))
+                                              m=14, seed=4))
     _, worst = cutoff_report(g, default_starts(g))
     assert read_artifact(out / "cylinder_sweep.csv").splitlines()[1] == \
         f"5,{g.vertex_count},{worst.tmix[0.25]},{worst.tmix[0.75]}"
@@ -989,7 +1005,7 @@ from expander_cutoff import construction, graphs
 from expander_cutoff.construction import ConstructionParams
 
 cubic = construction.build(ConstructionParams(
-    h=3, L=3, variant="cubic", expander_seeds=(1, 2)))
+    h=3, L=3, variant="cubic", seed=1))
 irregular = graphs.stretch_edges(cubic, cubic.edge_array()[::5], 2)
 rng = np.random.default_rng(3)
 xs = [rng.standard_normal(g.vertex_count) * 10.0 ** rng.integers(

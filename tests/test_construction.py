@@ -419,6 +419,6 @@ def test_build_rejects_unknown_variant():
 
 
 def test_different_seeds_change_wiring():
-    a = build(ConstructionParams(h=1, L=2, expander_seeds=(1, 2)))
-    b = build(ConstructionParams(h=1, L=2, expander_seeds=(3, 4)))
+    a = build(ConstructionParams(h=1, L=2, seed=1))
+    b = build(ConstructionParams(h=1, L=2, seed=3))
     assert not a.same_structure(b)

@@ -257,10 +257,16 @@ def test_chain_tracks_prediction_at_large_h():
                                  for L in (2, 3)])
 def test_chain_exact_mean_matches_lapack(params):
     chain = descent_chain(params)
+    # Q = counts / degree on the transient classes, from the chain's arcs
+    classes, keep = chain.classes, ~chain._absorbing
+    k = classes.state_count
+    counts = np.zeros((k, k))
+    np.add.at(counts, (np.repeat(np.arange(k), np.diff(classes.indptr)),
+                       classes.indices), 1.0)
+    q = (counts / classes.degree)[np.ix_(keep, keep)]
     for start in (0, 3):
-        e = chain._point_mass(start)[~chain._absorbing]
-        lapack = e @ np.linalg.solve(np.eye(len(e)) - chain._q,
-                                     np.ones(len(e)))
+        e = chain._point_mass(start)[keep]
+        lapack = e @ np.linalg.solve(np.eye(len(e)) - q, np.ones(len(e)))
         assert chain.exact_mean(start) == pytest.approx(lapack, rel=1e-12)
     if params.h == 16:
         assert chain.exact_mean() == pytest.approx(1822.2777777, rel=1e-9)

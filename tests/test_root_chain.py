@@ -305,13 +305,15 @@ def test_exact_means_at_reference_sizes():
 
 def _dense_survival(chain, t_max):
     """The survival as a row vector over the transient classes times the
-    dense Q, one step at a time: how the descent chain evolved it before
-    it shared the row-sum kernel."""
-    dist = chain._point_mass(0)[~chain._absorbing]
+    dense Q = counts / degree, one step at a time: how the descent chain
+    evolved it before it shared the row-sum kernel."""
+    keep = ~chain._absorbing
+    q = (_counts(chain.classes) / chain.classes.degree)[np.ix_(keep, keep)]
+    dist = chain._point_mass(0)[keep]
     out = np.empty(t_max + 1)
     for t in range(t_max + 1):
         out[t] = dist.sum()
-        dist = dist @ chain._q
+        dist = dist @ q
     return out
 
 
