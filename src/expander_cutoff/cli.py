@@ -265,7 +265,7 @@ def _read_input(read, path, what):
 def _apply_config(args):
     """Fill the flags left unset from --config, by each flag's type and
     choices (args._parser is the command's subparser), then from the
-    defaults."""
+    defaults; args._given names the flags set before the defaults."""
     if args.config:
         actions = {a.dest: a for a in args._parser._actions}
         for line in _read_input(Path.read_text, args.config,
@@ -296,6 +296,7 @@ def _apply_config(args):
                         f"(choose from {', '.join(action.choices)})")
                 setattr(args, key, value)
     _require_one_mode(args)
+    args._given = {k for k, v in vars(args).items() if v is not None}
     for key, value in vars(args).items():
         if value is None:
             default = _POST_CONFIG_DEFAULTS.get(
@@ -585,6 +586,11 @@ def _cmd_nocutoff_demo(args) -> int:
     params = _checked(ConstructionParams(
         h=args.h, L=args.L, variant="no_cutoff", L_prime=args.Lprime,
         seed=args.seed, min_gap=args.min_gap))
+    unread = [f"--{k.replace('_', '-')}" for k in ("min_gap", "eps", "tmax",
+              "stride", "laziness") if k in args._given]
+    if args.h > 2 and unread:
+        raise UsageError(f"nocutoff-demo builds and walks only at h <= 2, "
+                         f"so at h={args.h} it reads no {', '.join(unread)}")
     chain = montecarlo.descent_chain(params)
     stats = montecarlo.hitting_stats(chain.sample(args.samples, args.seed))
     bimodal = montecarlo.bimodality_check(stats)

@@ -37,7 +37,6 @@ from .graphs import (
     _embed_line_graph_bulk,
     assert_regular,
     is_bipartite,
-    is_connected,
 )
 
 
@@ -150,9 +149,9 @@ def _finalize(b, degree):
         bad = int(np.flatnonzero(degs != degree)[0])
         raise GraphError(
             f"build bug: vertex {bad} has degree {int(degs[bad])}, expected {degree}")
-    if not is_connected(g):
+    if (bipartite := is_bipartite(g, if_connected=True)) is None:
         raise GraphError("build bug: graph is disconnected")
-    return g.with_meta(bipartite=is_bipartite(g))
+    return g.with_meta(bipartite=bipartite)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +382,7 @@ def build_cylinder(host, L: int) -> LeveledGraph:
     host_g = getattr(host, "graph", host)
     if not assert_regular(host_g, 3):
         raise GraphError("cylinder host must be 3-regular")
-    if not is_connected(host_g):
+    if (bipartite := is_bipartite(host_g, if_connected=True)) is None:
         raise GraphError("cylinder host must be connected")
     if L < 1 or L % 4 != 1:
         raise GraphError("cylinder length must satisfy L = 1 (mod 4)")
@@ -391,7 +390,7 @@ def build_cylinder(host, L: int) -> LeveledGraph:
     meta = {"variant": "cylinder", "h": 0, "L": L, "m": m, "degree": 3,
             "host_gap": getattr(host, "gap", host_g.meta.get("gap"))}
     if L == 1:
-        return host_g.with_meta(**meta, bipartite=is_bipartite(host_g))
+        return host_g.with_meta(**meta, bipartite=bipartite)
     return _finalize(_cylinder_builder(host_g, (L - 1) // 4, meta), 3)
 
 
@@ -476,17 +475,16 @@ class RootChain:
     classes.  class_chain builds one for no_cutoff too, on classes that are
     not equitable; only the descent chain reads it.
 
-    mixing.step walks the chain like a graph: vertex_count is n,
-    float_degrees() the degree of every state, and matvec_kernel() gives
-    counts^T x from at most 3 nonzeros a row (every variant up to h=40),
-    summed in numpy bit-identically to scipy's csr_matvec on
-    adjacency_csr(), so neither the walk nor the descent chain, which
-    evolves its survival through the same kernel, loads scipy.
+    mixing.step walks the chain like a graph: vertex_count is n, and
+    matvec_kernel() gives the transition product counts^T x / d from at
+    most 3 nonzeros a row (every variant up to h=40), summed in numpy
+    bit-identically to scipy's csr_matvec on adjacency_csr() / d, so
+    neither the walk nor the descent chain, which evolves its survival
+    through the same kernel, loads scipy.
     """
 
     __slots__ = ("sizes", "indptr", "indices", "degree", "meta", "levels",
-                 "leaves", "stationary", "_n", "_csr", "_kernel",
-                 "_float_degrees")
+                 "leaves", "stationary", "_n", "_csr", "_kernel")
 
     def __init__(self, sizes, indices, degree, meta, levels, leaves):
         self.sizes = tuple(int(s) for s in sizes)
@@ -499,9 +497,7 @@ class RootChain:
         self.leaves = tuple(int(c) for c in leaves)
         self._csr = self._kernel = None
         self.stationary = np.asarray([s / self._n for s in self.sizes])
-        self._float_degrees = np.full(len(self.sizes), float(degree))
-        for arr in (self.indptr, self.indices, self.stationary,
-                    self._float_degrees):
+        for arr in (self.indptr, self.indices, self.stationary):
             arr.setflags(write=False)
 
     @property
@@ -511,9 +507,6 @@ class RootChain:
     @property
     def state_count(self) -> int:
         return len(self.sizes)
-
-    def float_degrees(self) -> np.ndarray:
-        return self._float_degrees
 
     def adjacency_csr(self):
         """counts^T as a cached scipy CSR matrix with float64 entries, one
@@ -528,12 +521,13 @@ class RootChain:
         return self._csr
 
     def matvec_kernel(self):
-        """Cached kernel(x, out) writing counts^T x into `out`,
-        bit-identical to csr_matvec on adjacency_csr(): each row's nonzeros
-        are summed in column order starting from 0.0.  columns[j, c] is the
-        j-th source class of the arcs into c and values[j, c] their count;
-        shorter rows are padded with column 0 and count 0.0, which leaves a
-        finite sum unchanged."""
+        """Cached kernel(x, out) writing counts^T x / d into `out`, the
+        walk's transition product, bit-identical to csr_matvec on
+        adjacency_csr() with its data divided by d: each row's nonzeros are
+        summed in column order starting from 0.0.  columns[j, c] is the
+        j-th source class of the arcs into c and values[j, c] their count
+        over d; shorter rows are padded with column 0 and 0.0, which
+        leaves a finite sum unchanged."""
         if self._kernel is None:
             k = self.state_count
             # (destination, source) pairs, sorted by row, then column
@@ -546,7 +540,7 @@ class RootChain:
             columns = np.zeros(shape, dtype=np.int64)
             values = np.zeros(shape)
             columns[rank, rows] = cols
-            values[rank, rows] = counts
+            values[rank, rows] = counts / self.degree
 
             def kernel(x, out):
                 terms = x[columns]

@@ -3,8 +3,8 @@
 The provider draws seeded random regular graphs (configuration model with
 whole-pairing rejection of self-loops and parallel edges), then certifies
 the adjacency gap by an exact eigensolve: dense below DENSE_LIMIT vertices,
-Lanczos on the walk's own matvec kernel above.  Random regular graphs are
-near-optimal expanders with overwhelming probability, so the bounded
+Lanczos on the walk's own transition kernel above.  Random regular graphs
+are near-optimal expanders with overwhelming probability, so the bounded
 seed-increment retry loop nearly always stops at the first attempt.
 """
 
@@ -128,15 +128,16 @@ def adjacency_extremes(g: LeveledGraph):
     """(second largest, smallest) adjacency eigenvalues of a regular graph,
     signed; GraphError on one that is not regular.
 
-    Dense symmetric solve for small graphs.  Above DENSE_LIMIT, Lanczos on
-    g.matvec_kernel() from a fixed start vector, so repeated runs agree
-    bit for bit.  Every step subtracts the mean, since A maps the
-    complement of the constants to itself, so the extremes of T_m tend to
-    (lam2, lam_min).  There is no reorthogonalization: extreme Ritz values
-    converge regardless, and lost orthogonality only repeats them.  Every
-    _CHECK_EVERY steps both extreme Ritz pairs are held to Parlett's
-    residual bound beta_m |s_m| < _EIG_TOL; past LANCZOS_STEPS steps
-    GraphError names the residuals reached.
+    Dense symmetric solve for small graphs.  Above DENSE_LIMIT, d times
+    the extremes of P = A/d, by Lanczos on the walk's g.matvec_kernel()
+    from a fixed start vector, so repeated runs agree bit for bit.  Every
+    step subtracts the mean, since P maps the complement of the constants
+    to itself, so the extremes of T_m tend to (lam2, lam_min) / d.  There
+    is no reorthogonalization: extreme Ritz values converge regardless,
+    and lost orthogonality only repeats them.  Every _CHECK_EVERY steps
+    both extreme Ritz pairs are held to Parlett's residual bound, in A's
+    units d beta_m |s_m| < _EIG_TOL; past LANCZOS_STEPS steps GraphError
+    names the residuals reached.
     """
     degrees = g.degrees()
     if np.any(degrees != degrees[:1]):
@@ -145,7 +146,8 @@ def adjacency_extremes(g: LeveledGraph):
     if n <= DENSE_LIMIT:
         w = np.linalg.eigvalsh(g.adjacency_dense())
         return float(w[-2]), float(w[0])
-    kernel = g.matvec_kernel()
+    d = float(degrees[0])
+    kernel, tol = g.matvec_kernel(), _EIG_TOL / d
     v = np.full(n, 1.0)
     v[::2] += 0.5
     v[::3] -= 0.25
@@ -162,17 +164,17 @@ def adjacency_extremes(g: LeveledGraph):
         np.multiply(v, a[-1], out=v_prev)
         w -= v_prev
         beta = math.sqrt(w @ w)
-        if m % _CHECK_EVERY == 0 or m == LANCZOS_STEPS or beta < _EIG_TOL:
+        if m % _CHECK_EVERY == 0 or m == LANCZOS_STEPS or beta < tol:
             lam2, res2 = _top_ritz(a, b, beta)
             neg_min, res_min = _top_ritz([-x for x in a], b, beta)
-            if max(res2, res_min) < _EIG_TOL:
-                return lam2, -neg_min
+            if max(res2, res_min) < tol:
+                return d * lam2, -d * neg_min
         b.append(beta)
         v_prev, v, w = v, w, v_prev
         v /= beta
     raise GraphError(
         f"Lanczos did not converge in LANCZOS_STEPS={LANCZOS_STEPS} steps: "
-        f"residuals {res2:.1e} (lam2) and {res_min:.1e} (lam_min), "
+        f"residuals {d * res2:.1e} (lam2) and {d * res_min:.1e} (lam_min), "
         f"tolerance {_EIG_TOL:.0e}")
 
 

@@ -70,7 +70,7 @@ class LeveledGraph:
     """
 
     __slots__ = ("indptr", "indices", "level", "role", "meta", "_csr",
-                 "_kernel", "_float_degrees")
+                 "_kernel")
 
     def __init__(self, indptr, indices, level, role, meta=None):
         self.indptr = np.asarray(indptr, dtype=np.int32)
@@ -80,7 +80,6 @@ class LeveledGraph:
         self.meta = dict(meta or {})
         self._csr = None
         self._kernel = None
-        self._float_degrees = None
         for arr in (self.indptr, self.indices, self.level, self.role):
             arr.setflags(write=False)
 
@@ -97,19 +96,6 @@ class LeveledGraph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def float_degrees(self) -> np.ndarray:
-        """Degrees as a cached, read-only float64 array (the walk kernel's
-        divisor); a vertex of degree 0, where the walk is undefined, is a
-        GraphError."""
-        if self._float_degrees is None:
-            d = self.degrees().astype(np.float64)
-            if not d.all():
-                raise GraphError(f"vertex {int(d.argmin())} has degree 0: "
-                                 f"the walk is undefined there")
-            d.setflags(write=False)
-            self._float_degrees = d
-        return self._float_degrees
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
@@ -138,30 +124,33 @@ class LeveledGraph:
         return self._csr
 
     def matvec_kernel(self):
-        """Cached kernel(x, out) writing A x into `out`: scipy's compiled
-        csr_matvec, the loop csr_matrix.dot runs, on the graph's own index
-        arrays and one float64 array of ones, so it agrees bit for bit
-        with adjacency_csr().dot(x) without importing scipy.sparse.  It
+        """Cached kernel(x, out) writing the walk's transition product
+        P^T x = A D^-1 x into `out`: scipy's compiled csr_matvec, the loop
+        csr_matrix.dot runs, on the graph's own index arrays and weight
+        1/deg(u) on each arc into u, without importing scipy.sparse.  It
         checks no lengths, so x and out must be distinct contiguous
         float64 vectors of length n (mixing.step checks them)."""
         if self._kernel is None:
             csr_matvec = _csr_matvec()
             n = self.vertex_count
             indptr, indices = self.indptr, self.indices
-            ones = np.ones(len(indices), dtype=np.float64)
+            if not (degrees := self.degrees()).all():
+                raise GraphError(f"vertex {int(degrees.argmin())} has degree "
+                                 f"0: the walk is undefined there")
+            inverse, weights = 1.0 / degrees, np.empty(len(indices))
+            for i in range(0, len(indices), _BLOCK):
+                weights[i:i + _BLOCK] = inverse[indices[i:i + _BLOCK]]
 
             def kernel(x, out):
                 out.fill(0)
-                csr_matvec(n, n, indptr, indices, ones, x, out)
+                csr_matvec(n, n, indptr, indices, weights, x, out)
 
             self._kernel = kernel
         return self._kernel
 
     def adjacency_dense(self) -> np.ndarray:
-        n = self.vertex_count
-        a = np.zeros((n, n))
-        for v in range(n):
-            a[v, self.neighbors(v)] = 1.0
+        a = np.zeros((self.vertex_count,) * 2)
+        a[np.repeat(np.arange(len(a)), self.degrees()), self.indices] = 1.0
         return a
 
     def with_meta(self, **updates) -> "LeveledGraph":
@@ -499,14 +488,17 @@ def is_connected(g: LeveledGraph) -> bool:
     return bool((bfs_distances(g, 0) >= 0).all())
 
 
-def is_bipartite(g: LeveledGraph) -> bool:
+def is_bipartite(g: LeveledGraph, if_connected=False):
     """True iff g has no odd cycle (checked per connected component).  g is
     a LeveledGraph or any CSR multigraph (a construction.RootChain), so
-    every arc is checked: a self-loop is an odd cycle."""
+    every arc is checked: a self-loop is an odd cycle.  With if_connected,
+    None when g is disconnected, so one BFS answers both questions."""
     n = len(g.indptr) - 1
     # one byte per vertex, so the per-arc comparison reads bytes
     color = np.full(n, -1, dtype=np.int8)
     while (uncoloured := color < 0).any():
+        if if_connected and not uncoloured.all():
+            return None
         dist = bfs_distances(g, int(uncoloured.argmax()))
         comp = dist >= 0
         dist &= 1

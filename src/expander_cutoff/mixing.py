@@ -8,11 +8,11 @@ mass of each class and is compared with the chain's `stationary` shares,
 so root profiles of the cubic and five_regular families cost microseconds
 per step at any height.
 
-step takes the product from the object it walks (`matvec_kernel()`): a
-graph runs scipy's compiled csr_matvec on its own CSR arrays, loaded
-without importing scipy.sparse, and a chain a numpy row sum over the arcs
-of its CSR multigraph, bit-identical to csr_matvec.  Nothing here imports
-scipy, so a chain is evolved without loading it.
+step is one call of the walked object's transition kernel P^T = A D^-1
+(`matvec_kernel()`): a graph runs scipy's compiled csr_matvec, loaded
+without importing scipy.sparse, on its CSR arrays with weights 1/deg, and
+a chain a numpy row sum over the arcs of its CSR multigraph, bit-identical
+to csr_matvec.  Nothing here imports scipy, so a chain walks without it.
 """
 
 from __future__ import annotations
@@ -51,26 +51,25 @@ def _walk_buffer(buf, n: int) -> np.ndarray:
 def step(g: LeveledGraph, p: np.ndarray, laziness: float = 0.0,
          out: np.ndarray | None = None,
          work: np.ndarray | None = None) -> np.ndarray:
-    """One step of the walk: p'(v) = laziness p(v)
-    + (1 - laziness) sum_{u ~ v} p(u)/deg(u).
+    """One step of the walk, one call of g's transition kernel:
+    p'(v) = laziness p(v) + (1 - laziness) sum_{u ~ v} p(u)/deg(u).
 
-    The result goes into `out` and `work` is scratch; both are allocated
-    when not given (contiguous float64 of length n, distinct from p and
-    from each other).  Returns `out`.  g is a LeveledGraph or a RootChain,
-    whose vectors have one entry per state."""
+    The result goes into `out`; `work` is scratch for laziness > 0 only.
+    Each is allocated when needed and not given (contiguous float64 of
+    length n, distinct from p and from each other).  Returns `out`.  g is
+    a LeveledGraph or a RootChain, whose vectors have one entry per state."""
     if not (0.0 <= laziness <= 0.5):
         raise GraphError("laziness must lie in [0, 1/2]")
-    degrees = g.float_degrees()
-    n = len(degrees)
+    kernel = g.matvec_kernel()
+    n = len(g.indptr) - 1
     out = _walk_buffer(out, n)
-    work = _walk_buffer(work, n)
+    work = _walk_buffer(work, n) if work is not None or laziness else None
     # p is read after out and work are written
     if (np.may_share_memory(out, p) or np.may_share_memory(work, p)
             or np.may_share_memory(out, work)):
         raise GraphError("walk buffers out and work must not overlap p or "
                          "each other")
-    np.divide(p, degrees, out=work)
-    g.matvec_kernel()(work, out)
+    kernel(p, out)
     if laziness:
         out *= 1.0 - laziness
         np.multiply(p, laziness, out=work)
@@ -116,8 +115,9 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
     record below `target` (errors if t_cap comes first).  target=None
     runs to t_cap.  g is a LeveledGraph, or a RootChain evolved from the
     root (start 0) as class masses against its `stationary` law.
-    `buffers`, three distinct contiguous float64 vectors with one entry
-    per vertex (or class), are the walk's; allocated when not given."""
+    `buffers`, two distinct contiguous float64 vectors with one entry per
+    vertex (or class), three when laziness > 0, are the walk's; allocated
+    when not given.  The TV reduction's scratch is the next step's output."""
     if t_cap < 0:
         raise GraphError("t_max must be >= 0")
     n = g.vertex_count
@@ -133,24 +133,24 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
             raise GraphError("a root chain evolves the walk from vertex 0 only")
         n, pi = g.state_count, g.stationary
     if buffers is None:
-        buffers = (np.empty(n) for _ in range(3))
-    p, q, work = buffers
+        buffers = [np.empty(n) for _ in range(3 if laziness else 2)]
+    p, q, *work = buffers
     p.fill(0.0)
     p[start] = 1.0
     # one float per record: record i is at time min(i * stride, t_cap)
-    tv = array("d", [tv_to_uniform(p, work, pi)])
+    tv = array("d", [tv_to_uniform(p, q, pi)])
     renorms = 0
     t = 0
     while t < t_cap and (target is None or tv[-1] >= target):
         for _ in range(min(stride, t_cap - t)):
             t += 1
-            step(g, p, laziness, out=q, work=work)
+            step(g, p, laziness, q, *work)
             p, q = q, p
         mass = p.sum()
         if abs(mass - 1.0) > RENORM_TOL:
             p /= mass
             renorms += 1
-        tv.append(tv_to_uniform(p, work, pi))
+        tv.append(tv_to_uniform(p, q, pi))
     if target is not None and tv[-1] >= target:
         raise GraphError(f"not mixed below {target} by t_max={t_cap}")
     times = np.arange(len(tv), dtype=np.int64) * stride
@@ -274,7 +274,7 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     # built once here, then only read by the workers; a graph's kernel
     # loads scipy's csr_matvec, a chain's needs no scipy
     g.matvec_kernel()
-    size = len(g.float_degrees())
+    size = len(g.indptr) - 1
 
     workers = min(len(starts), _usable_cpus())
     # one set of walk buffers per worker, allocated in this thread: buffers
@@ -282,7 +282,7 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     # keeps what they freed from the rest of the process
     free = SimpleQueue()
     for _ in range(workers):
-        free.put(tuple(np.empty(size) for _ in range(3)))
+        free.put([np.empty(size) for _ in range(3 if laziness else 2)])
 
     def summary(s):
         buffers = free.get()

@@ -8,7 +8,7 @@ times to the leaves drawn from it follow the same law as on the full
 graph, at any h, without materializing the graph.  The chain draws them
 by inverting that law rather than by walking: one uniform U in (0, 1] per
 sample, and T = min{t : S(t) < U} for the exact survival S, evolved only
-until it falls below the smallest U, through the class chain's row-sum
+until it falls below the smallest U, through the class chain's transition
 kernel (at most 3 nonzeros per state); this costs O(T_tail * nnz +
 samples * log T_tail) against O(samples * mean T) for walking.
 walk_frontier stays the one trajectory sampler, for graphs and the
@@ -382,7 +382,8 @@ class DescentChain:
     State c moves to c' with probability counts[c, c'] / degree, the share
     of c' in row c of the class chain's CSR multigraph (classes.indptr,
     classes.indices), which walk_frontier walks as it is.  survival steps
-    its class masses through the class chain's matvec_kernel (counts^T),
+    its class masses through the class chain's matvec_kernel
+    (counts^T / degree),
     sample inverts it, and exact_mean is one _absorbing_solve, whose k x k
     array lives only while it runs.  The law is exact for cubic and
     five_regular; no_cutoff's regime tags are an approximation.
@@ -404,8 +405,8 @@ class DescentChain:
 
     def _survivals(self, start):
         """S(0), S(1), ...: the class mass of the walk from `start` not yet
-        absorbed, evolved by the class chain's row-sum kernel with the leaf
-        classes zeroed before each reading; the one loop behind survival
+        absorbed, evolved by the class chain's transition kernel with the
+        leaf classes zeroed before each reading; the one loop behind survival
         and sample.  Once S falls below the smallest normal double it is 0
         from then on: subnormal masses lose their relative precision, so S
         stalled and even rose there, and each subnormal step was slow."""
@@ -419,8 +420,8 @@ class DescentChain:
             if s < tiny:
                 yield from repeat(0.0)
             yield s
-            np.divide(mass, self.classes.degree, out=work)
-            kernel(work, mass)
+            kernel(mass, work)
+            mass, work = work, mass
 
     def sample(self, num_samples, seed, start=0) -> np.ndarray:
         """Hitting times of the leaf level for num_samples trajectories,

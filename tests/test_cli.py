@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import expander_cutoff
-from expander_cutoff import cli, construction, montecarlo
+from expander_cutoff import cli, construction, mixing, montecarlo
 from expander_cutoff.cli import (_apply_config, build_parser, main,
                                  read_artifact, read_json)
 from expander_cutoff.construction import ConstructionParams
@@ -480,6 +480,54 @@ def test_nocutoff_demo_reports_every_eps(tmp_path):
     assert sorted(exact["tmix"]) == sorted(exact["brackets"]) == [
         "0.1", "0.25", "0.75"]
     assert exact["tmix"]["0.1"] > exact["tmix"]["0.25"]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--min-gap", "0.5"), "--min-gap"),
+    (("--laziness", "0.3", "--stride", "7", "--tmax", "3", "--eps", "0.1"),
+     "--eps, --tmax, --stride, --laziness"),
+], ids=["min-gap", "walk"])
+def test_nocutoff_demo_refuses_flags_it_does_not_read(tmp_path, capsys,
+                                                      monkeypatch, flags,
+                                                      named):
+    """Above h=2 nocutoff-demo builds and walks nothing, so a flag that
+    only the build or the walk reads exits 2 before any work, set on the
+    command line or in the config."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(montecarlo, "descent_chain", no_work)
+    argv = ("nocutoff-demo", "--h", "4", "--L", "2", "--Lprime", "4",
+            "--seed", "1", "--out", str(tmp_path / "run"))
+    message = (f"error: nocutoff-demo builds and walks only at h <= 2, so "
+               f"at h=4 it reads no {named}\n")
+    assert run(*argv, *flags) == 2
+    assert capsys.readouterr().err == message
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flags[i][2:]}={flags[i + 1]}\n"
+                           for i in range(0, len(flags), 2)))
+    assert run(*argv, "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "run").exists()
+
+
+def test_threaded_profile_writes_the_same_bodies_twice(tmp_path,
+                                                       monkeypatch):
+    # at least two workers, so the starts run on threads on any host
+    cpus = max(2, mixing._usable_cpus())
+    monkeypatch.setattr(mixing, "_usable_cpus", lambda: cpus)
+    build = tmp_path / "build"
+    assert run("build", "--variant", "cubic", "--h", "3", "--L", "3",
+               "--seed", "1", "--out", str(build)) == 0
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run("profile", "--graph", str(build / "graph.ev"),
+                   "--out", str(out)) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert len(names) == 6   # the summary and five default starts
+    for name in names:
+        assert read_artifact(outs[0] / name) == read_artifact(outs[1] / name)
 
 
 def test_cylinder_sweep(tmp_path):
@@ -1026,7 +1074,10 @@ sparse_first = "scipy.sparse" in sys.modules
 import scipy.sparse
 graphs._csr_matvec.cache_clear()
 again = products([g.with_meta() for g in (cubic, irregular)])
-refs = [g.adjacency_csr().dot(x).view(np.int64)
+# the transition product: weight 1/deg(u) on each arc into u
+refs = [scipy.sparse.csr_matrix(
+            (1.0 / g.degrees()[g.indices], g.indices, g.indptr),
+            shape=(g.vertex_count,) * 2).dot(x).view(np.int64)
         for g, x in zip((cubic, irregular), xs)]
 print(json.dumps({
     "sparse_first": sparse_first,
@@ -1039,11 +1090,12 @@ print(json.dumps({
 
 
 def test_graph_kernel_is_bit_identical_to_scipy_sparse():
-    """matvec_kernel() gives adjacency_csr().dot(x) bit for bit on signed
-    vectors spanning the float range, for a cubic build and an irregular
-    stretch of it, both before scipy.sparse is imported and after, when
-    the extension has been loaded again; the later load leaves
-    scipy.sparse's own module in sys.modules."""
+    """matvec_kernel() gives scipy.sparse's product of x with A D^-1 (the
+    CSR arrays with weight 1/deg(u) on each arc into u) bit for bit on
+    signed vectors spanning the float range, for a cubic build and an
+    irregular stretch of it, both before scipy.sparse is imported and
+    after, when the extension has been loaded again; the later load
+    leaves scipy.sparse's own module in sys.modules."""
     report = json.loads(_fresh_python(_KERNEL_SCRIPT))
     assert report == {"sparse_first": False, "regular": [1, 2],
                       "first": [True, True], "again": [True, True],

@@ -1,10 +1,11 @@
 import gc
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expander_cutoff import construction
+from expander_cutoff import construction, graphs
 from expander_cutoff.construction import (
     FAMILIES,
     ConstructionParams,
@@ -411,6 +412,33 @@ def test_tree_family_checks_run_without_the_builder(monkeypatch, variant):
     monkeypatch.setattr(construction, "assert_regular", checked)
     build(ConstructionParams(h=1, L=2, variant=variant))
     assert held == [0]
+
+
+@pytest.mark.parametrize("variant", ["cubic", "five_regular"])
+def test_finalize_runs_one_bfs(monkeypatch, variant):
+    """_finalize learns connectivity and bipartiteness from one BFS."""
+    b = construction._tree_family_builder(
+        ConstructionParams(h=1, L=2, variant=variant))
+    bfs, calls = graphs.bfs_distances, []
+
+    def counted(g, source):
+        calls.append(source)
+        return bfs(g, source)
+
+    monkeypatch.setattr(graphs, "bfs_distances", counted)
+    g = construction._finalize(b, FAMILIES[variant].degree)
+    assert calls == [0]
+    monkeypatch.undo()
+    assert g.meta["bipartite"] == is_bipartite(g)
+
+
+def test_finalize_refuses_a_disconnected_build():
+    b = GraphBuilder()
+    b.add_vertices(6)
+    # two triangles
+    b.add_edge_array(np.arange(6), np.array([1, 2, 0, 4, 5, 3]))
+    with pytest.raises(GraphError, match="build bug: graph is disconnected"):
+        construction._finalize(b, 2)
 
 
 def test_build_rejects_unknown_variant():

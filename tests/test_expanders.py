@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from expander_cutoff.expanders import (
+    DENSE_LIMIT,
     ExpanderSpec,
     adjacency_extremes,
     make_expander,
@@ -87,6 +88,18 @@ def test_dense_and_iterative_paths_agree(monkeypatch):
     for g, (lam2, lam_min) in zip(graphs, dense):
         lanczos = adjacency_extremes(g)
         assert lanczos == pytest.approx((lam2, lam_min), abs=1e-9), g
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_lanczos_on_the_transition_kernel_agrees_with_dense(degree):
+    """Just above DENSE_LIMIT the extremes come from Lanczos on the walk's
+    kernel P = A/d, times d: they agree with the dense spectrum of A/d
+    times d."""
+    g = make_expander(ExpanderSpec(degree, DENSE_LIMIT + 2, 0.05, 1)).graph
+    w = np.linalg.eigvalsh(g.adjacency_dense() / degree) * degree
+    lam2, lam_min = adjacency_extremes(g)
+    assert abs(lam2 - w[-2]) < 1e-10
+    assert abs(lam_min - w[0]) < 1e-10
 
 
 def test_lanczos_on_the_cubic_h4_h2():

@@ -424,6 +424,10 @@ def test_bipartiteness_reaches_every_component(last, bipartite):
     g = graph_from_edges(10, square + [(5, 6)] + last)
     assert g.degrees()[4] == 0
     assert is_bipartite(g) is bipartite
+    # asked only of a connected graph, it stops after the first search
+    assert is_bipartite(g, if_connected=True) is None
+    assert is_bipartite(cycle_graph(10), if_connected=True) is True
+    assert is_bipartite(cycle_graph(9), if_connected=True) is False
 
 
 def test_bipartiteness_checks_every_block_of_arcs(monkeypatch):

@@ -69,9 +69,19 @@ def test_laziness_must_be_bounded():
         step(g, point_mass(4, 0), laziness=0.7)
 
 
-def _reference_step(g, p, laziness):
-    # the kernel's original formula; step must reproduce it bit for bit
-    q = g.adjacency_csr().dot(p / g.degrees())
+def _transition_csr(g):
+    # P^T = A D^-1 as a scipy matrix: weight 1/deg(u) on each arc into u
+    import scipy.sparse as sp
+
+    n = g.vertex_count
+    return sp.csr_matrix((1.0 / g.degrees()[g.indices], g.indices, g.indptr),
+                         shape=(n, n))
+
+
+def _reference_step(pt, p, laziness):
+    # the kernel's formula through scipy.sparse; step must reproduce it bit
+    # for bit
+    q = pt.dot(p)
     if laziness:
         q *= (1.0 - laziness)
         q += laziness * p
@@ -86,8 +96,9 @@ def test_step_matches_reference_formula_exactly(request, fixture, laziness):
     ref = point_mass(n, 0)
     fresh = ref.copy()
     p, out, work = ref.copy(), np.empty(n), np.empty(n)
+    pt = _transition_csr(g)
     for _ in range(150):
-        ref = _reference_step(g, ref, laziness)
+        ref = _reference_step(pt, ref, laziness)
         fresh = step(g, fresh, laziness)
         assert step(g, p, laziness, out=out, work=work) is out
         p, out = out, p
@@ -280,10 +291,11 @@ def test_walk_defaults_survive_the_codec(request, monkeypatch, fixture):
     # of the graph that wrote it
     g = (build_cylinder(make_expander(ExpanderSpec(3, 8, 0.01, 1)), 5)
          if fixture == "cylinder" else request.getfixturevalue(fixture))
-    seen = []
+    seen, sizes = [], []
 
     def record(g, start, target, t_cap, stride, laziness, buffers):
         seen.append((laziness, t_cap))
+        sizes.append([len(b) for b in buffers])
         raise GraphError("recorded")
 
     monkeypatch.setattr(mixing, "tv_profile_until", record)
@@ -291,6 +303,8 @@ def test_walk_defaults_survive_the_codec(request, monkeypatch, fixture):
         with pytest.raises(GraphError, match="recorded"):
             cutoff_report(graph, [0])
     assert seen[0] == seen[1]
+    # two vectors per worker, and a third for the laziness term
+    assert sizes == [[g.vertex_count] * (3 if seen[0][0] else 2)] * 2
     if g.meta["variant"] in ("five_regular", "no_cutoff"):
         tstar = theoretical_tstar(g.meta["h"], g.meta["L"])
         assert seen[0][1] == int(20 * tstar) + 200

@@ -154,8 +154,9 @@ def test_chain_rejects_other_variants_and_starts():
        scale=st.sampled_from([1.0, 1e-200, 1e100]))
 def test_chain_kernel_equals_csr_matvec(variant, h, L, seed, scale):
     """The chain's numpy row sum is bit-identical to scipy's csr_matvec on
-    adjacency_csr() (counts^T), and its TV to the formula with the
-    chain's stationary class masses."""
+    adjacency_csr() (counts^T) with its data divided by the degree, the
+    transition product, and its TV to the formula with the chain's
+    stationary class masses."""
     if variant == "no_cutoff":
         h += h % 2
     c = class_chain(ConstructionParams(h=h, L=L, variant=variant,
@@ -167,7 +168,7 @@ def test_chain_kernel_equals_csr_matvec(variant, h, L, seed, scale):
     a = c.adjacency_csr()
     counts = _counts(c)
     assert np.array_equal(a.toarray(), counts.T)
-    csr_matvec(k, k, a.indptr, a.indices, a.data, x, ref)
+    csr_matvec(k, k, a.indptr, a.indices, a.data / c.degree, x, ref)
     assert np.array_equal(out, ref)
     assert (np.count_nonzero(counts, axis=0) <= 3).all()
     work = np.empty(k)
@@ -238,7 +239,7 @@ def test_profile_rejects_bad_stride_and_eps():
 
 def _absorbing_survival(g, t_max):
     """P(no leaf by step t) for the walk from vertex 0, evolved on g."""
-    adj, inv_deg = g.adjacency_csr(), 1.0 / g.float_degrees()
+    adj, inv_deg = g.adjacency_csr(), 1.0 / g.degrees()
     leaf = g.role == LEAF
     x = (np.arange(g.vertex_count) == 0).astype(float)
     out = np.empty(t_max + 1)
@@ -270,7 +271,7 @@ def _counts_solves(chain, t_max):
     the CSR the sampler walks must reproduce, by the elimination
     exact_mean runs (test_chain_exact_mean_matches_lapack checks it
     against LAPACK); survival from class masses stepped by
-    counts^T (m / degree), each entry summed over its nonzero terms in
+    (counts / degree)^T m, each entry summed over its nonzero terms in
     class order from 0.0, the order the row-sum kernel sums in."""
     classes = chain.classes
     counts, k = _counts(classes), classes.state_count
@@ -283,9 +284,8 @@ def _counts_solves(chain, t_max):
     for t in range(t_max + 1):
         mass[leaf] = 0.0
         surv[t] = mass.sum()
-        x = mass / classes.degree
-        mass = np.array([sum((counts[c, d] * x[c] for c in terms[d]), 0.0)
-                         for d in range(k)])
+        mass = np.array([sum((counts[c, d] / classes.degree * mass[c]
+                              for c in terms[d]), 0.0) for d in range(k)])
     return float(mean), surv
 
 
