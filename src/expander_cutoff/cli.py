@@ -192,7 +192,7 @@ def build_parser():
     p.add_argument("--graph", type=str, default=None)
     p.add_argument("--chain", action="store_true", default=None,
                    help="sample the leaf-hitting chain instead of a built "
-                        "graph, and report its exact mean")
+                        "graph, and report its mean")
     # the chain reads no --m or --min-gap, and only a tree family has one
     _add_build_params(p, "variant h L Lprime", [
         v for v, fam in construction.FAMILIES.items() if fam.branching])
@@ -207,8 +207,8 @@ def build_parser():
         "cutoff-report", help="cutoff ratio versus h for a build family",
         description="Cutoff ratio versus h from the root, from the exact "
                     "root-class chain of the cubic or five_regular build: "
-                    "nothing is built, so --seed does not change the "
-                    "output, and expanders are certified only by build.  "
+                    "nothing is built, so the optional --seed changes "
+                    "nothing, and expanders are certified only by build.  "
                     "no_cutoff's exact ratio is nocutoff-demo's "
                     "exact_cutoff; cylinder-sweep studies cylinders.")
     _add_build_params(p, "variant L", construction.ROOT_CHAIN_VARIANTS)
@@ -216,7 +216,7 @@ def build_parser():
     p.add_argument("--hmax", type=int, required=True)
     _add_walk_params(p)
     _add_eps(p)
-    _add_common(p, seed_required=True)
+    _add_common(p)
 
     p = sub.add_parser("cylinder-sweep",
                        help="mixing time versus cylinder length at fixed host")
@@ -482,12 +482,13 @@ def _cmd_hitting(args) -> int:
                                      "samples", "start", "chain"))
         params = _params_from_args(args)
         chain = montecarlo.descent_chain(params)
-        predicted = construction.FAMILIES[params.variant].predicted(
-            params.h, params.L)
+        fam = construction.FAMILIES[params.variant]
+        predicted = fam.predicted(params.h, params.L)
         state = montecarlo.chain_start(chain, start)
         stats = montecarlo.hitting_stats(
             chain.sample(args.samples, args.seed, start=state), predicted)
-        extra = {"exact_mean": chain.exact_mean(state)}
+        extra = {"chain_mean" if fam.uneven else "exact_mean":
+                 chain.exact_mean(state)}
     else:
         if not args.graph:
             raise UsageError("hitting needs --graph or --chain")

@@ -333,6 +333,11 @@ def _tree_family_builder(params: ConstructionParams) -> GraphBuilder:
     with H1 and H2 certified from _expander_specs."""
     fam = FAMILIES[params.variant]
     h, L = params.h, params.L
+    # finish() would refuse it after the pairings; no_cutoff is even larger
+    sized = "five_regular" if fam.uneven else params.variant
+    if (arcs := family_vertex_count(sized, h, L) * fam.degree) >= 2**31:
+        raise GraphError(f"{params.variant} h={h} L={L} needs at least "
+                         f"{arcs} arcs, past int32 CSR indices")
     specs = _expander_specs(params)
     exp1, exp2 = map(make_expander, specs)
     floor = choose_L(exp1.gap, exp2.gap)

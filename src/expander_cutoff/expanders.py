@@ -2,8 +2,8 @@
 
 The provider draws seeded random regular graphs (configuration model with
 whole-pairing rejection of self-loops and parallel edges), then certifies
-the adjacency gap by an exact eigensolve: dense below DENSE_LIMIT vertices,
-Lanczos on the walk's own transition kernel above.  Random regular graphs
+the adjacency gap by one eigensolve at every size: Lanczos on the walk's
+own transition kernel from a seeded random start.  Random regular graphs
 are near-optimal expanders with overwhelming probability, so the bounded
 seed-increment retry loop nearly always stops at the first attempt.
 """
@@ -25,10 +25,9 @@ from .graphs import (
     is_connected,
 )
 
-DENSE_LIMIT = 2000
 MAX_ATTEMPTS = 200
 # Lanczos steps before certification gives up with GraphError; the cubic
-# H2 takes 500 steps at 2^14 vertices and 950 at 2^17
+# H2 takes 550 steps at 2^14 vertices and 850 at 2^17
 LANCZOS_STEPS = 10000
 _CHECK_EVERY = 50
 _EIG_TOL = 1e-8
@@ -126,31 +125,28 @@ def _top_ritz(a, b, beta):
 
 def adjacency_extremes(g: LeveledGraph):
     """(second largest, smallest) adjacency eigenvalues of a regular graph,
-    signed; GraphError on one that is not regular.
+    signed; GraphError on one that is not regular or has under 2 vertices.
 
-    Dense symmetric solve for small graphs.  Above DENSE_LIMIT, d times
-    the extremes of P = A/d, by Lanczos on the walk's g.matvec_kernel()
-    from a fixed start vector, so repeated runs agree bit for bit.  Every
-    step subtracts the mean, since P maps the complement of the constants
-    to itself, so the extremes of T_m tend to (lam2, lam_min) / d.  There
-    is no reorthogonalization: extreme Ritz values converge regardless,
-    and lost orthogonality only repeats them.  Every _CHECK_EVERY steps
-    both extreme Ritz pairs are held to Parlett's residual bound, in A's
-    units d beta_m |s_m| < _EIG_TOL; past LANCZOS_STEPS steps GraphError
-    names the residuals reached.
+    d times the extremes of P = A/d, by Lanczos on g.matvec_kernel() from
+    a seeded Gaussian start, which has weight on every eigenspace with
+    probability 1.  Every step subtracts the mean, as P maps the
+    complement of the constants to itself.  There is no
+    reorthogonalization: extreme Ritz values converge regardless, and lost
+    orthogonality only repeats them.  Every _CHECK_EVERY steps both
+    extreme Ritz pairs are held to Parlett's bound d beta_m |s_m| <
+    _EIG_TOL and returned clamped into [-d, d], which rounding can leave by
+    an ulp; past LANCZOS_STEPS steps GraphError names the residuals.
     """
     degrees = g.degrees()
     if np.any(degrees != degrees[:1]):
         raise GraphError("graph is not regular")
     n = g.vertex_count
-    if n <= DENSE_LIMIT:
-        w = np.linalg.eigvalsh(g.adjacency_dense())
-        return float(w[-2]), float(w[0])
+    if n < 2:
+        raise GraphError(f"no nontrivial eigenvalue on {n} vertices")
     d = float(degrees[0])
     kernel, tol = g.matvec_kernel(), _EIG_TOL / d
-    v = np.full(n, 1.0)
-    v[::2] += 0.5
-    v[::3] -= 0.25
+    # a Philox key that no pairing (seed, attempt < MAX_ATTEMPTS) uses
+    v = rng.stream(0, 2**64 - 1).standard_normal(n)
     v -= v.mean()
     v /= math.sqrt(v @ v)
     v_prev, w = np.zeros(n), np.empty(n)
@@ -168,7 +164,7 @@ def adjacency_extremes(g: LeveledGraph):
             lam2, res2 = _top_ritz(a, b, beta)
             neg_min, res_min = _top_ritz([-x for x in a], b, beta)
             if max(res2, res_min) < tol:
-                return d * lam2, -d * neg_min
+                return min(max(d * lam2, -d), d), min(max(-d * neg_min, -d), d)
         b.append(beta)
         v_prev, v, w = v, w, v_prev
         v /= beta

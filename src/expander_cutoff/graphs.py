@@ -148,11 +148,6 @@ class LeveledGraph:
             self._kernel = kernel
         return self._kernel
 
-    def adjacency_dense(self) -> np.ndarray:
-        a = np.zeros((self.vertex_count,) * 2)
-        a[np.repeat(np.arange(len(a)), self.degrees()), self.indices] = 1.0
-        return a
-
     def with_meta(self, **updates) -> "LeveledGraph":
         meta = dict(self.meta)
         meta.update(updates)

@@ -50,13 +50,14 @@ class HittingStats:
     predicted: float | None = None
 
     def stderr(self) -> float:
-        return self.stddev / np.sqrt(len(self.samples))
+        return float(self.stddev / np.sqrt(len(self.samples)))
 
     def as_dict(self):
         return {
             "count": int(len(self.samples)),
             "mean": self.mean,
             "stddev": self.stddev,
+            "stderr": self.stderr(),
             "quantiles": {str(q): v for q, v in self.quantiles.items()},
             "predicted": self.predicted,
         }

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from expander_cutoff import ConstructionParams, build
@@ -11,12 +12,35 @@ def graph_from_edges(n, edges):
     return b.finish()
 
 
+def adjacency_dense(g):
+    a = np.zeros((g.vertex_count,) * 2)
+    a[np.repeat(np.arange(len(a)), g.degrees()), g.indices] = 1.0
+    return a
+
+
+def dense_extremes(g):
+    """(second largest, smallest) adjacency eigenvalues by dense eigvalsh:
+    the reference the Lanczos eigensolve is held to."""
+    w = np.linalg.eigvalsh(adjacency_dense(g))
+    return float(w[-2]), float(w[0])
+
+
 def complete_graph(n):
     return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def cycle_graph(n):
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def hypercube_graph(k):
+    return graph_from_edges(1 << k, [(u, u | 1 << i) for u in range(1 << k)
+                                     for i in range(k) if not u >> i & 1])
+
+
+def complete_bipartite_graph(a, b):
+    return graph_from_edges(a + b, [(u, a + v) for u in range(a)
+                                    for v in range(b)])
 
 
 def petersen_graph():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -86,6 +87,40 @@ def test_truncated_graph_exits_1(tmp_path):
     mangled = tmp_path / "mangled.ev"
     mangled.write_text("".join(lines[:5] + ["1 x\n"] + lines[6:]))
     assert run("spectral", "--graph", str(mangled), "--out", str(out)) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ev 0 0 0 0 c\nlevels\n", "graph is not 0-regular"),
+    ("ev 1 0 0 0 c\nlevels\n0 0 Leaf\n",
+     "no nontrivial eigenvalue on 1 vertices")],
+    ids=["0-vertices", "1-vertex"])
+def test_spectral_on_fewer_than_two_vertices_exits_1(tmp_path, capsys, text,
+                                                     message):
+    graph = tmp_path / "tiny.ev"
+    graph.write_text(text)
+    assert run("spectral", "--graph", str(graph), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "spectral.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--variant", "five_regular", "--h", "4", "--L", "2"),
+    ("--variant", "no_cutoff", "--h", "4", "--L", "2", "--Lprime", "4")],
+    ids=["five_regular", "no_cutoff"])
+def test_oversized_tree_build_is_refused_before_any_pairing(
+        tmp_path, capsys, monkeypatch, argv):
+    """five_regular h=4 L=2 has 2,245,700,130 arcs, more than int32 CSR
+    index arrays hold; no_cutoff has at least as many."""
+    def no_pairing(spec):
+        raise AssertionError("an expander was drawn for a refused build")
+
+    monkeypatch.setattr(construction, "make_expander", no_pairing)
+    out = tmp_path / "run"
+    assert run("build", *argv, "--seed", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {argv[1]} h=4 L=2 needs at least 2245700130 arcs, past "
+        f"int32 CSR indices\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edge_line", ["1 0", "2 2", "0 3"])
@@ -180,8 +215,22 @@ def test_hitting_chain_reports_exact_mean(tmp_path, start):
     body = read_json(out / "hitting.json")
     chain = descent_chain(ConstructionParams(h=3, L=2))
     assert body["exact_mean"] == chain.exact_mean(chain_start(chain, start))
-    stderr = body["stddev"] / body["count"] ** 0.5
-    assert abs(body["mean"] - body["exact_mean"]) < 4 * stderr
+    assert body["stderr"] == body["stddev"] / math.sqrt(body["count"])
+    assert abs(body["mean"] - body["exact_mean"]) < 4 * body["stderr"]
+
+
+def test_hitting_chain_on_no_cutoff_writes_chain_mean(tmp_path):
+    """no_cutoff's class chain is not exact, so its mean is chain_mean."""
+    out = tmp_path / "hit"
+    assert run("hitting", "--chain", "--variant", "no_cutoff", "--h", "2",
+               "--L", "2", "--Lprime", "4", "--samples", "1000",
+               "--seed", "5", "--out", str(out)) == 0
+    body = read_json(out / "hitting.json")
+    assert "exact_mean" not in body
+    chain = descent_chain(ConstructionParams(h=2, L=2, L_prime=4,
+                                             variant="no_cutoff"))
+    assert body["chain_mean"] == chain.exact_mean(chain_start(chain, 0))
+    assert body["chain_mean"] == pytest.approx(67.0663, abs=1e-4)
 
 
 def test_hitting_graph_mode(tmp_path):
@@ -468,6 +517,8 @@ def test_nocutoff_demo(tmp_path):
     body = read_json(out / "nocutoff.json")
     assert body["exact_cutoff"]["cutoff_ratio"] >= 1.1
     assert "bimodality" in body
+    hitting = body["hitting"]
+    assert hitting["stderr"] == hitting["stddev"] / math.sqrt(hitting["count"])
 
 
 def test_nocutoff_demo_reports_every_eps(tmp_path):
@@ -775,14 +826,19 @@ CUTOFF_FILES = ("cutoff_vs_h.csv", "cutoff_vs_h.json")
 
 
 def test_cutoff_report_bodies_do_not_depend_on_seed(tmp_path):
-    bodies = []
-    for seed in ("1", "2"):
-        out = tmp_path / seed
+    """--seed is optional, changes no body, and is in the header only when
+    it is given."""
+    bodies, commands = [], []
+    for seed in (("--seed", "1"), ("--seed", "2"), ()):
+        out = tmp_path / (seed[1] if seed else "none")
         assert run("cutoff-report", "--variant", "cubic", "--L", "3",
-                   "--hmin", "2", "--hmax", "4", "--seed", seed,
+                   "--hmin", "2", "--hmax", "4", *seed,
                    "--out", str(out)) == 0
         bodies.append([read_artifact(out / f) for f in CUTOFF_FILES])
-    assert bodies[0] == bodies[1]
+        commands.append((out / CUTOFF_FILES[1]).read_text().splitlines()[2])
+    assert bodies[0] == bodies[1] == bodies[2]
+    assert commands == [f"# command: cutoff-report L=3 hmax=4 hmin=2 {seed}"
+                        f"variant=cubic" for seed in ("seed=1 ", "seed=2 ", "")]
 
 
 def test_cutoff_report_rows_equal_materialized(tmp_path, monkeypatch):
@@ -920,7 +976,7 @@ report_random = "numpy.random" in sys.modules
 assert cli.main(["hitting", "--chain", "--h", "2", "--L", "2",
                  "--samples", "200", "--seed", "1", "--out", out + "/hc"]) == 0
 chain_scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-# cubic h=3 certifies a 2048-vertex expander, above the dense limit
+# cubic h=3 certifies a 32- and a 2048-vertex expander, both by Lanczos
 assert cli.main(["build", "--variant", "cubic", "--h", "3", "--L", "1",
                  "--seed", "1", "--out", out + "/b"]) == 0
 print(json.dumps({"chain_scipy": chain_scipy, "report_random": report_random,
@@ -931,8 +987,9 @@ print(json.dumps({"chain_scipy": chain_scipy, "report_random": report_random,
 def test_chain_commands_start_without_scipy(tmp_path):
     """cutoff-report on a chain variant and hitting --chain import no scipy
     in a fresh process, and the report, which samples nothing, no
-    numpy.random; build then certifies the 2048-vertex expander by Lanczos
-    on the graph's own kernel, with scipy.sparse.linalg never loaded."""
+    numpy.random; build then certifies its 32- and 2048-vertex expanders
+    by Lanczos on the graph's own kernel, with scipy.sparse.linalg never
+    loaded."""
     report = json.loads(_fresh_python(_NO_SCIPY_SCRIPT, str(tmp_path)))
     assert report == {"chain_scipy": [], "report_random": False,
                       "build_linalg": False}

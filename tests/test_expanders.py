@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from expander_cutoff.expanders import (
-    DENSE_LIMIT,
     ExpanderSpec,
     adjacency_extremes,
     make_expander,
@@ -10,7 +9,16 @@ from expander_cutoff.expanders import (
 from expander_cutoff.graphs import GraphError
 from expander_cutoff.spectral import cheeger_bruteforce, spectral_report
 
-from conftest import complete_graph, cycle_graph, petersen_graph
+from conftest import (
+    adjacency_dense,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    dense_extremes,
+    graph_from_edges,
+    hypercube_graph,
+    petersen_graph,
+)
 
 
 def test_determinism():
@@ -69,34 +77,64 @@ def test_certify_petersen():
 
 
 def test_certify_rejects_disconnected():
-    from conftest import graph_from_edges
-
     g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(GraphError, match="disconnected"):
         spectral_report(g)
 
 
-def test_dense_and_iterative_paths_agree(monkeypatch):
-    # the same graphs through both solvers, by lowering the dense cutoff
-    import expander_cutoff.expanders as ex_mod
+def test_dense_and_iterative_paths_agree():
+    # Lanczos against dense eigvalsh on certified pairings
+    for d, n, seed in ((3, 256, 3), (3, 1000, 1), (3, 2000, 2),
+                       (4, 256, 1), (4, 999, 2), (4, 2000, 3)):
+        g = make_expander(ExpanderSpec(d, n, 0.05, seed)).graph
+        assert adjacency_extremes(g) == pytest.approx(dense_extremes(g),
+                                                      abs=1e-9), (d, n, seed)
 
-    graphs = [make_expander(ExpanderSpec(d, n, 0.05, seed)).graph
-              for d, n, seed in ((3, 256, 3), (3, 1000, 1), (3, 2000, 2),
-                                 (4, 256, 1), (4, 999, 2), (4, 2000, 3))]
-    dense = [adjacency_extremes(g) for g in graphs]
-    monkeypatch.setattr(ex_mod, "DENSE_LIMIT", 10)
-    for g, (lam2, lam_min) in zip(graphs, dense):
-        lanczos = adjacency_extremes(g)
-        assert lanczos == pytest.approx((lam2, lam_min), abs=1e-9), g
+
+@pytest.mark.parametrize("g, d", [
+    pytest.param(cycle_graph(6), 2, id="C_6"),
+    pytest.param(cycle_graph(12), 2, id="C_12"),
+    pytest.param(cycle_graph(2004), 2, id="C_2004"),
+    pytest.param(petersen_graph(), 3, id="Petersen"),
+    pytest.param(hypercube_graph(4), 4, id="Q_4"),
+    pytest.param(complete_bipartite_graph(3, 3), 3, id="K_3,3"),
+    pytest.param(complete_graph(4), 3, id="K_4"),
+    pytest.param(complete_graph(2), 1, id="K_2")])
+def test_lanczos_agrees_with_dense_on_structured_graphs(g, d):
+    """A start built from index residues has no weight on most eigenspaces
+    of a cycle (on C_2004 it returned lam2 = -1); the seeded Gaussian start
+    finds every extreme, returns it bit for bit again, and keeps it in
+    [-d, d], so no gap is negative."""
+    lam2, lam_min = adjacency_extremes(g)
+    assert (lam2, lam_min) == pytest.approx(dense_extremes(g), abs=1e-9)
+    assert adjacency_extremes(g) == (lam2, lam_min)
+    assert -d <= lam_min <= lam2 <= d
+    assert spectral_report(g).gap >= 0.0
+
+
+def test_spectral_report_on_a_long_cycle():
+    """C_2004 is bipartite, so its report gives the lazy walk's gap,
+    (1 - cos(2 pi / n)) / 2."""
+    rep = spectral_report(cycle_graph(2004))
+    assert rep.degenerate
+    assert rep.lambda2 == pytest.approx(2 * np.cos(2 * np.pi / 2004), abs=1e-9)
+    assert rep.lazy_gap == pytest.approx((1 - np.cos(2 * np.pi / 2004)) / 2,
+                                         rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_eigensolve_refuses_fewer_than_two_vertices(n):
+    with pytest.raises(GraphError,
+                       match=f"no nontrivial eigenvalue on {n} vertices"):
+        adjacency_extremes(graph_from_edges(n, []))
 
 
 @pytest.mark.parametrize("degree", [3, 4])
 def test_lanczos_on_the_transition_kernel_agrees_with_dense(degree):
-    """Just above DENSE_LIMIT the extremes come from Lanczos on the walk's
-    kernel P = A/d, times d: they agree with the dense spectrum of A/d
-    times d."""
-    g = make_expander(ExpanderSpec(degree, DENSE_LIMIT + 2, 0.05, 1)).graph
-    w = np.linalg.eigvalsh(g.adjacency_dense() / degree) * degree
+    """The extremes come from Lanczos on the walk's kernel P = A/d, times
+    d: they agree with the dense spectrum of A/d times d."""
+    g = make_expander(ExpanderSpec(degree, 2002, 0.05, 1)).graph
+    w = np.linalg.eigvalsh(adjacency_dense(g) / degree) * degree
     lam2, lam_min = adjacency_extremes(g)
     assert abs(lam2 - w[-2]) < 1e-10
     assert abs(lam_min - w[0]) < 1e-10
@@ -114,18 +152,12 @@ def test_lanczos_on_the_cubic_h4_h2():
     assert adjacency_extremes(ex.graph) == (lam2, lam_min)
 
 
-@pytest.mark.parametrize("dense_limit", [2000, 10])
-def test_eigensolve_refuses_a_graph_that_is_not_regular(monkeypatch,
-                                                        dense_limit):
-    import expander_cutoff.expanders as ex_mod
-
-    from conftest import graph_from_edges
-
-    monkeypatch.setattr(ex_mod, "DENSE_LIMIT", dense_limit)
-    # a 64-cycle with one chord: two vertices of degree 3
-    edges = [(i, (i + 1) % 64) for i in range(64)] + [(0, 32)]
+@pytest.mark.parametrize("n", [2000, 10])
+def test_eigensolve_refuses_a_graph_that_is_not_regular(n):
+    # an n-cycle with one chord: two vertices of degree 3
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)]
     with pytest.raises(GraphError, match="not regular"):
-        adjacency_extremes(graph_from_edges(64, edges))
+        adjacency_extremes(graph_from_edges(n, edges))
 
 
 def test_lanczos_past_its_step_cap_is_a_graph_error(monkeypatch, tmp_path,

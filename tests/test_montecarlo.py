@@ -404,6 +404,14 @@ def test_chain_rejects_other_variants():
         descent_chain(ConstructionParams(h=2, L=5, m=4, variant="cylinder"))
 
 
+def test_hitting_stats_write_their_standard_error():
+    stats = hitting_stats([3, 5, 8, 13, 21])
+    body = stats.as_dict()
+    assert body["stderr"] == stats.stderr() == \
+        body["stddev"] / np.sqrt(body["count"])
+    assert type(body["stderr"]) is float
+
+
 # ---------------------------------------------------------------------------
 # bimodality
 
