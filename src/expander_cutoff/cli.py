@@ -5,6 +5,9 @@ Every artifact starts with `#` provenance lines (tool version, one
 timestamp line, the command and parameters); reruns with identical
 parameters are byte-identical except for the timestamp line.  JSON bodies
 follow the header; read_artifact() strips the header again.
+
+Each command imports the package modules it runs, and no others: a cold
+process without bytecode caches compiles every module it imports.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, construction, mixing, montecarlo, spectral
+from . import __version__, construction
 from .construction import ConstructionParams
 from .graphs import GraphError, from_text_blocks, text_blocks
 
@@ -439,6 +442,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    from . import spectral
+
     g = _load_graph(args.graph)
     rep = spectral.spectral_report(g, cheeger_exact=args.cheeger_exact,
                                    dirichlet=args.dirichlet)
@@ -449,6 +454,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from . import mixing
+
     starts = _int_list_option(args.starts, "--starts") if args.starts else None
     if starts and len(set(starts)) != len(starts):
         raise UsageError(f"--starts must be distinct, got {args.starts}")
@@ -475,6 +482,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_hitting(args) -> int:
+    from . import montecarlo
+
     start = _int_option(args.start, "--start")
     out = Path(args.out)
     if args.chain:
@@ -513,6 +522,8 @@ def _cmd_hitting(args) -> int:
 
 
 def _cmd_cutoff_report(args) -> int:
+    from . import mixing
+
     if args.L is None:
         raise UsageError("--L is required")
     if args.hmin > args.hmax:
@@ -543,6 +554,8 @@ def _cmd_cutoff_report(args) -> int:
 
 
 def _cmd_cylinder_sweep(args) -> int:
+    from . import mixing
+
     lengths = _int_list_option(args.Ls, "--Ls")
     if len(set(lengths)) != len(lengths):
         raise UsageError(f"--Ls must be distinct, got {args.Ls}")
@@ -578,6 +591,8 @@ def _cmd_cylinder_sweep(args) -> int:
 
 
 def _cmd_nocutoff_demo(args) -> int:
+    from . import mixing, montecarlo
+
     if args.h is None or args.L is None or not args.Lprime:
         raise UsageError("nocutoff-demo needs --h, --L and --Lprime")
     if args.samples < montecarlo.BIMODALITY_MIN_SAMPLES:

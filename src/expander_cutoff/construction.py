@@ -529,7 +529,8 @@ class RootChain:
         """Cached kernel(x, out) writing counts^T x / d into `out`, the
         walk's transition product, bit-identical to csr_matvec on
         adjacency_csr() with its data divided by d: each row's nonzeros are
-        summed in column order starting from 0.0.  columns[j, c] is the
+        summed in column order, from the first rather than from 0.0, which
+        differs only in the sign of a zero sum.  columns[j, c] is the
         j-th source class of the arcs into c and values[j, c] their count
         over d; shorter rows are padded with column 0 and 0.0, which
         leaves a finite sum unchanged."""
@@ -550,9 +551,8 @@ class RootChain:
             def kernel(x, out):
                 terms = x[columns]
                 terms *= values
-                out.fill(0)
-                for term in terms:
-                    out += term
+                # along the outer axis the rows are added in order
+                np.add.reduce(terms, axis=0, out=out)
 
             self._kernel = kernel
         return self._kernel

@@ -177,8 +177,12 @@ def adjacency_extremes(g: LeveledGraph):
 def regular_extremes(g: LeveledGraph, degree: int):
     """(lam2, lam_min, lam_abs) of a connected `degree`-regular graph: the
     second largest and the smallest adjacency eigenvalue, signed, and the
-    largest absolute nontrivial one.  Errors on disconnected input (lam_abs
-    would equal the degree) and on input that is not `degree`-regular."""
+    largest absolute nontrivial one.  Errors on input with under 2
+    vertices, on disconnected input (lam_abs would equal the degree) and on
+    input that is not `degree`-regular."""
+    if g.vertex_count < 2:
+        raise GraphError(f"no nontrivial eigenvalue on {g.vertex_count} "
+                         f"vertices")
     if not is_connected(g):
         raise GraphError("graph is disconnected")
     if not assert_regular(g, degree):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from queue import SimpleQueue
 
@@ -29,6 +28,14 @@ from .construction import FAMILIES, RootChain, leaf_level, log_cap
 from .graphs import (GraphError, LeveledGraph, PATH_INTERIOR, UNLEVELED,
                      bfs_distances, is_bipartite)
 
+# A profile renormalizes the walk at a record where its mass strays from 1
+# by more than RENORM_TOL.  A step scales the mass by a factor within
+# 1 +- eta, eta = (d_max + 4) 2^-53 for d_max the longest row of the
+# kernel: each entry is a nonnegative sum of at most d_max rounded products
+# with weights fl(1/deg), and a lazy step adds three roundings (Higham,
+# Accuracy and Stability of Numerical Algorithms, section 4.2).  So no
+# renormalization fires in the first RENORM_TOL / eta steps, 1.3 10^6 at
+# degree 3.
 RENORM_TOL = 1e-9
 
 
@@ -54,14 +61,20 @@ def step(g: LeveledGraph, p: np.ndarray, laziness: float = 0.0,
     """One step of the walk, one call of g's transition kernel:
     p'(v) = laziness p(v) + (1 - laziness) sum_{u ~ v} p(u)/deg(u).
 
-    The result goes into `out`; `work` is scratch for laziness > 0 only.
-    Each is allocated when needed and not given (contiguous float64 of
-    length n, distinct from p and from each other).  Returns `out`.  g is
-    a LeveledGraph or a RootChain, whose vectors have one entry per state."""
+    p is a vector of length n, g's vertex count (a RootChain's vectors
+    have one entry per state); any other shape is a GraphError, as a
+    graph's kernel checks no lengths.  The result goes into `out`; `work`
+    is scratch for laziness > 0 only.  Each is allocated when needed and
+    not given (contiguous float64 of length n, distinct from p and from
+    each other).  Returns `out`.  For nonnegative p the step scales the
+    mass sum(p) by a factor within 1 +- (d_max + 4) 2^-53 (RENORM_TOL)."""
     if not (0.0 <= laziness <= 0.5):
         raise GraphError("laziness must lie in [0, 1/2]")
     kernel = g.matvec_kernel()
     n = len(g.indptr) - 1
+    if np.shape(p) != (n,):
+        raise GraphError(f"walk vector p must have shape ({n},), got "
+                         f"{np.shape(p)}")
     out = _walk_buffer(out, n)
     work = _walk_buffer(work, n) if work is not None or laziness else None
     # p is read after out and work are written
@@ -86,7 +99,7 @@ def tv_to_uniform(p: np.ndarray, work: np.ndarray | None = None,
     work = np.empty(len(p)) if work is None else work
     np.subtract(p, 1.0 / len(p) if pi is None else pi, out=work)
     np.abs(work, out=work)
-    return min(1.0, 0.5 * float(work.sum()))
+    return min(1.0, 0.5 * float(np.add.reduce(work)))
 
 
 def default_laziness(g: LeveledGraph) -> float:
@@ -117,7 +130,18 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
     root (start 0) as class masses against its `stationary` law.
     `buffers`, two distinct contiguous float64 vectors with one entry per
     vertex (or class), three when laziness > 0, are the walk's; allocated
-    when not given.  The TV reduction's scratch is the next step's output."""
+    when not given, and a GraphError when of another length or type.  The
+    TV reduction's scratch is the next step's output.
+
+    A record renormalizes p when its mass sum(p) strays from 1 by more than
+    RENORM_TOL.  The mass is measured only at records where the drift
+    bound stated at RENORM_TOL (a factor 1 +- eta a step) cannot keep it
+    within RENORM_TOL / 2 of 1: after a measured drift d the next measure
+    comes (RENORM_TOL / 2 - d) / eta steps later, or at the next record
+    when d >= RENORM_TOL / 2; the other half of RENORM_TOL covers the
+    rounding of the sum itself.  Every skipped record would pass the test,
+    so the profile is the one a measure at every record gives, bit for
+    bit."""
     if t_cap < 0:
         raise GraphError("t_max must be >= 0")
     n = g.vertex_count
@@ -133,23 +157,30 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
             raise GraphError("a root chain evolves the walk from vertex 0 only")
         n, pi = g.state_count, g.stationary
     if buffers is None:
-        buffers = [np.empty(n) for _ in range(3 if laziness else 2)]
-    p, q, *work = buffers
+        buffers = [None] * (3 if laziness else 2)
+    p, q, *work = (_walk_buffer(buf, n) for buf in buffers)
     p.fill(0.0)
     p[start] = 1.0
     # one float per record: record i is at time min(i * stride, t_cap)
     tv = array("d", [tv_to_uniform(p, q, pi)])
     renorms = 0
     t = 0
+    tol = RENORM_TOL
+    eta = (int(np.diff(g.indptr).max()) + 4) * 2.0 ** -53
+    # the point mass has mass 1 exactly
+    next_check = tol / 2 / eta
     while t < t_cap and (target is None or tv[-1] >= target):
         for _ in range(min(stride, t_cap - t)):
             t += 1
             step(g, p, laziness, q, *work)
             p, q = q, p
-        mass = p.sum()
-        if abs(mass - 1.0) > RENORM_TOL:
-            p /= mass
-            renorms += 1
+        if t >= next_check:
+            mass = p.sum()
+            drift = abs(mass - 1.0)
+            if drift > tol:
+                p /= mass
+                renorms += 1
+            next_check = t + (tol / 2 - drift) / eta
         tv.append(tv_to_uniform(p, q, pi))
     if target is not None and tv[-1] >= target:
         raise GraphError(f"not mixed below {target} by t_max={t_cap}")
@@ -297,6 +328,9 @@ def cutoff_report(g, starts, eps_grid=(0.25, 0.75), t_max=None,
     if workers == 1:
         summaries = [summary(s) for s in starts]
     else:
+        # imported here: it also loads logging, which one start never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             futures = [pool.submit(summary, s) for s in starts]

@@ -90,7 +90,7 @@ def test_truncated_graph_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("ev 0 0 0 0 c\nlevels\n", "graph is not 0-regular"),
+    ("ev 0 0 0 0 c\nlevels\n", "no nontrivial eigenvalue on 0 vertices"),
     ("ev 1 0 0 0 c\nlevels\n0 0 Leaf\n",
      "no nontrivial eigenvalue on 1 vertices")],
     ids=["0-vertices", "1-vertex"])
@@ -995,6 +995,52 @@ def test_chain_commands_start_without_scipy(tmp_path):
                       "build_linalg": False}
     census = read_json(tmp_path / "b" / "census.json")
     assert census["vertices"] > 2048 and census["meta"]["gap2"] > 0
+
+
+_LOADED_SCRIPT = """
+import json, sys
+import expander_cutoff
+from expander_cutoff import cli
+
+out = sys.argv[1]
+graph = out + "/build/graph.ev"
+watched = ("expander_cutoff.montecarlo", "expander_cutoff.spectral",
+           "concurrent.futures")
+loaded = {}
+# in this order, so each command adds to what the ones before it loaded
+for argv in (["cutoff-report", "--variant", "cubic", "--L", "3",
+              "--hmin", "2", "--hmax", "3"],
+             ["build", "--variant", "cubic", "--h", "2", "--L", "1",
+              "--seed", "1"],
+             ["profile", "--graph", graph],
+             ["hitting", "--graph", graph, "--samples", "200", "--seed", "1"]):
+    assert cli.main(argv + ["--out", out + "/" + argv[0]]) == 0
+    loaded[argv[0]] = [m for m in watched if m in sys.modules]
+names = sorted(expander_cutoff._LAZY)
+listed = set(dir(expander_cutoff))
+print(json.dumps({"loaded": loaded, "unlisted": sorted(set(names) - listed),
+                  "unresolved": [n for n in names if getattr(
+                      expander_cutoff, n) is not getattr(sys.modules[
+                          "expander_cutoff." + expander_cutoff._LAZY[n]], n)]}))
+"""
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    """In a fresh process: cutoff-report, build and profile load neither
+    the sampling nor the spectral module, hitting no spectral module, and
+    cutoff-report and build (one start, no thread pool) no
+    concurrent.futures.  Every name of the package's lazy export table
+    resolves to its module's object and is listed by dir()."""
+    report = json.loads(_fresh_python(_LOADED_SCRIPT, str(tmp_path)))
+    loaded = report["loaded"]
+    assert loaded["cutoff-report"] == loaded["build"] == []
+    assert not {"expander_cutoff.montecarlo",
+                "expander_cutoff.spectral"} & set(loaded["profile"])
+    assert "expander_cutoff.spectral" not in loaded["hitting"]
+    assert "expander_cutoff.montecarlo" in loaded["hitting"]
+    assert report["unlisted"] == report["unresolved"] == []
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        expander_cutoff.no_such_name
 
 
 _NO_SPARSE_SCRIPT = """

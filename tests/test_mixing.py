@@ -1,3 +1,4 @@
+import math
 import sys
 import time
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from expander_cutoff import mixing
-from expander_cutoff.construction import build_cylinder, theoretical_tstar
+from expander_cutoff.construction import (ConstructionParams, RootChain,
+                                          build_cylinder, root_chain,
+                                          theoretical_tstar)
 from expander_cutoff.expanders import ExpanderSpec, make_expander
 from expander_cutoff.graphs import GraphError, from_text, to_text
 from expander_cutoff.mixing import (
@@ -129,6 +132,25 @@ def test_step_rejects_mismatched_buffers():
                 work=buf[6:]).sum() == pytest.approx(1.0)
 
 
+def _cubic_chain():
+    return root_chain(ConstructionParams(h=3, L=3, variant="cubic"))
+
+
+@pytest.mark.parametrize("backend", ["graph", "chain"])
+def test_step_refuses_a_p_of_the_wrong_shape(cubic_h2, backend):
+    """Unchecked, a 3-entry p makes a graph's csr_matvec read past its
+    buffer (a sum of nan, no error) and a chain's kernel raise IndexError."""
+    g = cubic_h2 if backend == "graph" else _cubic_chain()
+    n = len(g.indptr) - 1
+    for bad in (np.zeros(3), np.zeros(n + 1), np.zeros((n, 1))):
+        with pytest.raises(GraphError, match=f"p must have shape \\({n},\\)"):
+            step(g, bad)
+        with pytest.raises(GraphError, match="buffers"):
+            tv_profile_until(g, 0, None, 5, buffers=[bad, np.empty(n)])
+        with pytest.raises(GraphError, match="buffers"):
+            tv_profile_until(g, 0, None, 5, buffers=[np.empty(n), bad])
+
+
 # ---------------------------------------------------------------------------
 # tv distance
 
@@ -193,6 +215,77 @@ def test_profile_until_respects_cap():
         tv_profile_until(c5, 0, target=0.1, t_cap=8, stride=5)
     assert tv_profile_until(c5, 0, None, 8, stride=5).times.tolist() == \
         [0, 5, 8]
+
+
+# ---------------------------------------------------------------------------
+# mass checks
+
+
+def _every_record_profile(g, start, t_cap, stride, laziness):
+    """The profile loop as it measured the mass at every record, the
+    reference the checked-only-when-needed schedule must equal."""
+    n, pi = ((g.state_count, g.stationary) if isinstance(g, RootChain)
+             else (g.vertex_count, None))
+    p, q = point_mass(n, start), np.empty(n)
+    work = [np.empty(n)] if laziness else []
+    tv = [tv_to_uniform(p, q, pi)]
+    renorms = t = 0
+    while t < t_cap:
+        for _ in range(min(stride, t_cap - t)):
+            t += 1
+            step(g, p, laziness, q, *work)
+            p, q = q, p
+        mass = p.sum()
+        if abs(mass - 1.0) > mixing.RENORM_TOL:
+            p /= mass
+            renorms += 1
+        tv.append(tv_to_uniform(p, q, pi))
+    return np.array(tv), renorms
+
+
+# a tolerance that a few thousand steps of drift exceed, and the default,
+# which no profile here reaches
+@pytest.mark.parametrize("tol, t_cap", [(2e-14, 20000), (mixing.RENORM_TOL,
+                                                          5000)],
+                         ids=["patched", "default"])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("laziness", [0.0, 0.5])
+@pytest.mark.parametrize("backend", ["graph", "chain"])
+def test_mass_schedule_equals_a_check_at_every_record(
+        cubic_h2, monkeypatch, backend, laziness, stride, tol, t_cap):
+    g = cubic_h2 if backend == "graph" else _cubic_chain()
+    monkeypatch.setattr(mixing, "RENORM_TOL", tol)
+    ref, ref_renorms = _every_record_profile(g, 0, t_cap, stride, laziness)
+    prof = tv_profile_until(g, 0, None, t_cap, stride, laziness)
+    assert np.array_equal(prof.tv, ref)
+    assert prof.renormalizations == ref_renorms
+    assert (ref_renorms > 0) == (tol < 1e-9)
+
+
+@pytest.mark.parametrize("laziness", [0.0, 0.3])
+@pytest.mark.parametrize("backend", ["graph", "chain"])
+def test_mass_drift_stays_within_the_step_bound(backend, laziness):
+    """|mass - 1| <= t eta over 10^5 steps, eta = (d_max + 4) 2^-53, on an
+    irregular graph (degrees 2 to 5, so weights 1/3, 1/5 round) and on a
+    chain; the mass is summed exactly (math.fsum)."""
+    if backend == "graph":
+        g = graph_from_edges(9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                                 (1, 2), (2, 3), (5, 6), (6, 7), (7, 8),
+                                 (8, 5), (4, 6)])
+        n, d_max = g.vertex_count, int(g.degrees().max())
+    else:
+        g = _cubic_chain()
+        n, d_max = g.state_count, g.degree
+    eta = (d_max + 4) * 2.0 ** -53
+    p, q, work = point_mass(n, 0), np.empty(n), np.empty(n)
+    worst = 0.0
+    for t in range(1, 10 ** 5 + 1):
+        step(g, p, laziness, q, work)
+        p, q = q, p
+        drift = abs(math.fsum(p) - 1.0)
+        assert drift <= t * eta, t
+        worst = max(worst, drift / t)
+    assert worst > 0.0
 
 
 # ---------------------------------------------------------------------------
