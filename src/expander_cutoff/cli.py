@@ -2,9 +2,9 @@
 hitting-time sampling, and the sweep studies, with reproducible artifacts.
 
 Every artifact starts with `#` provenance lines (tool version, one
-timestamp line, the command and parameters); reruns with identical
-parameters are byte-identical except for the timestamp line.  JSON bodies
-follow the header; read_artifact() strips the header again.
+timestamp line, the command and the flags its run was given); reruns with
+identical parameters are byte-identical except for the timestamp line.
+JSON bodies follow the header; read_artifact() strips the header again.
 
 Each command imports the package modules it runs, and no others: a cold
 process without bytecode caches compiles every module it imports.
@@ -39,7 +39,9 @@ class UsageError(ValueError):
 
 def _header(command: str, params: dict) -> str:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    param_s = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+    param_s = " ".join(
+        f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
+        for k, v in sorted(params.items()))
     return (f"# expander-cutoff {__version__}\n"
             f"# generated: {stamp}\n"
             f"# command: {command} {param_s}\n")
@@ -131,12 +133,12 @@ def read_json(path):
 # argument plumbing
 
 
-def _add_common(p, seed_required=False):
+def _add_common(p):
     p.add_argument("--config", type=str, default=None,
                    help="key=value file; explicit flags override it")
-    p.add_argument("--seed", type=int, default=None, required=False)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(_seed_required=seed_required, _parser=p)
+    p.set_defaults(_parser=p)
 
 
 def _add_build_params(p, flags="variant h L Lprime m min-gap",
@@ -174,7 +176,7 @@ def build_parser():
 
     p = sub.add_parser("build", help="build a graph and emit it with a census")
     _add_build_params(p)
-    _add_common(p, seed_required=True)
+    _add_common(p)
 
     p = sub.add_parser("spectral", help="spectral report for a built graph")
     p.add_argument("--graph", type=str, required=True)
@@ -204,7 +206,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--raw", action="store_true", default=None,
                    help="also write one sample per line")
-    _add_common(p, seed_required=True)
+    _add_common(p)
 
     p = sub.add_parser(
         "cutoff-report", help="cutoff ratio versus h for a build family",
@@ -227,7 +229,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=None)
     # no --eps: its CSV and JSON report only the 1/4 and 3/4 times
     _add_walk_params(p)
-    _add_common(p, seed_required=True)
+    _add_common(p)
 
     p = sub.add_parser("nocutoff-demo",
                        help="uneven-stretch build: bimodality plus cutoff ratio")
@@ -235,7 +237,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=None)
     _add_walk_params(p)
     _add_eps(p)
-    _add_common(p, seed_required=True)
+    _add_common(p)
     return ap
 
 
@@ -268,7 +270,11 @@ def _read_input(read, path, what):
 def _apply_config(args):
     """Fill the flags left unset from --config, by each flag's type and
     choices (args._parser is the command's subparser), then from the
-    defaults; args._given names the flags set before the defaults."""
+    defaults.  args._given maps each flag set before the defaults to its
+    value, except --config, --out and --raw, which say only where the run
+    reads and writes.  Every artifact's `# command:` line lists it, so a
+    flag left out took the default of the version on the header's first
+    line."""
     if args.config:
         actions = {a.dest: a for a in args._parser._actions}
         for line in _read_input(Path.read_text, args.config,
@@ -299,17 +305,14 @@ def _apply_config(args):
                         f"(choose from {', '.join(action.choices)})")
                 setattr(args, key, value)
     _require_one_mode(args)
-    args._given = {k for k, v in vars(args).items() if v is not None}
+    args._given = {a.dest: getattr(args, a.dest) for a in args._parser._actions
+                   if getattr(args, a.dest, None) is not None
+                   and a.dest not in ("config", "out", "raw")}
     for key, value in vars(args).items():
         if value is None:
             default = _POST_CONFIG_DEFAULTS.get(
                 (args.command, key), _POST_CONFIG_DEFAULTS.get(key))
             setattr(args, key, default)
-
-
-def _require_seed(args):
-    if getattr(args, "_seed_required", False) and args.seed is None:
-        raise UsageError("this command needs an explicit --seed")
 
 
 def _require_out_dir(args):
@@ -335,14 +338,17 @@ def _require_one_mode(args):
                              f"{', '.join(mixed)}")
 
 
-# how far the Philox keys of a command reach past --seed: a build keys its
-# second expander with seed + 1
+# the commands that draw random numbers, so need an explicit --seed, and how
+# far their Philox keys reach past it: a build keys its second expander
+# with seed + 1
 _SEED_SPAN = {"build": 1, "nocutoff-demo": 1, "hitting": 0,
               "cylinder-sweep": 0}
 
 
 def _require_in_range(args):
     span = _SEED_SPAN.get(args.command)
+    if span is not None and args.seed is None:
+        raise UsageError("this command needs an explicit --seed")
     if span is not None and not 0 <= args.seed <= 2**64 - 1 - span:
         raise UsageError(f"--seed must lie in [0, {2**64 - 1 - span}], "
                          f"got {args.seed}")
@@ -409,10 +415,6 @@ def _int_list_option(text, option) -> list:
     return [_int_option(x, option) for x in text.split(",")]
 
 
-def _param_summary(args, keys):
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -421,11 +423,7 @@ def _cmd_build(args) -> int:
     params = _params_from_args(args)
     g = construction.build(params)
     out = Path(args.out)
-    meta = {k: v for k, v in g.meta.items()
-            if k in ("variant", "h", "L", "L_prime", "m", "degree", "seeds",
-                     "gap1", "gap2", "L_floor", "meets_L_floor", "bipartite")}
-    info = _param_summary(args, ("variant", "h", "L", "Lprime", "m", "seed"))
-    write_artifact(out / "graph.ev", "build", info, text_blocks(g))
+    write_artifact(out / "graph.ev", args.command, args._given, text_blocks(g))
     census = {
         "vertices": g.vertex_count,
         "edges": g.edge_count,
@@ -433,9 +431,9 @@ def _cmd_build(args) -> int:
         "degree_max": int(g.degrees().max()),
         "levels": {str(k): v for k, v in construction.level_census(g).items()},
         "meta": {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in meta.items()},
+                 for k, v in g.meta.items()},
     }
-    write_json(out / "census.json", "build", info, census)
+    write_json(out / "census.json", args.command, args._given, census)
     print(f"wrote {out / 'graph.ev'} ({g.vertex_count} vertices, "
           f"{g.edge_count} edges)")
     return 0
@@ -447,8 +445,8 @@ def _cmd_spectral(args) -> int:
     g = _load_graph(args.graph)
     rep = spectral.spectral_report(g, cheeger_exact=args.cheeger_exact,
                                    dirichlet=args.dirichlet)
-    info = {"graph": args.graph}
-    write_json(Path(args.out) / "spectral.json", "spectral", info, asdict(rep))
+    write_json(Path(args.out) / "spectral.json", args.command, args._given,
+               asdict(rep))
     print(f"gap={rep.gap:.6f} lambda_abs={rep.lambda_abs:.6f}")
     return 0
 
@@ -467,15 +465,14 @@ def _cmd_profile(args) -> int:
     out = Path(args.out)
     for sm in summaries:
         prof = sm.profile
-        info = {"graph": args.graph, "start": sm.start,
-                "laziness": prof.laziness, "stride": prof.stride}
         rows = "t,tv\n" + "".join(f"{t},{v:.12g}\n" for t, v in prof.as_rows())
-        write_artifact(out / f"profile_start{sm.start}.csv", "profile", info,
-                       rows)
+        # with the start, laziness and stride the profile resolved
+        write_artifact(out / f"profile_start{sm.start}.csv", args.command,
+                       args._given | {"start": sm.start, "stride": prof.stride,
+                                      "laziness": prof.laziness}, rows)
     body = {"starts": [sm.as_dict() for sm in summaries],
             "worst_start": worst.as_dict()}
-    write_json(out / "profile_summary.json", "profile",
-               {"graph": args.graph}, body)
+    write_json(out / "profile_summary.json", args.command, args._given, body)
     print(f"worst start {worst.start}: tmix(1/4)={worst.tmix[0.25]} "
           f"ratio={worst.cutoff_ratio:.3f}")
     return 0
@@ -487,8 +484,6 @@ def _cmd_hitting(args) -> int:
     start = _int_option(args.start, "--start")
     out = Path(args.out)
     if args.chain:
-        info = _param_summary(args, ("variant", "h", "L", "Lprime", "seed",
-                                     "samples", "start", "chain"))
         params = _params_from_args(args)
         chain = montecarlo.descent_chain(params)
         fam = construction.FAMILIES[params.variant]
@@ -501,7 +496,6 @@ def _cmd_hitting(args) -> int:
     else:
         if not args.graph:
             raise UsageError("hitting needs --graph or --chain")
-        info = _param_summary(args, ("graph", "seed", "samples", "start"))
         g = _load_graph(args.graph)
         stats = montecarlo.sample_hitting_times(g, start,
                                                 args.samples, args.seed)
@@ -512,9 +506,9 @@ def _cmd_hitting(args) -> int:
     if bimodal is not None:
         body["bimodality"] = asdict(bimodal)
         body["quantile_ratio"] = montecarlo.hitting_mixing_ratio(stats)
-    write_json(out / "hitting.json", "hitting", info, body)
+    write_json(out / "hitting.json", args.command, args._given, body)
     if args.raw:
-        write_artifact(out / "hitting_samples.txt", "hitting", info,
+        write_artifact(out / "hitting_samples.txt", args.command, args._given,
                        "".join(f"{x}\n" for x in stats.samples.tolist()))
     print(f"mean={stats.mean:.2f} stddev={stats.stddev:.2f} "
           f"median={stats.quantiles[0.5]:.0f}")
@@ -544,11 +538,10 @@ def _cmd_cutoff_report(args) -> int:
                     f"{s.cutoff_ratio:.6f},{s.window_estimate}")
         details.append({"h": h, "n": g.vertex_count, **s.as_dict()})
         print(f"h={h}: ratio={s.cutoff_ratio:.3f}")
-    info = _param_summary(args, ("variant", "L", "hmin", "hmax", "seed"))
     out = Path(args.out)
-    write_artifact(out / "cutoff_vs_h.csv", "cutoff-report", info,
+    write_artifact(out / "cutoff_vs_h.csv", args.command, args._given,
                    "\n".join(rows) + "\n")
-    write_json(out / "cutoff_vs_h.json", "cutoff-report", info,
+    write_json(out / "cutoff_vs_h.json", args.command, args._given,
                {"rows": details})
     return 0
 
@@ -579,11 +572,10 @@ def _cmd_cylinder_sweep(args) -> int:
     xs = np.log([p[0] for p in pts])
     ys = np.log([p[1] for p in pts])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    info = _param_summary(args, ("m", "Ls", "seed"))
     out = Path(args.out)
-    write_artifact(out / "cylinder_sweep.csv", "cylinder-sweep", info,
+    write_artifact(out / "cylinder_sweep.csv", args.command, args._given,
                    "\n".join(rows) + "\n")
-    write_json(out / "cylinder_sweep.json", "cylinder-sweep", info,
+    write_json(out / "cylinder_sweep.json", args.command, args._given,
                {"points": [{"L": L, "tmix": t} for L, t in pts],
                 "loglog_slope": slope})
     print(f"log-log slope of tmix vs L: {slope:.3f}")
@@ -624,8 +616,8 @@ def _cmd_nocutoff_demo(args) -> int:
             laziness=args.laziness, stride=args.stride)
         body["exact_cutoff"] = summaries[0].as_dict()
         print(f"exact cutoff ratio from root: {summaries[0].cutoff_ratio:.3f}")
-    info = _param_summary(args, ("h", "L", "Lprime", "seed", "samples"))
-    write_json(Path(args.out) / "nocutoff.json", "nocutoff-demo", info, body)
+    write_json(Path(args.out) / "nocutoff.json", args.command, args._given,
+               body)
     print(f"bimodal={bimodal.flag} weights={bimodal.cluster_weights} "
           f"quantile_ratio={montecarlo.hitting_mixing_ratio(stats):.3f}")
     return 0
@@ -673,7 +665,6 @@ def _run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        _require_seed(args)
         _require_in_range(args)
         _require_out_dir(args)
         return _COMMANDS[args.command](args)

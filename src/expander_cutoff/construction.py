@@ -395,7 +395,9 @@ def build_cylinder(host, L: int) -> LeveledGraph:
     meta = {"variant": "cylinder", "h": 0, "L": L, "m": m, "degree": 3,
             "host_gap": getattr(host, "gap", host_g.meta.get("gap"))}
     if L == 1:
-        return host_g.with_meta(**meta, bipartite=bipartite)
+        # the host's arrays under a cylinder's meta only, as at every L
+        return LeveledGraph(host_g.indptr, host_g.indices, host_g.level,
+                            host_g.role, meta | {"bipartite": bipartite})
     return _finalize(_cylinder_builder(host_g, (L - 1) // 4, meta), 3)
 
 

@@ -17,6 +17,7 @@ to csr_matvec.  Nothing here imports scipy, so a chain walks without it.
 
 from __future__ import annotations
 
+import operator
 import os
 from array import array
 from dataclasses import dataclass, field
@@ -95,8 +96,11 @@ def tv_to_uniform(p: np.ndarray, work: np.ndarray | None = None,
     """Half the L1 distance between p and the stationary law `pi`, uniform
     when not given; `work` (float64, p's length) is scratch, allocated when
     not given.  A RootChain's class masses take its `stationary` as pi.
-    Clamped at 1, which rounding in the sum could exceed."""
+    A work or pi of another shape than p is a GraphError.  Clamped at 1,
+    which rounding in the sum could exceed."""
     work = np.empty(len(p)) if work is None else work
+    if not p.shape == work.shape == (p if pi is None else pi).shape:
+        raise GraphError(f"work and pi must have p's shape {p.shape}")
     np.subtract(p, 1.0 / len(p) if pi is None else pi, out=work)
     np.abs(work, out=work)
     return min(1.0, 0.5 * float(np.add.reduce(work)))
@@ -127,11 +131,12 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
     uniform every `stride` steps and at t_cap, and stops at the first
     record below `target` (errors if t_cap comes first).  target=None
     runs to t_cap.  g is a LeveledGraph, or a RootChain evolved from the
-    root (start 0) as class masses against its `stationary` law.
-    `buffers`, two distinct contiguous float64 vectors with one entry per
-    vertex (or class), three when laziness > 0, are the walk's; allocated
-    when not given, and a GraphError when of another length or type.  The
-    TV reduction's scratch is the next step's output.
+    root (start 0) as class masses against its `stationary` law; a start
+    that is not an integer (operator.index) is a GraphError.  `buffers`,
+    two distinct contiguous float64 vectors with one entry per vertex (or
+    class), three when laziness > 0, are the walk's; allocated when not
+    given, and a GraphError when of another length or type.  The TV
+    reduction's scratch is the next step's output.
 
     A record renormalizes p when its mass sum(p) strays from 1 by more than
     RENORM_TOL.  The mass is measured only at records where the drift
@@ -145,6 +150,10 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
     if t_cap < 0:
         raise GraphError("t_max must be >= 0")
     n = g.vertex_count
+    try:
+        start = operator.index(start)
+    except TypeError:
+        raise GraphError(f"start must be an integer, got {start!r}") from None
     if not 0 <= start < n:
         raise GraphError(f"start {start} is not a vertex (n={n})")
     stride = int(stride)
@@ -186,7 +195,7 @@ def tv_profile_until(g, start, target, t_cap, stride=1,
         raise GraphError(f"not mixed below {target} by t_max={t_cap}")
     times = np.arange(len(tv), dtype=np.int64) * stride
     np.minimum(times, t_cap, out=times)
-    return TVProfile(start=int(start), times=times, tv=np.array(tv),
+    return TVProfile(start=start, times=times, tv=np.array(tv),
                      laziness=laziness, stride=stride,
                      renormalizations=renorms)
 

@@ -12,6 +12,7 @@ from expander_cutoff import cli, construction, mixing, montecarlo
 from expander_cutoff.cli import (_apply_config, build_parser, main,
                                  read_artifact, read_json)
 from expander_cutoff.construction import ConstructionParams
+from expander_cutoff.expanders import ExpanderSpec, make_expander
 from expander_cutoff.graphs import to_text
 from expander_cutoff.mixing import cutoff_report, default_starts
 from expander_cutoff.montecarlo import chain_start, descent_chain
@@ -473,7 +474,7 @@ def test_config_sets_flags_that_have_defaults(tmp_path, capsys):
     assert read_json(out / "hitting.json")["count"] == 100
     assert len(read_artifact(out / "hitting_samples.txt").split()) == 100
     header = (out / "hitting.json").read_text().splitlines()[2]
-    assert " samples=100 " in header and " start=1 " in header
+    assert {"samples=100", "start=1"} <= set(header.split())
     # an explicit flag still wins over the file
     flag_out = tmp_path / "flag_out"
     assert run(*argv, "--samples", "30", "--out", str(flag_out)) == 0
@@ -839,6 +840,107 @@ def test_cutoff_report_bodies_do_not_depend_on_seed(tmp_path):
     assert bodies[0] == bodies[1] == bodies[2]
     assert commands == [f"# command: cutoff-report L=3 hmax=4 hmin=2 {seed}"
                         f"variant=cubic" for seed in ("seed=1 ", "seed=2 ", "")]
+
+
+def _written(out):
+    """{file name: (its # command: line, its body)} for every file of out."""
+    return {p.name: (p.read_text().splitlines()[2], read_artifact(p))
+            for p in out.iterdir()}
+
+
+_TINY_BUILD = ("build", "--variant", "five_regular", "--h", "1", "--L", "2",
+               "--seed", "1")
+_CUTOFF_REPORT = ("cutoff-report", "--variant", "cubic", "--L", "3",
+                  "--hmin", "2", "--hmax", "4")
+
+
+@pytest.mark.parametrize("argv, flag, token", [
+    (_CUTOFF_REPORT, ("--laziness", "0.5"), "laziness=0.5"),
+    (_CUTOFF_REPORT, ("--stride", "7"), "stride=7"),
+    (_CUTOFF_REPORT, ("--eps", "0.1"), "eps=0.1"),
+    (_CUTOFF_REPORT, ("--tmax", "5000"), "tmax=5000"),
+    (("build", "--variant", "cubic", "--h", "2", "--L", "2", "--seed", "1"),
+     ("--min-gap", "0.06"), "min_gap=0.06"),
+    (("spectral",), ("--dirichlet",), "dirichlet=True"),
+    (("profile", "--starts", "0", "--tmax", "400"), ("--eps", "0.1", "--eps",
+                                                      "0.2"), "eps=0.1,0.2"),
+    (("cylinder-sweep", "--m", "4", "--Ls", "5,9", "--seed", "1"),
+     ("--laziness", "0.3"), "laziness=0.3"),
+    (("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4", "--seed", "1",
+      "--samples", "1000"), ("--laziness", "0.3"), "laziness=0.3"),
+], ids=["cutoff-report-laziness", "cutoff-report-stride", "cutoff-report-eps",
+        "cutoff-report-tmax", "build-min-gap", "spectral-dirichlet",
+        "profile-eps", "cylinder-sweep-laziness", "nocutoff-demo-laziness"])
+def test_header_names_every_flag_the_run_was_given(tmp_path, argv, flag,
+                                                   token):
+    """Two runs that differ in one flag write files whose # command: lines
+    differ wherever their bodies do: each header lists the flag."""
+    if argv[0] in ("spectral", "profile"):
+        assert run(*_TINY_BUILD, "--out", str(tmp_path / "build")) == 0
+        argv = (argv[0], "--graph", str(tmp_path / "build" / "graph.ev"),
+                *argv[1:])
+    assert run(*argv, "--out", str(tmp_path / "default")) == 0
+    assert run(*argv, *flag, "--out", str(tmp_path / "flag")) == 0
+    default, given = _written(tmp_path / "default"), _written(tmp_path / "flag")
+    assert sorted(given) == sorted(default)
+    for name, (command, body) in given.items():
+        assert token in command.split()[3:], name
+        if body != default[name][1]:
+            assert command != default[name][0], name
+
+
+@pytest.mark.parametrize("variant, h, Lprime", [
+    ("five_regular", 1, 0), ("cubic", 2, 0), ("no_cutoff", 2, 4)])
+def test_tree_family_census_keeps_its_meta(tmp_path, variant, h, Lprime):
+    # a tree family's build meta holds no key a census omitted before it
+    # took the whole meta, so its census.json body is unchanged
+    kept = {"variant", "h", "L", "L_prime", "degree", "seeds", "gap1", "gap2",
+            "L_floor", "meets_L_floor", "bipartite"}
+    assert run("build", "--variant", variant, "--h", str(h), "--L", "2",
+               *(("--Lprime", str(Lprime)) if Lprime else ()), "--seed", "1",
+               "--out", str(tmp_path)) == 0
+    meta = read_json(tmp_path / "census.json")["meta"]
+    g = construction.build(ConstructionParams(h=h, L=2, variant=variant,
+                                              L_prime=Lprime, seed=1))
+    assert set(meta) <= kept
+    assert meta == {k: list(v) if isinstance(v, tuple) else v
+                    for k, v in g.meta.items()}
+
+
+@pytest.mark.parametrize("L", [1, 5])
+def test_cylinder_census_records_its_host_gap(tmp_path, L):
+    # at L=1 the cylinder is its host, and its meta is still a cylinder's
+    assert run("build", "--variant", "cylinder", "--m", "8", "--L", str(L),
+               "--seed", "1", "--out", str(tmp_path)) == 0
+    meta = read_json(tmp_path / "census.json")["meta"]
+    host = make_expander(ExpanderSpec(3, 8, 0.05, 1))
+    assert meta["host_gap"] == host.gap == pytest.approx(0.254644, abs=1e-6)
+    assert set(meta) == {"variant", "h", "L", "m", "degree", "host_gap",
+                         "bipartite"}
+
+
+def test_exactly_the_commands_that_draw_need_a_seed(tmp_path, capsys):
+    assert run(*_TINY_BUILD, "--out", str(tmp_path / "build")) == 0
+    graph = str(tmp_path / "build" / "graph.ev")
+    seeded = [("build", "--variant", "five_regular", "--h", "1", "--L", "2"),
+              ("hitting", "--chain", "--h", "2", "--L", "2"),
+              ("cylinder-sweep", "--m", "4", "--Ls", "5,9"),
+              ("nocutoff-demo", "--h", "2", "--L", "2", "--Lprime", "4")]
+    unseeded = [("spectral", "--graph", graph),
+                ("profile", "--graph", graph, "--starts", "0",
+                 "--tmax", "400"),
+                ("cutoff-report", "--variant", "cubic", "--L", "3",
+                 "--hmin", "2", "--hmax", "2")]
+    for argv in seeded:
+        out = tmp_path / f"run-{argv[0]}"
+        assert run(*argv, "--out", str(out)) == 2, argv[0]
+        assert capsys.readouterr().err == \
+            "error: this command needs an explicit --seed\n"
+        assert not out.exists()
+    for argv in unseeded:
+        assert run(*argv, "--out", str(tmp_path / argv[0])) == 0, argv[0]
+    assert {a[0] for a in seeded} | {a[0] for a in unseeded} == \
+        set(cli._COMMANDS)
 
 
 def test_cutoff_report_rows_equal_materialized(tmp_path, monkeypatch):

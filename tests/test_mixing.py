@@ -167,8 +167,27 @@ def test_tv_two_states():
     assert tv_to_uniform(np.array([0.75, 0.25])) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("work, pi", [(np.empty(4), None),
+                                      (None, np.full(4, 0.25))],
+                         ids=["work", "pi"])
+def test_tv_refuses_a_work_or_pi_of_another_shape(work, pi):
+    with pytest.raises(GraphError, match=r"must have p's shape \(5,\)"):
+        tv_to_uniform(np.full(5, 0.2), work, pi)
+
+
 # ---------------------------------------------------------------------------
 # profiles
+
+
+def test_profile_start_must_be_an_integer():
+    g = cycle_graph(5)
+    # 1.5 lies in the vertex range, but no vertex has that index
+    with pytest.raises(GraphError, match="start must be an integer, got 1.5"):
+        tv_profile_until(g, 1.5, None, 3)
+    prof = tv_profile_until(g, np.int64(2), None, 3)
+    assert type(prof.start) is int and prof.start == 2
+    # from any vertex of the 5-cycle: masses 3/8, 3/8, 1/8, 1/8 and 0
+    assert prof.tv[-1] == pytest.approx(0.35)
 
 
 def test_profile_tmax_zero():

@@ -1,9 +1,11 @@
 """The benchmark's tooling against the package: the tracer
 (perfbench/layers.py) still finds every layer it hooks, and the CLI still
-parses every command of every workload (perfbench/workloads.py).  A change
-that deletes or renames a traced function or a flag shows up here, not as
-a silently empty metric or a failed benchmark run."""
+parses every command of every workload (perfbench/workloads.py) and keeps
+the flags of every command.  A change that deletes or renames a traced
+function or a flag shows up here, not as a silently empty metric or a
+failed benchmark run."""
 
+import argparse
 import json
 import os
 import runpy
@@ -75,3 +77,30 @@ def test_every_workload_command_parses(name):
         # argparse exits 2 on a flag or choice the command does not take
         args = build_parser().parse_args(command.argv)
         assert args.command == command.argv[0]
+
+
+# every flag of every command, help included; the benchmark's commands use
+# only some of them, so a flag dropped or added elsewhere shows up here
+_COMMON_OPTIONS = ["--config", "--help", "--out", "--seed", "-h"]
+_OPTIONS = {
+    "build": ["--L", "--Lprime", "--h", "--m", "--min-gap", "--variant"],
+    "spectral": ["--cheeger-exact", "--dirichlet", "--graph"],
+    "profile": ["--eps", "--graph", "--laziness", "--starts", "--stride",
+                "--tmax"],
+    "hitting": ["--L", "--Lprime", "--chain", "--graph", "--h", "--raw",
+                "--samples", "--start", "--variant"],
+    "cutoff-report": ["--L", "--eps", "--hmax", "--hmin", "--laziness",
+                      "--stride", "--tmax", "--variant"],
+    "cylinder-sweep": ["--Ls", "--laziness", "--m", "--stride", "--tmax"],
+    "nocutoff-demo": ["--L", "--Lprime", "--eps", "--h", "--laziness",
+                      "--min-gap", "--samples", "--stride", "--tmax"],
+}
+
+
+def test_every_command_keeps_its_option_strings():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(_OPTIONS)
+    for name, parser in commands.choices.items():
+        options = sorted(s for a in parser._actions for s in a.option_strings)
+        assert options == sorted(_OPTIONS[name] + _COMMON_OPTIONS), name
